@@ -7,6 +7,7 @@ at a rational number gives the algebras acting on tensor space.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -284,10 +285,11 @@ def generated_subalgebra(gens: Iterable[AlgebraElement], cap: int = 4096) -> int
     """Dimension of the smallest unital subalgebra containing ``gens``.
 
     Works in diagram coordinates with exact arithmetic, saturating the
-    span under left multiplication by the generators.  Only specialized
-    elements are accepted (the span lives over Q).
+    span under left multiplication by the generators (the shared
+    ``linalg.saturate`` loop, with exact rank as the membership rule).
+    Only specialized elements are accepted (the span lives over Q).
     """
-    from .linalg import ExactRref
+    from .linalg import ExactRref, saturate
 
     gens = list(gens)
     if not gens:
@@ -313,22 +315,8 @@ def generated_subalgebra(gens: Iterable[AlgebraElement], cap: int = 4096) -> int
         return row
 
     rref = ExactRref(dim_bound)
-    basis: list[AlgebraElement] = []
-    frontier: list[AlgebraElement] = []
-    for el in [AlgebraElement.unit(m, x0)] + gens:
-        if rref.insert(vec(el)):
-            basis.append(el)
-            frontier.append(el)
-    while frontier:
-        new: list[AlgebraElement] = []
-        for g in gens:
-            for b in frontier:
-                prod = g * b
-                if rref.insert(vec(prod)):
-                    basis.append(prod)
-                    new.append(prod)
-        frontier = new
-    return len(basis)
+    return len(saturate([AlgebraElement.unit(m, x0)] + gens, gens, operator.mul,
+                        lambda el: rref.insert(vec(el))))
 
 
 def element_to_json(el: AlgebraElement) -> dict:

@@ -9,11 +9,14 @@ the content of the verification is the dimension count, which is why the
 report carries all four dimensions.
 
 The deranged family is too large for span saturation of the group image
-(it has dimension 11732 inside 225 x 225 matrices at n=4, r=2), so there
-the group image dimension is computed as the commutant of the commutant
-of the generators; for a semisimple algebra in characteristic zero the
-double commutant is the algebra itself.  Those dimensions are computed
-modulo two primes and tagged as such in the report.
+(it has dimension 11732 inside 225 x 225 matrices at n=4, r=2).  There
+the commutant of the group generators is computed exactly and proven
+equal to the diagram image (``equal_b``).  The group image is the
+commutant of that commutant (for a semisimple algebra in characteristic
+zero the double commutant is the algebra itself), so once ``equal_b``
+holds it is the commutant of the diagram image, and one graded solve
+gives both dimensions.  That solve runs modulo two primes unless the
+exact mode is requested, and the report carries its method tag.
 """
 from __future__ import annotations
 
@@ -216,15 +219,12 @@ def _verify_deranged(n, r, mode, primes, solver_cap):
     equal_b = (comm_group_span is not None
                and span_equal(diagram_span, comm_group_span))
 
-    # The remaining two dimensions live in a 50625-unknown matrix space;
-    # the torus grading splits them into small independent blocks.
+    # The commutant of the diagram image lives in a 50625-unknown matrix
+    # space at n=4, r=2; the torus grading splits it into small blocks.
     weights = weight_vectors(space)
     chunk_mode = "exact" if mode == "exact" else "modular"
-    comm_diag_dim, m1 = graded_commutant_dim(diagram_mats, weights,
-                                             mode=chunk_mode, primes=primes)
-    group_image_dim, m2 = graded_commutant_dim(
-        [m for m in comm_group_span.basis], weights,
-        mode=chunk_mode, primes=primes)
+    comm_diag_dim, chunk_method = graded_commutant_dim(
+        diagram_mats, weights, mode=chunk_mode, primes=primes)
 
     # Containment of the group image in the diagram commutant reduces to
     # the generators commuting with the diagram matrices; screen it
@@ -238,14 +238,19 @@ def _verify_deranged(n, r, mode, primes, solver_cap):
             if np.any((gp @ mp - mp @ gp) % p):
                 raise ArithmeticError("group and diagram actions fail to commute")
 
-    equal_a = group_image_dim == comm_diag_dim
+    # The group image is the commutant of the group commutant (double
+    # commutant theorem: semisimple, characteristic zero), and equal_b
+    # proves that span equal to the diagram image.  Without equal_b there
+    # is no computed group image to compare.
+    group_image_dim = comm_diag_dim if equal_b else None
+    equal_a = True if equal_b else None
     dims = {
         "group_image": group_image_dim,
         "diagram_image": diagram_span.dim,
         "commutant_of_diagram": comm_diag_dim,
         "commutant_of_group": comm_group.nullity,
     }
-    method = _combine_methods(comm_group.method, m1, m2)
+    method = _combine_methods(comm_group.method, chunk_method)
     return DualityReport("deranged", n, r, r, dims, equal_a, equal_b,
                          diagram_span.dim == derangements(2 * r), method,
                          extra={"group_image_via": "double commutant"})

@@ -239,12 +239,11 @@ class ModRref:
     reduce with a single mat-vec; the pivot block stays fully reduced.
     """
 
-    def __init__(self, ncols: int, p: int, max_rank: int | None = None):
+    def __init__(self, ncols: int, p: int):
         self.ncols = ncols
         self.p = p
-        cap = ncols if max_rank is None else min(max_rank, ncols)
-        self._rows = np.zeros((cap, ncols), dtype=np.int64)
-        self._pivots = np.zeros(cap, dtype=np.int64)
+        self._rows = np.zeros((ncols, ncols), dtype=np.int64)
+        self._pivots = np.zeros(ncols, dtype=np.int64)
         self._pivot_row: dict[int, int] = {}
         self.rank = 0
 
@@ -333,6 +332,22 @@ def kernel_modp_dense(mat: np.ndarray, p: int) -> np.ndarray:
     return acc.kernel_basis()
 
 
+def _first_two_primes(primes: Sequence[int], run) -> list[tuple[int, object]]:
+    """Call ``run(p)`` for ``primes`` and then ``EXTRA_PRIMES`` and return
+    ``(p, run(p))`` for the first two primes that succeed.  ``run`` raises
+    ZeroDivisionError when p divides a denominator of its input; that
+    prime is skipped."""
+    done = []
+    for p in list(primes) + [q for q in EXTRA_PRIMES if q not in primes]:
+        try:
+            done.append((p, run(p)))
+        except ZeroDivisionError:
+            continue
+        if len(done) == 2:
+            return done
+    raise ArithmeticError("ran out of primes that reduce the input cleanly")
+
+
 # ---------------------------------------------------------------------------
 # CRT and rational reconstruction
 
@@ -404,33 +419,21 @@ def solve_sparse_system(
         kernel = acc.kernel_basis() if want_kernel else None
         return SolveResult(ncols - acc.rank, acc.rank, kernel, "exact")
 
-    primes = list(primes)
-    attempts = list(primes) + [p for p in EXTRA_PRIMES if p not in primes]
-    used: list[int] = []
-    tables: list[ModRref] = []
-    for p in attempts:
-        if len(used) == 2:
-            break
-        try:
-            acc = ModRref(ncols, p)
-            cache: dict = {}
-            for row in rows:
-                acc.insert_sparse(_sparse_row_items_modp(row, p, cache))
-        except ZeroDivisionError:
-            continue
-        used.append(p)
-        tables.append(acc)
-    if len(used) < 2:
-        raise ArithmeticError("ran out of primes for the modular solve")
+    def eliminate(p: int) -> ModRref:
+        acc = ModRref(ncols, p)
+        cache: dict = {}
+        for row in rows:
+            acc.insert_sparse(_sparse_row_items_modp(row, p, cache))
+        return acc
 
-    t1, t2 = tables
+    (p1, t1), (p2, t2) = _first_two_primes(primes, eliminate)
     if t1.rank != t2.rank or t1.pivot_cols != t2.pivot_cols:
         raise ArithmeticError(
-            f"primes {used} disagree on the echelon shape; system is ill-conditioned "
+            f"primes {[p1, p2]} disagree on the echelon shape; system is ill-conditioned "
             f"for the configured primes")
     rank = t1.rank
     nullity = ncols - rank
-    label = f"mod-p({used[0]},{used[1]})"
+    label = f"mod-p({p1},{p2})"
     if mode == "modular":
         return SolveResult(nullity, rank, None, label)
 
@@ -439,12 +442,12 @@ def solve_sparse_system(
     # (a lower bound on the exact rank) this pins both dimensions exactly.
     k1 = t1.kernel_basis()
     k2 = t2.kernel_basis()
-    modulus = used[0] * used[1]
+    modulus = p1 * p2
     kernel: list[list[Fraction]] = []
     for col in range(k1.shape[1]):
         vec = []
         for i in range(ncols):
-            a = crt_pair(int(k1[i, col]), used[0], int(k2[i, col]), used[1])
+            a = crt_pair(int(k1[i, col]), p1, int(k2[i, col]), p2)
             q = rational_reconstruct(a, modulus)
             if q is None:
                 raise ArithmeticError(
@@ -472,18 +475,9 @@ class LinOp:
 
     @classmethod
     def from_dense(cls, mat: np.ndarray) -> "LinOp":
-        dim = mat.shape[0]
-        if mat.shape[1] != dim:
+        if mat.shape[1] != mat.shape[0]:
             raise ValueError("operator must be square")
-        rows = []
-        for i in range(dim):
-            row = {}
-            for j in range(dim):
-                c = mat[i, j]
-                if c:
-                    row[j] = exactify(c)
-            rows.append(row)
-        return cls(dim, rows)
+        return cls(mat.shape[0], rows_from_dense(mat))
 
     @classmethod
     def zero(cls, dim: int) -> "LinOp":
@@ -509,11 +503,7 @@ class LinOp:
         return diag
 
     def to_dense(self) -> np.ndarray:
-        out = zeros_matrix(self.dim, self.dim)
-        for i, row in enumerate(self.rows):
-            for j, c in row.items():
-                out[i, j] = c
-        return out
+        return dense_from_rows(self.rows, self.dim)
 
 
 def _as_linop(op, dim: int) -> LinOp:
@@ -705,77 +695,69 @@ def graded_commutant_dim(
         groups.setdefault(w, []).append(i)
     keys = sorted(groups)
 
+    blocks = [(groups[w1], groups[w2]) for w1, w2 in itertools.product(keys, repeat=2)]
     if mode == "exact":
-        total = 0
-        for w1, w2 in itertools.product(keys, repeat=2):
-            rows_ix = groups[w1]
-            cols_ix = groups[w2]
-            basis = None  # columns of an exact kernel matrix
-            for g in gens:
-                lblk = g[np.ix_(rows_ix, rows_ix)]
-                rblk = g[np.ix_(cols_ix, cols_ix)]
-                t = _kron_object(lblk, identity_matrix(len(cols_ix))) \
-                    - _kron_object(identity_matrix(len(rows_ix)), rblk.T)
-                mat = t if basis is None else t @ basis
-                kern = nullspace_exact([list(mat[i, :]) for i in range(mat.shape[0])],
-                                       mat.shape[1])
-                if not kern:
-                    basis = zeros_matrix(t.shape[1] if basis is None else basis.shape[0], 0)
-                    break
-                kmat = np.array(kern, dtype=object).T
-                basis = kmat if basis is None else basis @ kmat
-            total += 0 if basis is None else basis.shape[1]
-        return total, "exact"
+        return _graded_total(gens, blocks, _kernel_exact, lambda m: m), "exact"
 
-    dims = []
-    used = []
-    for p in list(primes) + [q for q in EXTRA_PRIMES if q not in primes]:
-        if len(used) == 2:
-            break
-        try:
-            gens_p = [mat_to_modp(g, p) for g in gens]
-        except ZeroDivisionError:
-            continue
-        total = 0
-        for w1, w2 in itertools.product(keys, repeat=2):
-            rows_ix = np.array(groups[w1])
-            cols_ix = np.array(groups[w2])
-            nb = len(cols_ix)
-            na = len(rows_ix)
-            basis = None
-            alive = na * nb
-            for gp in gens_p:
-                lblk = gp[np.ix_(rows_ix, rows_ix)]
-                rblk = gp[np.ix_(cols_ix, cols_ix)]
-                t = np.mod(np.kron(lblk, np.eye(nb, dtype=np.int64))
-                           - np.kron(np.eye(na, dtype=np.int64), rblk.T), p)
-                mat = t if basis is None else np.mod(t @ basis, p)
-                kern = kernel_modp_dense(mat, p)
-                basis = kern if basis is None else np.mod(basis @ kern, p)
-                alive = basis.shape[1]
-                if alive == 0:
-                    break
-            total += alive
-        dims.append(total)
-        used.append(p)
-    if len(used) < 2:
-        raise ArithmeticError("ran out of primes for the graded commutant")
-    if dims[0] != dims[1]:
-        raise ArithmeticError(f"primes {used} disagree: {dims}")
-    return dims[0], f"mod-p({used[0]},{used[1]})"
+    def modular_total(p: int) -> int:
+        gens_p = [mat_to_modp(g, p) for g in gens]
+        return _graded_total(gens_p, blocks, lambda m: kernel_modp_dense(m, p),
+                             lambda m: np.mod(m, p))
+
+    (p1, dim1), (p2, dim2) = _first_two_primes(primes, modular_total)
+    if dim1 != dim2:
+        raise ArithmeticError(f"primes {[p1, p2]} disagree: {[dim1, dim2]}")
+    return dim1, f"mod-p({p1},{p2})"
 
 
-def _kron_object(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]), dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out[i * b.shape[0]:(i + 1) * b.shape[0],
-                j * b.shape[1]:(j + 1) * b.shape[1]] = a[i, j] * b
-    return out
+def _graded_total(gens, blocks, kernel, reduce) -> int:
+    """Sum over weight-pair blocks of the joint kernel dimension of
+    ``X |-> g X - X g`` restricted to the block.  ``kernel(mat)`` returns
+    the kernel as columns and ``reduce`` brings an array to normal form, so
+    one loop serves both the exact and the modular arithmetic."""
+    total = 0
+    for rows_ix, cols_ix in blocks:
+        eye_rows = np.eye(len(rows_ix), dtype=gens[0].dtype)
+        eye_cols = np.eye(len(cols_ix), dtype=gens[0].dtype)
+        basis = None  # columns spanning the joint kernel so far
+        for g in gens:
+            t = reduce(np.kron(g[np.ix_(rows_ix, rows_ix)], eye_cols)
+                       - np.kron(eye_rows, g[np.ix_(cols_ix, cols_ix)].T))
+            kern = kernel(t if basis is None else reduce(t @ basis))
+            basis = kern if basis is None else reduce(basis @ kern)
+            if basis.shape[1] == 0:
+                break
+        total += basis.shape[1]
+    return total
+
+
+def _kernel_exact(mat: np.ndarray) -> np.ndarray:
+    kern = nullspace_exact(mat.tolist(), mat.shape[1])
+    return np.array(kern, dtype=object).reshape(len(kern), mat.shape[1]).T
 
 
 # ---------------------------------------------------------------------------
 # unital algebra closure
+
+def saturate(start: Iterable, gens: Sequence, multiply, take) -> list:
+    """Frontier saturation under left multiplication by ``gens``.
+
+    Each element of ``start`` is offered to ``take``; the accepted ones
+    form the first frontier.  Each round then offers ``multiply(g, b)``
+    for every generator ``g`` and frontier element ``b``, and the accepted
+    products form the next frontier.  ``take(candidate) -> bool`` is the
+    membership rule: it returns True for a candidate outside the span
+    built so far and adds it to that span.  Returns the accepted elements
+    in order.
+    """
+    frontier = [x for x in start if take(x)]
+    kept = list(frontier)
+    while frontier:
+        frontier = [prod for g in gens for b in frontier
+                    if take(prod := multiply(g, b))]
+        kept += frontier
+    return kept
+
 
 def algebra_closure(
     seed: Sequence[np.ndarray],
@@ -786,56 +768,38 @@ def algebra_closure(
     """Smallest unital matrix algebra containing the seed matrices.
 
     The span is saturated under left multiplication by the seed, which
-    reaches every word in the generators.  Membership during saturation
-    is screened modulo two primes (a nonzero residue proves exact
-    independence); once stable, closure is re-verified with exact
-    arithmetic so the final dimension does not rest on the screening.
+    reaches every word in the generators.  The first saturation screens
+    membership modulo two primes (a nonzero residue proves exact
+    independence).  A second saturation starts from the seed times that
+    basis and tests membership exactly, adding whatever the screen missed,
+    so the final dimension does not rest on the screening.
     """
     seed = list(seed)
     for m in seed:
         if m.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrices, got {m.shape}")
-    p1, p2 = primes[0], primes[1]
-    screens = (ModRref(d * d, p1), ModRref(d * d, p2))
+    screens = (ModRref(d * d, primes[0]), ModRref(d * d, primes[1]))
 
-    def screen_insert(mat: np.ndarray) -> bool:
-        v1 = mat_to_modp(mat, p1).reshape(-1)
-        v2 = mat_to_modp(mat, p2).reshape(-1)
-        new1 = screens[0].insert(v1)
-        new2 = screens[1].insert(v2)
-        return new1 or new2
-
-    basis: list[np.ndarray] = []
-    frontier: list[np.ndarray] = []
-    for m in [identity_matrix(d)] + seed:
-        if screen_insert(m):
-            basis.append(m)
-            frontier.append(m)
-    while frontier:
-        if len(basis) > dim_cap:
+    def screen_take(mat: np.ndarray) -> bool:
+        new = [acc.insert(mat_to_modp(mat, acc.p).reshape(-1)) for acc in screens]
+        # A modular rank is a lower bound on the exact dimension.
+        if max(acc.rank for acc in screens) > dim_cap:
             raise CapExceededError(f"closure dimension exceeds cap {dim_cap}")
-        fresh: list[np.ndarray] = []
-        for g in seed:
-            for b in frontier:
-                prod = g @ b
-                if screen_insert(prod):
-                    basis.append(prod)
-                    fresh.append(prod)
-        frontier = fresh
+        return any(new)
 
+    basis = saturate([identity_matrix(d)] + seed, seed, np.matmul, screen_take)
     span = MatrixSpan.from_matrices(basis, d)
     if span.dim != len(basis):
         raise ArithmeticError("modular screening produced a dependent basis")
-    # Exact closure check: every generator times every basis element must
-    # already lie in the span.  If the screening dropped something real,
-    # resume saturation with exact membership tests.
-    queue = [g @ b for g in seed for b in span.basis]
-    while queue:
-        prod = queue.pop(0)
-        if not span.contains_matrix(prod):
-            span.rref.insert(list(prod.reshape(-1)))
-            span.basis.append(prod)
-            queue.extend(g @ prod for g in seed)
+
+    def exact_take(mat: np.ndarray) -> bool:
+        if span.contains_matrix(mat):
+            return False
+        span.rref.insert(list(mat.reshape(-1)))
+        span.basis.append(mat)
+        return True
+
+    saturate([g @ b for g in seed for b in span.basis], seed, np.matmul, exact_take)
     return span
 
 

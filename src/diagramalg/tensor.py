@@ -533,11 +533,7 @@ def derivation_action(x: np.ndarray, space, cap: int = DENSE_DIM_CAP) -> np.ndar
     positions."""
     mats, dims = _position_actions(x, space)
     rows, total = _lift_entries(mats, dims, cap)
-    out = zeros_matrix(total, total)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            out[i, j] = v
-    return out
+    return dense_from_rows(rows, total)
 
 
 def derivation_ops_sparse(x: np.ndarray, space, cap: int = DEFAULT_DIM_CAP) -> LinOp:

@@ -1,5 +1,6 @@
 import pytest
 
+from diagramalg import duality
 from diagramalg.duality import DualityReport, verify_duality
 
 
@@ -41,6 +42,46 @@ class TestSmallFamilies:
         assert rep.extra["o_commutant"] == 1
         assert rep.extra["proper_subalgebra"] is True
         assert rep.equal_a is None and rep.faithful is None
+
+
+class TestDeranged:
+    @pytest.fixture
+    def graded_calls(self, monkeypatch):
+        calls = []
+        original = duality.graded_commutant_dim
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(duality, "graded_commutant_dim", counting)
+        return calls
+
+    @pytest.mark.parametrize("n,end", [(2, 9), (3, 64)])
+    @pytest.mark.parametrize("mode,method", [
+        ("exact", "exact"),
+        ("auto", "mod-p(33554393,33554383)"),
+    ])
+    def test_adjoint_module_r1(self, graded_calls, n, end, mode, method):
+        # sl_n is an irreducible GL_n-module: its commutant is the scalars
+        # (1 = N(2)) and the group image is all of End(sl_n).
+        rep = verify_duality("deranged", n, 1, mode=mode)
+        assert rep.dims == {"group_image": end, "diagram_image": 1,
+                            "commutant_of_diagram": end, "commutant_of_group": 1}
+        assert rep.equal_a is True and rep.equal_b is True
+        assert rep.faithful is True
+        assert rep.extra == {"group_image_via": "double commutant"}
+        assert rep.method == method
+        assert len(graded_calls) == 1
+
+    def test_no_group_image_without_equal_b(self, monkeypatch):
+        monkeypatch.setattr(duality, "span_equal", lambda a, b: False)
+        rep = verify_duality("deranged", 2, 1)
+        assert rep.equal_b is False
+        assert rep.equal_a is None
+        assert rep.dims["group_image"] is None
+        assert rep.dims["commutant_of_diagram"] == 9
+        assert not rep.verified
 
 
 class TestReportShape:

@@ -261,6 +261,17 @@ class TestGradedCommutant:
         assert method.startswith("mod-p(")
         assert method_exact == "exact"
 
+    def test_prime_dividing_a_denominator_is_skipped(self):
+        # DEFAULT_PRIMES[0] divides a denominator, so both solvers walk on
+        # to the next default prime and then the first extra prime.
+        q = Fraction(1, DEFAULT_PRIMES[0])
+        label = "mod-p(33554383,33554371)"
+        res = solve_sparse_system([{0: q}], 3, mode="modular")
+        assert (res.nullity, res.method) == (2, label)
+        gen = zeros_matrix(2, 2)
+        gen[0, 0] = q
+        assert graded_commutant_dim([gen], [(0,), (1,)]) == (2, label)
+
     def test_rejects_non_graded_generators(self):
         mat = zeros_matrix(2, 2)
         mat[0, 1] = 1
