@@ -7,7 +7,9 @@ table).  Output goes to stdout as canonical JSON (or a plain-text
 rendering of the same object); diagnostics go to stderr.
 
 Exit codes: 0 success / verified, 1 a verification ran and an equality
-came out false, 2 usage or input errors, 3 a resource cap was hit.
+came out false, 2 usage or input errors, 3 a resource cap was hit, 4 an
+internal failure (arithmetic the engine could not complete, such as
+primes that disagree, or memory exhausted).
 
 Results never depend on the environment or on timing; identical
 invocations print identical bytes.  ``--threads`` is accepted for sweep
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_CAPS = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -259,6 +262,10 @@ def main(argv=None) -> int:
     except (UsageError, DiagramError, RingMismatchError, ValueError) as exc:
         sys.stderr.write(f"diagramalg: {exc}\n")
         return EXIT_USAGE
+    except (ArithmeticError, MemoryError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"diagramalg: internal error: {type(exc).__name__}{detail}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

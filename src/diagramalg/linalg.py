@@ -233,58 +233,103 @@ def nullspace_exact(rows: Iterable[Sequence], ncols: int) -> list[list[Fraction]
 # modular echelon form (int64 numpy, single prime)
 
 class ModRref:
-    """Streaming reduced row echelon form over GF(p).
+    """Streaming reduced row echelon form over GF(p), single or batched.
 
-    Pivot rows are kept in one preallocated int64 matrix so incoming rows
-    reduce with a single mat-vec; the pivot block stays fully reduced.
+    Pivot rows are kept in insertion order in one preallocated int64
+    table, so a new pivot never moves an older row: incoming rows reduce
+    with a single mat-vec, and a new pivot only rewrites the rows that
+    have a nonzero in its column.  Every pivot row has leading entry 1 and
+    is zero in every other pivot column (a reduced echelon form up to the
+    order of its rows).
+
+    ``batch=None`` keeps one form and ``insert`` takes one row.  With
+    ``batch=B`` the object keeps B independent forms over the same columns:
+    ``insert`` takes a (B, ncols) array, one row per form, and reduces all
+    B forms in one vectorized step; ``rank`` is then a length-B array.
     """
 
-    def __init__(self, ncols: int, p: int):
+    def __init__(self, ncols: int, p: int, *, batch: int | None = None):
         self.ncols = ncols
         self.p = p
-        self._rows = np.zeros((ncols, ncols), dtype=np.int64)
-        self._pivots = np.zeros(ncols, dtype=np.int64)
-        self._pivot_row: dict[int, int] = {}
-        self.rank = 0
+        self.batch = batch
+        lead = () if batch is None else (batch,)
+        self._rows = np.zeros(lead + (ncols, ncols), dtype=np.int64)
+        self._pivots = np.zeros(lead + (ncols,), dtype=np.int64)
+        self._pivot_row: dict[int, int] = {}  # single form: column -> row
+        self._form_ix = () if batch is None else (np.arange(batch)[:, None],)
+        self._top = 0  # the highest rank of any form
+        self.rank = 0 if batch is None else np.zeros(batch, dtype=np.int64)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
+        """Residue of ``v`` (one row per form) after clearing every pivot
+        column.  A form of lower rank than the others has zero rows past
+        its rank, so they contribute nothing."""
         v = np.mod(v, self.p)
-        if self.rank:
-            coeffs = v[self._pivots[: self.rank]]
+        top = self._top
+        if top:
+            coeffs = v[self._form_ix + (self._pivots[..., :top],)]
             if coeffs.any():
-                v = np.mod(v - coeffs @ self._rows[: self.rank], self.p)
+                v -= (coeffs[..., None, :] @ self._rows[..., :top, :])[..., 0, :]
+                np.mod(v, self.p, out=v)
         return v
 
     def _install(self, v: np.ndarray) -> bool:
-        nz = np.nonzero(v)[0]
+        if self.batch is not None:
+            return self._install_batch(v)
+        nz = np.flatnonzero(v)
         if nz.size == 0:
             return False
         pc = int(nz[0])
-        v = v * pow(int(v[pc]), self.p - 2, self.p) % self.p
-        if self.rank:
-            col = self._rows[: self.rank, pc].copy()
-            if col.any():
-                self._rows[: self.rank] = np.mod(
-                    self._rows[: self.rank] - col[:, None] * v[None, :], self.p)
-        at = int(np.searchsorted(self._pivots[: self.rank], pc))
-        self._rows[at + 1: self.rank + 1] = self._rows[at: self.rank]
-        self._pivots[at + 1: self.rank + 1] = self._pivots[at: self.rank]
-        self._rows[at] = v
-        self._pivots[at] = pc
-        for col, row in self._pivot_row.items():
-            if row >= at:
-                self._pivot_row[col] = row + 1
-        self._pivot_row[pc] = at
-        self.rank += 1
+        p, r = self.p, self.rank
+        v = v * pow(int(v[pc]), p - 2, p) % p
+        hit = np.flatnonzero(self._rows[:r, pc])
+        if hit.size:
+            rows = self._rows[hit]
+            rows -= rows[:, pc, None] * v
+            self._rows[hit] = np.mod(rows, p, out=rows)
+        self._rows[r] = v
+        self._pivots[r] = pc
+        self._pivot_row[pc] = r
+        self.rank = self._top = r + 1
+        return True
+
+    def _install_batch(self, v: np.ndarray) -> bool:
+        nz = v != 0
+        grows = nz.any(axis=1)
+        if not grows.any():
+            return False
+        p, top = self.p, self._top
+        pcs = nz.argmax(axis=1)
+        every = np.arange(self.batch)
+        lead = v[every, pcs].tolist()
+        inv = np.array([pow(x, p - 2, p) if x else 0 for x in lead], dtype=np.int64)
+        # A form that gains no pivot has v == 0, so these updates leave it alone.
+        v = v * inv[:, None] % p
+        if top:
+            rows = self._rows[:, :top]
+            rows -= rows[every, :, pcs][:, :, None] * v[:, None, :]
+            np.mod(rows, p, out=rows)
+        if grows.all() and self.rank.min() == top:
+            # every form grows from the same rank: basic slices suffice
+            self._rows[:, top] = v
+            self._pivots[:, top] = pcs
+        else:
+            forms = np.flatnonzero(grows)
+            at = self.rank[forms]
+            self._rows[forms, at] = v[forms]
+            self._pivots[forms, at] = pcs[forms]
+        self.rank += grows
+        self._top = int(self.rank.max())
         return True
 
     def insert(self, v: np.ndarray) -> bool:
+        """Reduce and keep ``v``; True if some form gained a pivot."""
         return self._install(self.reduce(v))
 
     def insert_sparse(self, items) -> bool:
-        """Insert a row given as (column, residue) pairs.
+        """Insert a row given as (column, residue) pairs (single form).
 
-        Because the pivot block is fully reduced, the only pivot rows
+        Because the pivot rows are fully reduced, the only pivot rows
         that can interact with a sparse row are those whose pivot column
         the row actually touches; one pass over the nonzero entries
         reduces it completely.
@@ -305,30 +350,51 @@ class ModRref:
         return self._install(v)
 
     @property
-    def pivot_cols(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self._pivots[: self.rank])
+    def pivot_cols(self):
+        """Pivot columns in increasing order; one tuple per form when
+        batched."""
+        if self.batch is None:
+            return tuple(sorted(self._pivots[: self.rank].tolist()))
+        return [tuple(sorted(piv[:r].tolist()))
+                for piv, r in zip(self._pivots, self.rank.tolist())]
 
     def kernel_basis(self) -> np.ndarray:
-        """Kernel vectors as columns of an (ncols x nullity) array, one per
-        free column, in free-column order."""
-        pivs = self.pivot_cols
-        pivset = set(pivs)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        out = np.zeros((self.ncols, len(free)), dtype=np.int64)
-        for k, f in enumerate(free):
-            out[f, k] = 1
-            for i, pc in enumerate(pivs):
-                out[pc, k] = (-int(self._rows[i, f])) % self.p
+        """The kernel of the row span seen as a matrix, one vector per free
+        column.
+
+        Single form: the vectors are the columns of an (ncols x nullity)
+        array, in free-column order.  Batched: a (B, ncols, ncols) array
+        whose column f of form b is the kernel vector of free column f,
+        and zero when f is a pivot column of b; the nonzero columns of a
+        form, in order, are its kernel.
+        """
+        p, n = self.p, self.ncols
+        if self.batch is None:
+            pivs = self._pivots[: self.rank]
+            free = np.setdiff1d(np.arange(n), pivs)
+            out = np.zeros((n, free.size), dtype=np.int64)
+            out[free, np.arange(free.size)] = 1
+            out[pivs] = np.mod(-self._rows[: self.rank][:, free], p)
+            return out
+        forms, rows = np.nonzero(np.arange(n) < self.rank[:, None])
+        pivs = self._pivots[forms, rows]
+        free = np.ones((self.batch, n), dtype=bool)
+        free[forms, pivs] = False
+        out = np.zeros((self.batch, n, n), dtype=np.int64)
+        out[:, np.arange(n), np.arange(n)] = free
+        out[forms, pivs] = np.mod(-self._rows[forms, rows] * free[forms], p)
         return out
 
 
 def kernel_modp_dense(mat: np.ndarray, p: int) -> np.ndarray:
-    """Kernel (as columns) of a dense int64 matrix over GF(p)."""
-    acc = ModRref(mat.shape[1], p)
-    for i in range(mat.shape[0]):
-        if acc.rank == acc.ncols:
+    """Kernel of a dense int64 matrix over GF(p), or of each matrix of a
+    (B, m, n) stack at once; the result is laid out as
+    ``ModRref.kernel_basis`` describes for the single and batched form."""
+    acc = ModRref(mat.shape[-1], p, batch=None if mat.ndim == 2 else mat.shape[0])
+    for i in range(mat.shape[-2]):
+        if np.all(acc.rank == acc.ncols):
             break
-        acc.insert(mat[i])
+        acc.insert(mat[..., i, :])
     return acc.kernel_basis()
 
 
@@ -663,12 +729,13 @@ def invariant_vectors(
 # ---------------------------------------------------------------------------
 # chunked modular commutant for torus-graded dense generator families
 
-def _check_weight_zero(gens: Sequence[np.ndarray], weights: Sequence[tuple]):
-    for g in gens:
-        nz = np.nonzero(g != 0)
-        for i, j in zip(*nz):
-            if weights[int(i)] != weights[int(j)]:
-                raise ValueError("generator is not weight-homogeneous of weight zero")
+_STACK_ENTRIES = 1 << 20  # entries of one stack of block equations (at least one block)
+
+
+def _check_weight_zero(gens: Sequence[np.ndarray], labels: np.ndarray):
+    _, i, j = np.nonzero(np.stack(gens) != 0)
+    if (labels[i] != labels[j]).any():
+        raise ValueError("generator is not weight-homogeneous of weight zero")
 
 
 def graded_commutant_dim(
@@ -681,28 +748,30 @@ def graded_commutant_dim(
 
     ``weights[i]`` grades the i-th basis vector; because every generator
     preserves the grading, the commutant equations split into independent
-    blocks indexed by pairs of weights, each of which stays small even
-    when the ambient matrix space is far too large to eliminate directly.
+    blocks indexed by pairs of weight classes, each of which stays small
+    even when the ambient matrix space is far too large to eliminate
+    directly.  Blocks of the same shape are solved together: their
+    equations form one stack, eliminated by one batched kernel call per
+    chunk of the stack (``kernel_modp_dense``, or its exact counterpart
+    under ``mode='exact'``).
     """
     if not gens:
         raise ValueError("need at least one generator")
     d = gens[0].shape[0]
     if len(weights) != d:
         raise ValueError("need one weight per basis vector")
-    _check_weight_zero(gens, weights)
-    groups: dict[tuple, list[int]] = {}
-    for i, w in enumerate(weights):
-        groups.setdefault(w, []).append(i)
-    keys = sorted(groups)
-
-    blocks = [(groups[w1], groups[w2]) for w1, w2 in itertools.product(keys, repeat=2)]
+    keys = sorted(set(weights))
+    label_of = {w: c for c, w in enumerate(keys)}
+    labels = np.array([label_of[w] for w in weights])
+    _check_weight_zero(gens, labels)
+    classes = [np.flatnonzero(labels == c) for c in range(len(keys))]
     if mode == "exact":
-        return _graded_total(gens, blocks, _kernel_exact, lambda m: m), "exact"
+        return _graded_total(np.stack(gens), classes, _kernel_exact, lambda m: m), "exact"
 
     def modular_total(p: int) -> int:
-        gens_p = [mat_to_modp(g, p) for g in gens]
-        return _graded_total(gens_p, blocks, lambda m: kernel_modp_dense(m, p),
-                             lambda m: np.mod(m, p))
+        gens_p = np.stack([mat_to_modp(g, p) for g in gens])
+        return _graded_total(gens_p, classes, lambda m: kernel_modp_dense(m, p),
+                             lambda m: np.mod(m, p, out=m))
 
     (p1, dim1), (p2, dim2) = _first_two_primes(primes, modular_total)
     if dim1 != dim2:
@@ -710,30 +779,58 @@ def graded_commutant_dim(
     return dim1, f"mod-p({p1},{p2})"
 
 
-def _graded_total(gens, blocks, kernel, reduce) -> int:
-    """Sum over weight-pair blocks of the joint kernel dimension of
-    ``X |-> g X - X g`` restricted to the block.  ``kernel(mat)`` returns
-    the kernel as columns and ``reduce`` brings an array to normal form, so
-    one loop serves both the exact and the modular arithmetic."""
+def _graded_total(gens: np.ndarray, classes, kernel, reduce) -> int:
+    """Sum over pairs of weight classes (I, J) of the dimension of
+    { X in Hom(J, I) : g X == X g for every generator }.
+
+    ``gens`` is a (k, d, d) stack.  For every pair of class sizes (a, b)
+    the equations of all blocks of that shape are built at once as a
+    (blocks, k*a*b, a*b) stack, generators stacked by rows, and a block's
+    dimension is its number of kernel vectors.  ``kernel(stack)`` returns
+    the batched kernel layout of ``ModRref.kernel_basis`` and ``reduce``
+    brings an array to normal form, so one loop serves both the exact and
+    the modular arithmetic.
+    """
+    k = gens.shape[0]
+    diag = {}  # diag[a][c, g] is generator g restricted to the c-th class of size a
+    for a in sorted({c.size for c in classes}):
+        ix = np.stack([c for c in classes if c.size == a])
+        diag[a] = gens[:, ix[:, :, None], ix[:, None, :]].swapaxes(0, 1)
     total = 0
-    for rows_ix, cols_ix in blocks:
-        eye_rows = np.eye(len(rows_ix), dtype=gens[0].dtype)
-        eye_cols = np.eye(len(cols_ix), dtype=gens[0].dtype)
-        basis = None  # columns spanning the joint kernel so far
-        for g in gens:
-            t = reduce(np.kron(g[np.ix_(rows_ix, rows_ix)], eye_cols)
-                       - np.kron(eye_rows, g[np.ix_(cols_ix, cols_ix)].T))
-            kern = kernel(t if basis is None else reduce(t @ basis))
-            basis = kern if basis is None else reduce(basis @ kern)
-            if basis.shape[1] == 0:
-                break
-        total += basis.shape[1]
+    for a, b in itertools.product(diag, repeat=2):
+        ga, gb = diag[a], diag[b].swapaxes(-1, -2)
+        nblocks = len(ga) * len(gb)
+        chunk = max(1, _STACK_ENTRIES // (k * (a * b) ** 2))
+        for start in range(0, nblocks, chunk):
+            left, right = np.divmod(np.arange(start, min(nblocks, start + chunk)), len(gb))
+            g_left, g_right = ga[left], gb[right]
+            # row (g, i, j), column (i', j'): g[i, i'] [j == j'] - [i == i'] g[j', j]
+            eqs = np.zeros((left.size, k, a, b, a, b), dtype=gens.dtype)
+            for j in range(b):
+                eqs[:, :, :, j, :, j] = g_left
+            for i in range(a):
+                eqs[:, :, i, :, i, :] -= g_right
+            stack = reduce(eqs.reshape(left.size, k * a * b, a * b))
+            total += int((kernel(stack) != 0).any(axis=1).sum())
     return total
 
 
-def _kernel_exact(mat: np.ndarray) -> np.ndarray:
-    kern = nullspace_exact(mat.tolist(), mat.shape[1])
-    return np.array(kern, dtype=object).reshape(len(kern), mat.shape[1]).T
+def _kernel_exact(stack: np.ndarray) -> np.ndarray:
+    """Exact counterpart of ``kernel_modp_dense`` on a (B, m, n) stack."""
+    nblocks, _, n = stack.shape
+    out = np.zeros((nblocks, n, n), dtype=object)
+    for b, mat in enumerate(stack):
+        acc = ExactRref(n)
+        # repeated equations (common with permutation generators) add nothing
+        for row in dict.fromkeys(map(tuple, mat.tolist())):
+            if acc.rank == n:
+                break
+            acc.insert(row)
+        pivots = set(acc.pivot_cols)
+        free = [j for j in range(n) if j not in pivots]
+        for f, vec in zip(free, acc.kernel_basis()):
+            out[b, :, f] = vec
+    return out
 
 
 # ---------------------------------------------------------------------------

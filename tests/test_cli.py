@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from diagramalg import cli
+
 CMD = [sys.executable, "-m", "diagramalg.cli"]
 
 CROSSING = {"m": 2, "edges": [["t1", "t2"], ["b1", "b2"]]}
@@ -172,6 +174,26 @@ class TestVerify:
                              "--timing")
         assert rc == 0
         assert isinstance(json.loads(out)["elapsed_ms"], int)
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc,line", [
+        (ArithmeticError("primes [3, 5] disagree: [1, 2]"),
+         "diagramalg: internal error: ArithmeticError: primes [3, 5] disagree: [1, 2]\n"),
+        (MemoryError(), "diagramalg: internal error: MemoryError\n"),
+    ], ids=["arithmetic", "memory"])
+    def test_internal_failure_exit_4(self, monkeypatch, capsys, exc, line):
+        # Exit 1 is reserved for an equality that is false; a failure of
+        # the engine itself must not look like one.
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "verify_duality", failing)
+        rc = cli.main(["verify", "--duality", "deranged", "--n", "2", "--r", "1"])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_INTERNAL == 4
+        assert err == line
+        assert out == ""
 
 
 class TestDerangementsCommand:

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diagramalg.diagrams import enumerate_diagrams
+from diagramalg import linalg
+from diagramalg.algebra import deranged_basis
+from diagramalg.diagrams import Wall, enumerate_diagrams, is_walled
 from diagramalg.linalg import (
     DEFAULT_PRIMES,
     ExactRref,
@@ -32,10 +34,15 @@ from diagramalg.linalg import (
     zeros_matrix,
 )
 from diagramalg.tensor import (
+    AdjointSpace,
+    MixedSpace,
     TensorSpace,
+    adjoint_transport,
+    deranged_matrix,
     derivation_action,
     diagram_matrix,
     lie_basis,
+    mixed_diagram_matrix,
     reflection_matrix,
     sigma_perm,
     weight_vectors,
@@ -324,3 +331,101 @@ class TestLinOp:
     def test_dense_roundtrip(self):
         mat = frac_matrix([[1, Fraction(1, 2)], [0, -3]])
         assert matrices_equal(LinOp.from_dense(mat).to_dense(), mat)
+
+
+def mixed_rank_stack(rng, p, batch, nrows, ncols):
+    """A (batch, nrows, ncols) stack over GF(p): an all-zero member, a
+    full-rank member, and members of every rank in between."""
+    stack = np.zeros((batch, nrows, ncols), dtype=np.int64)
+    for b in range(1, batch):
+        rank = min(b - 1, nrows, ncols) if b < batch - 1 else min(nrows, ncols)
+        if rank == min(nrows, ncols):
+            # unit upper-triangular rows, shuffled: full rank for sure
+            tri = np.triu(rng.integers(0, p, (nrows, ncols)), 1)
+            tri[np.arange(rank), np.arange(rank)] = 1
+            stack[b] = tri[rng.permutation(nrows)]
+        elif rank:
+            left = rng.integers(0, p, (nrows, rank))
+            right = rng.integers(0, p, (rank, ncols))
+            stack[b] = (left @ right) % p  # entries < 2**50 * rank
+    return stack
+
+
+def kernel_columns(batched: np.ndarray) -> np.ndarray:
+    """One member of a batched kernel, reduced to its kernel columns."""
+    return batched[:, (batched != 0).any(axis=0)]
+
+
+class TestBatchedModRref:
+    @pytest.mark.parametrize("nrows,ncols", [(8, 6), (4, 7), (6, 6)])
+    def test_agrees_with_separate_forms(self, nrows, ncols):
+        p = DEFAULT_PRIMES[1]
+        rng = np.random.default_rng(nrows * 10 + ncols)
+        stack = mixed_rank_stack(rng, p, 7, nrows, ncols)
+        batched = ModRref(ncols, p, batch=7)
+        singles = [ModRref(ncols, p) for _ in range(7)]
+        for i in range(nrows):
+            grew = batched.insert(stack[:, i])
+            assert type(grew) is bool
+            assert grew == any([acc.insert(stack[b, i]) for b, acc in enumerate(singles)])
+        assert batched.rank.tolist() == [acc.rank for acc in singles]
+        assert batched.rank[0] == 0 and batched.rank[-1] == min(nrows, ncols)
+        assert batched.pivot_cols == [acc.pivot_cols for acc in singles]
+        kern = batched.kernel_basis()
+        assert kern.shape == (7, ncols, ncols)
+        for b, acc in enumerate(singles):
+            assert np.array_equal(kernel_columns(kern[b]), acc.kernel_basis())
+            assert not (stack[b] @ kern[b] % p).any()
+
+    def test_kernel_modp_dense_on_a_stack(self):
+        p = DEFAULT_PRIMES[0]
+        stack = mixed_rank_stack(np.random.default_rng(7), p, 5, 9, 5)
+        kern = kernel_modp_dense(stack, p)
+        for b in range(5):
+            assert np.array_equal(kernel_columns(kern[b]), kernel_modp_dense(stack[b], p))
+
+    def test_two_dimensional_kernel_layout(self):
+        p = DEFAULT_PRIMES[0]
+        mat = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.int64)
+        assert kernel_modp_dense(mat, p).tolist() == [[p - 1], [1], [0]]
+
+
+def graded_cases():
+    adjoint = AdjointSpace(3, 1)
+    transport = adjoint_transport(3, 1)
+    yield ([deranged_matrix(el.element, 3, 1, transport=transport)
+            for el in deranged_basis(1, 3)], adjoint, 64)
+    tensor = TensorSpace(2, 3)
+    yield ([sigma_perm(w, tensor) for w in itertools.permutations(range(3))],
+           tensor, 20)
+    mixed, wall = MixedSpace(2, 1, 1), Wall(1, 1)
+    yield ([mixed_diagram_matrix(d, mixed) for d in enumerate_diagrams(wall.m)
+            if is_walled(d, wall)], mixed, 10)
+
+
+class TestBatchedGradedCommutant:
+    @pytest.mark.parametrize("mats,space,dim", list(graded_cases()),
+                             ids=["adjoint-3-1", "tensor-2-3", "mixed-2-1-1"])
+    @pytest.mark.parametrize("mode", ["modular", "exact"])
+    def test_matches_plain_commutant(self, mats, space, dim, mode):
+        _, res = commutant(mats, space.dim)
+        got, _ = graded_commutant_dim(mats, weight_vectors(space), mode=mode)
+        assert got == res.nullity == dim
+
+    def test_one_kernel_call_per_block_shape_and_prime(self, monkeypatch):
+        # AdjointSpace(3, 1): six root classes of size 1 and the zero
+        # weight of size 2, so (1,1), (1,2), (2,1), (2,2) blocks: 4 shapes
+        # x 2 primes, where one call per block would make 7 * 7 * 2 = 98.
+        mats, space, dim = next(graded_cases())
+        calls = []
+        original = linalg.kernel_modp_dense
+
+        def counting(mat, p):
+            calls.append(mat.shape)
+            return original(mat, p)
+
+        monkeypatch.setattr(linalg, "kernel_modp_dense", counting)
+        assert graded_commutant_dim(mats, weight_vectors(space))[0] == dim
+        assert len(calls) == 8
+        assert sorted(shape[1:] for shape in calls) == sorted(
+            [(1, 1), (2, 2), (2, 2), (4, 4)] * 2)
