@@ -272,10 +272,7 @@ def deranged_basis(r: int, n, r_cap: int = DERANGED_R_CAP) -> list[DerangedEleme
     index = {d: i for i, d in enumerate(support)}
     rref = ExactRref(len(support))
     for el in out:
-        row = [Fraction(0)] * len(support)
-        for d, c in el.element.items():
-            row[index[d]] = c
-        if not rref.insert(row):
+        if not rref.insert({index[d]: c for d, c in el.element.items()}):
             raise ArithmeticError(
                 f"deranged elements are not independent at r={r}, n={n}")
     return out
@@ -308,15 +305,9 @@ def generated_subalgebra(gens: Iterable[AlgebraElement], cap: int = 4096) -> int
     if dim_bound > cap:
         raise CapExceededError(f"diagram basis of size {dim_bound} exceeds cap {cap}")
 
-    def vec(el: AlgebraElement):
-        row = [Fraction(0)] * dim_bound
-        for d, c in el.items():
-            row[index[d]] = c
-        return row
-
     rref = ExactRref(dim_bound)
     return len(saturate([AlgebraElement.unit(m, x0)] + gens, gens, operator.mul,
-                        lambda el: rref.insert(vec(el))))
+                        lambda el: rref.insert({index[d]: c for d, c in el.items()})))
 
 
 def element_to_json(el: AlgebraElement) -> dict:

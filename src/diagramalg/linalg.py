@@ -1,13 +1,15 @@
 """Exact linear algebra over Q with a certified modular fast path.
 
-Small systems are solved directly with Fraction arithmetic.  Larger
-systems are eliminated modulo two fixed word-sized primes; the modular
-answer is then upgraded to an unconditional exact one where feasible:
+Small systems are solved directly with exact int/Fraction arithmetic
+over sparse rows.  Larger systems are eliminated modulo two fixed
+word-sized primes; the modular answer is then upgraded to an
+unconditional exact one where feasible:
 
 * a modular rank is always a lower bound on the exact rank (a nonzero
   minor mod p is nonzero over Q), and
 * kernel vectors are lifted by CRT plus rational reconstruction and then
-  verified exactly against the original equations.
+  verified exactly against the original equations, in integer
+  arithmetic after scaling out the denominators.
 
 When the verified kernel dimension and the modular rank add up to the
 number of unknowns, both bounds are tight and the result is exact.  The
@@ -16,10 +18,11 @@ method tag records which route produced a number: ``exact``,
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,28 +83,23 @@ def mat_to_modp(mat: np.ndarray, p: int) -> np.ndarray:
     hard error; callers escalate to another prime."""
     out = np.zeros(mat.shape, dtype=np.int64)
     cache: dict = {}
-    flat = mat.reshape(-1)
     dst = out.reshape(-1)
-    for k in range(flat.shape[0]):
-        q = flat[k]
-        if q:
-            dst[k] = _residue(q, p, cache)
+    for k, q in _nonzeros(mat).items():
+        dst[k] = _residue(q, p, cache)
     return out
 
 
 # ---------------------------------------------------------------------------
 # sparse rows (dict col -> value), used where dense object matmuls would hurt
 
+def _nonzeros(mat: np.ndarray) -> dict:
+    """The nonzero entries of an array, flattened, as a sparse row."""
+    flat = mat.reshape(-1)
+    return {j: flat[j] for j in np.flatnonzero(flat).tolist()}
+
+
 def rows_from_dense(mat: np.ndarray) -> list[dict[int, Fraction]]:
-    out = []
-    for i in range(mat.shape[0]):
-        row = {}
-        for j in range(mat.shape[1]):
-            v = mat[i, j]
-            if v:
-                row[j] = exactify(v)
-        out.append(row)
-    return out
+    return [{j: exactify(v) for j, v in _nonzeros(row).items()} for row in mat]
 
 
 def dense_from_rows(rows: list[dict[int, Fraction]], ncols: int) -> np.ndarray:
@@ -139,69 +137,86 @@ def sparse_scale_add(acc: list[dict[int, Fraction]], c: Fraction,
 # exact reduced row echelon form
 
 class ExactRref:
-    """Incremental reduced row echelon form over Q.
+    """Incremental reduced row echelon form over Q, on sparse rows.
 
-    Rows are inserted one at a time; the structure keeps a fully reduced
-    set of pivot rows (leading coefficient 1, pivot columns cleared in all
-    other rows) with deterministic leftmost pivoting.
+    Rows (sequences or ``{col: value}`` dicts) are inserted one at a time;
+    the structure keeps a fully reduced set of pivot rows (leading
+    coefficient 1, pivot columns cleared in all other rows) with
+    deterministic leftmost pivoting, ``rows`` sorted by pivot column.
+    Each pivot row is a ``{col: value}`` dict of its nonzeros, values plain
+    ``int`` wherever the denominator is 1, and ``_row_of`` maps a pivot
+    column to its row.  A row is reduced by subtracting ``v[pc] * row``
+    once for each pivot column ``pc`` it touches, over that pivot row's
+    nonzeros only: the pivot rows are fully reduced, so no subtraction
+    touches another pivot column and the order of the hits is free.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[dict[int, int | Fraction]] = []
         self.pivot_cols: list[int] = []
+        self._row_of: dict[int, dict] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row) -> list:
-        """Residue of ``row`` after clearing every pivot column."""
-        v = [exactify(x) for x in row]
-        for pc, prow in zip(self.pivot_cols, self.rows):
-            c = v[pc]
-            if c:
-                for j in range(pc, self.ncols):
-                    if prow[j]:
-                        v[j] -= c * prow[j]
+    def _reduced(self, row) -> dict:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        v = {j: exactify(x) for j, x in items if x}
+        row_of = self._row_of
+        for pc in [j for j in v if j in row_of]:
+            _sub_multiple(v, v[pc], row_of[pc])
         return v
+
+    def reduce(self, row) -> list:
+        """Residue of ``row`` after clearing every pivot column (dense)."""
+        return dense_from_rows([self._reduced(row)], self.ncols)[0].tolist()
 
     def insert(self, row) -> bool:
         """Reduce and keep ``row``; True if it added a new pivot."""
-        v = self.reduce(row)
-        pc = next((j for j, x in enumerate(v) if x), None)
-        if pc is None:
+        v = self._reduced(row)
+        if not v:
             return False
-        inv = Fraction(1, 1) / v[pc]
-        v = [exactify(x * inv) for x in v]
+        pc = min(v)
+        lead = v[pc]
+        if lead != 1:
+            inv = Fraction(1) / lead
+            v = {j: exactify(x * inv) for j, x in v.items()}
         for prow in self.rows:
-            c = prow[pc]
+            c = prow.get(pc)
             if c:
-                for j in range(pc, self.ncols):
-                    if v[j]:
-                        prow[j] -= c * v[j]
-        at = next((k for k, c in enumerate(self.pivot_cols) if c > pc), len(self.rows))
+                _sub_multiple(prow, c, v)
+        at = bisect.bisect(self.pivot_cols, pc)
         self.rows.insert(at, v)
         self.pivot_cols.insert(at, pc)
+        self._row_of[pc] = v
         return True
 
     def contains(self, row) -> bool:
-        return all(x == 0 for x in self.reduce(row))
+        return not self._reduced(row)
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Kernel of the row span seen as a matrix, one vector per free
         column, in free-column order."""
-        pivset = set(self.pivot_cols)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        out = []
-        for f in free:
-            v = [0] * self.ncols
-            v[f] = 1
-            for pc, prow in zip(self.pivot_cols, self.rows):
-                if prow[f]:
-                    v[pc] = -prow[f]
-            out.append(v)
-        return out
+        out = {f: [0] * self.ncols for f in range(self.ncols) if f not in self._row_of}
+        for f, vec in out.items():
+            vec[f] = 1
+        for pc, prow in zip(self.pivot_cols, self.rows):
+            for j, x in prow.items():
+                if j != pc:
+                    out[j][pc] = -x
+        return list(out.values())
+
+
+def _sub_multiple(v: dict, c, row: dict) -> None:
+    """``v -= c * row`` in place, dropping zeros; integers stay ints."""
+    for j, x in row.items():
+        s = v.get(j, 0) - c * x
+        if s:
+            v[j] = s if type(s) is int else exactify(s)
+        else:
+            del v[j]
 
 
 def rref(mat) -> tuple[int, np.ndarray, tuple[int, ...]]:
@@ -214,12 +229,9 @@ def rref(mat) -> tuple[int, np.ndarray, tuple[int, ...]]:
     nrows, ncols = arr.shape
     acc = ExactRref(ncols)
     for i in range(nrows):
-        acc.insert(list(arr[i, :]))
-    out = zeros_matrix(nrows, ncols)
-    for i, row in enumerate(acc.rows):
-        for j, v in enumerate(row):
-            out[i, j] = v
-    return acc.rank, out, tuple(acc.pivot_cols)
+        acc.insert(_nonzeros(arr[i]))
+    rows = acc.rows + [{}] * (nrows - acc.rank)
+    return acc.rank, dense_from_rows(rows, ncols), tuple(acc.pivot_cols)
 
 
 def nullspace_exact(rows: Iterable[Sequence], ncols: int) -> list[list[Fraction]]:
@@ -447,15 +459,31 @@ class SolveResult:
     method: str
 
 
-def _sparse_row_to_exact(row: dict[int, Fraction], vec: Sequence) -> Fraction:
-    acc = 0
-    for j, c in row.items():
-        acc += c * vec[j]
-    return acc
+def _int_scaled(values) -> list[int]:
+    """``values`` (ints and Fractions) times the lcm of their denominators."""
+    scale = lcm(*(q.denominator for q in values))
+    return [q.numerator * (scale // q.denominator) for q in values]
 
 
-def _sparse_row_items_modp(row, p, cache):
-    return [(j, _residue(c, p, cache)) for j, c in row.items()]
+def _kernel_vanishes(rows: list[dict[int, Fraction]], kernel: list[list]) -> bool:
+    """Exact test of ``A K == 0`` for sparse equation rows and kernel
+    vectors.  Each row and each vector is scaled once to integers by the
+    lcm of its denominators; nonzero scales do not change which entries
+    of the product vanish, and the product itself is sparse int
+    arithmetic over the nonzeros of K's rows."""
+    k_rows: dict[int, list[tuple[int, int]]] = {}
+    for k, vec in enumerate(kernel):
+        for j, x in enumerate(_int_scaled(vec)):
+            if x:
+                k_rows.setdefault(j, []).append((k, x))
+    for row in rows:
+        acc: dict[int, int] = {}
+        for j, c in zip(row, _int_scaled(row.values())):
+            for k, x in k_rows.get(j, ()):
+                acc[k] = acc.get(k, 0) + c * x
+        if any(acc.values()):
+            return False
+    return True
 
 
 def solve_sparse_system(
@@ -478,10 +506,7 @@ def solve_sparse_system(
     if mode in ("auto", "exact") and ncols <= EXACT_UNKNOWN_CAP:
         acc = ExactRref(ncols)
         for row in rows:
-            dense = [Fraction(0)] * ncols
-            for j, c in row.items():
-                dense[j] = c
-            acc.insert(dense)
+            acc.insert(row)
         kernel = acc.kernel_basis() if want_kernel else None
         return SolveResult(ncols - acc.rank, acc.rank, kernel, "exact")
 
@@ -489,7 +514,7 @@ def solve_sparse_system(
         acc = ModRref(ncols, p)
         cache: dict = {}
         for row in rows:
-            acc.insert_sparse(_sparse_row_items_modp(row, p, cache))
+            acc.insert_sparse([(j, _residue(c, p, cache)) for j, c in row.items()])
         return acc
 
     (p1, t1), (p2, t2) = _first_two_primes(primes, eliminate)
@@ -506,24 +531,12 @@ def solve_sparse_system(
     # Lift the kernel: CRT across the two primes, rational reconstruction,
     # then exact verification row by row.  Together with the modular rank
     # (a lower bound on the exact rank) this pins both dimensions exactly.
-    k1 = t1.kernel_basis()
-    k2 = t2.kernel_basis()
-    modulus = p1 * p2
-    kernel: list[list[Fraction]] = []
-    for col in range(k1.shape[1]):
-        vec = []
-        for i in range(ncols):
-            a = crt_pair(int(k1[i, col]), p1, int(k2[i, col]), p2)
-            q = rational_reconstruct(a, modulus)
-            if q is None:
-                raise ArithmeticError(
-                    "rational reconstruction failed; rerun with more primes")
-            vec.append(q)
-        kernel.append(vec)
-    for vec in kernel:
-        for row in rows:
-            if _sparse_row_to_exact(row, vec) != 0:
-                raise ArithmeticError("lifted kernel vector failed exact verification")
+    kernel = [[rational_reconstruct(crt_pair(a, p1, b, p2), p1 * p2) for a, b in zip(c1, c2)]
+              for c1, c2 in zip(t1.kernel_basis().T.tolist(), t2.kernel_basis().T.tolist())]
+    if any(q is None for vec in kernel for q in vec):
+        raise ArithmeticError("rational reconstruction failed; rerun with more primes")
+    if not _kernel_vanishes(rows, kernel):
+        raise ArithmeticError("lifted kernel vector failed exact verification")
     return SolveResult(nullity, rank, kernel if want_kernel else None,
                        "mod-p-confirmed-exact")
 
@@ -620,28 +633,20 @@ def intertwiner_kernel(
     unknown = {iu: k for k, iu in enumerate(support)}
 
     equations: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-
-    def eq_row(g: int, i: int, u: int) -> dict[int, Fraction]:
-        key = (g, i, u)
-        row = equations.get(key)
-        if row is None:
-            row = equations[key] = {}
-        return row
-
     for g, (l, r) in enumerate(general_pairs):
         for i, lrow in enumerate(l.rows):
             for k, c in lrow.items():
                 for u in range(dim_u):
                     idx = unknown.get((k, u))
                     if idx is not None:
-                        row = eq_row(g, i, u)
+                        row = equations.setdefault((g, i, u), {})
                         row[idx] = row.get(idx, 0) + c
         for u, rcol in enumerate(r.cols()):
             for v, c in rcol.items():
                 for i in range(dim_w):
                     idx = unknown.get((i, v))
                     if idx is not None:
-                        row = eq_row(g, i, u)
+                        row = equations.setdefault((g, i, u), {})
                         row[idx] = row.get(idx, 0) - c
 
     rows = [equations[key] for key in sorted(equations)]
@@ -672,12 +677,12 @@ class MatrixSpan:
         for m in mats:
             if m.shape != (d, d):
                 raise ValueError(f"expected {d}x{d} matrices, got {m.shape}")
-            if acc.insert(list(m.reshape(-1))):
+            if acc.insert(_nonzeros(m)):
                 kept.append(m)
         return cls(d, kept, acc, method)
 
     def contains_matrix(self, m: np.ndarray) -> bool:
-        return self.rref.contains(list(m.reshape(-1)))
+        return self.rref.contains(_nonzeros(m))
 
 
 def commutant(
@@ -826,8 +831,7 @@ def _kernel_exact(stack: np.ndarray) -> np.ndarray:
             if acc.rank == n:
                 break
             acc.insert(row)
-        pivots = set(acc.pivot_cols)
-        free = [j for j in range(n) if j not in pivots]
+        free = [j for j in range(n) if j not in acc.pivot_cols]
         for f, vec in zip(free, acc.kernel_basis()):
             out[b, :, f] = vec
     return out
@@ -892,7 +896,7 @@ def algebra_closure(
     def exact_take(mat: np.ndarray) -> bool:
         if span.contains_matrix(mat):
             return False
-        span.rref.insert(list(mat.reshape(-1)))
+        span.rref.insert(_nonzeros(mat))
         span.basis.append(mat)
         return True
 

@@ -145,8 +145,10 @@ def _coerce(v):
 def exactify(v):
     """Normalize an exact scalar: plain int when the denominator is 1,
     Fraction otherwise.  Integer arithmetic is several times faster and
-    the two types mix exactly."""
-    q = Fraction(v)
+    the two types mix exactly.  A plain int comes back unchanged."""
+    if type(v) is int:
+        return v
+    q = v if type(v) is Fraction else Fraction(v)
     return q.numerator if q.denominator == 1 else q
 
 

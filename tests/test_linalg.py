@@ -8,6 +8,7 @@ import pytest
 from diagramalg import linalg
 from diagramalg.algebra import deranged_basis
 from diagramalg.diagrams import Wall, enumerate_diagrams, is_walled
+from diagramalg.ring import exactify
 from diagramalg.linalg import (
     DEFAULT_PRIMES,
     ExactRref,
@@ -429,3 +430,102 @@ class TestBatchedGradedCommutant:
         assert len(calls) == 8
         assert sorted(shape[1:] for shape in calls) == sorted(
             [(1, 1), (2, 2), (2, 2), (4, 4)] * 2)
+
+
+def gauss_jordan(rows, ncols):
+    """Plain dense Gauss-Jordan over Q: (pivot columns, nonzero reduced rows)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m[:len(pivots)]
+
+
+def rank_deficient(rng, nrows, ncols, rank, fractions):
+    """An nrows x ncols product of random factors, rank at most ``rank``."""
+    def entry():
+        num = rng.randint(-4, 4)
+        return Fraction(num, rng.randint(1, 3)) if fractions else num
+    left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    return [[sum(a * right[k][j] for k, a in enumerate(row)) for j in range(ncols)]
+            for row in left]
+
+
+def row_forms(row):
+    obj = np.empty(len(row), dtype=object)
+    obj[:] = row
+    return {"list": list(row), "numpy": obj, "dict": {j: x for j, x in enumerate(row) if x}}
+
+
+class TestSparseExactRref:
+    @pytest.mark.parametrize("form", ["list", "numpy", "dict"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_gauss_jordan(self, seed, form):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = rank_deficient(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)),
+                              fractions=seed % 2 == 1)
+        pivots, reduced = gauss_jordan(rows, ncols)
+        acc = ExactRref(ncols)
+        grew = [acc.insert(row_forms(row)[form]) for row in rows]
+        assert sum(grew) == acc.rank == len(pivots)
+        assert acc.pivot_cols == pivots
+        rank, mat, pivot_tuple = rref(frac_matrix(rows))
+        assert (rank, pivot_tuple) == (len(pivots), tuple(pivots))
+        padded = reduced + [[0] * ncols] * (nrows - rank)
+        assert matrices_equal(mat, frac_matrix(padded))
+        free = [j for j in range(ncols) if j not in pivots]
+        expected = []
+        for f in free:
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            for pc, prow in zip(pivots, reduced):
+                vec[pc] = -prow[f]
+            expected.append(vec)
+        assert acc.kernel_basis() == expected
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        member = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+        assert acc.contains(row_forms(member)[form])
+        probe = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ncols)]
+        assert acc.contains(row_forms(probe)[form]) == (
+            len(gauss_jordan(rows + [probe], ncols)[0]) == len(pivots))
+        residue = acc.reduce(row_forms(probe)[form])
+        assert len(residue) == ncols and all(residue[pc] == 0 for pc in pivots)
+        assert acc.contains([p - q for p, q in zip(probe, residue)])
+
+    def test_values_with_unit_denominator_are_ints(self):
+        acc = ExactRref(4)
+        acc.insert({0: Fraction(2), 1: Fraction(4), 3: Fraction(3, 2)})
+        acc.insert([Fraction(1, 3), 0, 1, Fraction(6, 3)])
+        for row in acc.rows:
+            assert all(type(x) is int or x.denominator != 1 for x in row.values())
+            assert all(x != 0 for x in row.values())
+
+    def test_exactify_keeps_ints(self):
+        assert type(exactify(5)) is int and exactify(5) == 5
+        assert type(exactify(Fraction(6, 3))) is int and exactify(Fraction(6, 3)) == 2
+        assert exactify(Fraction(1, 2)) == Fraction(1, 2)
+
+
+class TestKernelCertificate:
+    def test_accepts_kernel_and_rejects_perturbed_entry(self):
+        rng = random.Random(3)
+        rows = rank_deficient(rng, 6, 8, 4, fractions=True)
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        kernel = nullspace_exact(rows, 8)
+        assert kernel and linalg._kernel_vanishes(sparse, kernel)
+        assert linalg._kernel_vanishes(sparse, [])
+        col = next(j for j in range(8) if any(row[j] for row in rows))
+        broken = [list(vec) for vec in kernel]
+        broken[-1][col] += Fraction(1, 7)
+        assert not linalg._kernel_vanishes(sparse, broken)
