@@ -108,45 +108,27 @@ def walled_count(r: int, s: int) -> int:
 
 def multiplicity_trivial(n: int, r: int, mode: str = "auto") -> int:
     """Multiplicity of the trivial module in the r-th tensor power of the
-    trace-free matrices, i.e. the dimension of the joint kernel of the
-    derived sl_n action.
+    trace-free matrices: the dimension of the joint kernel of the derived
+    sl_n action on that power.
 
-    Invariant vectors are torus weight zero, so the unknowns are
-    restricted to the zero-weight coordinates before the off-diagonal
-    generators are imposed; the full operators on the ambient space are
-    never materialized.
+    Invariant vectors have torus weight zero, and the diagonal generators
+    act on weight-zero vectors by zero.  So the unknowns are the
+    zero-weight coordinates, and the equations are the nonzero rows of
+    the off-diagonal generators' derived actions restricted to those
+    columns, one Leibniz lift per generator.
     """
-    from .tensor import AdjointSpace, ad_action, lie_basis, weight_vectors
+    from .tensor import AdjointSpace, _lift_entries, ad_action, lie_basis, weight_vectors
     from .linalg import solve_sparse_system
 
     space = AdjointSpace(n, r)
-    weights = weight_vectors(space)
     zero = tuple(0 for _ in range(n))
-    support = [i for i, w in enumerate(weights) if w == zero]
-    col_of = {c: k for k, c in enumerate(support)}
-
-    d = n * n - 1
-    offdiag = [x for x in lie_basis("sl", n)
-               if any(x[a, b] for a in range(n) for b in range(n) if a != b)]
-    ad_cols = []
-    for x in offdiag:
-        ad = ad_action(x, n)
-        cols = [[(i, ad[i, j]) for i in range(d) if ad[i, j]] for j in range(d)]
-        ad_cols.append(cols)
-
-    strides = [d ** (r - 1 - k) for k in range(r)]
-    equations: dict[tuple[int, int], dict[int, object]] = {}
-    for c in support:
-        digs = [(c // strides[k]) % d for k in range(r)]
-        for g, cols in enumerate(ad_cols):
-            for k in range(r):
-                base = c - digs[k] * strides[k]
-                for i, val in cols[digs[k]]:
-                    dst = base + i * strides[k]
-                    row = equations.setdefault((g, dst), {})
-                    idx = col_of[c]
-                    row[idx] = row.get(idx, 0) + val
-    rows = [equations[key] for key in sorted(equations)]
+    support = [i for i, w in enumerate(weight_vectors(space)) if w == zero]
+    rows = []
+    for x in lie_basis("sl", n):
+        if any(x[a, b] for a in range(n) for b in range(n) if a != b):
+            lifted, _ = _lift_entries([ad_action(x, n)] * r, [n * n - 1] * r,
+                                      space.dim, columns=support)
+            rows.extend(lifted)
     result = solve_sparse_system(rows, len(support), mode=mode, want_kernel=False)
     return result.nullity
 

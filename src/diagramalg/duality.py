@@ -25,8 +25,6 @@ import time
 from dataclasses import dataclass, field
 from math import factorial
 
-import numpy as np
-
 from .combinatorics import derangements, diagram_count, walled_count
 from .diagrams import CapExceededError, Wall, enumerate_diagrams, is_walled
 from .linalg import (
@@ -36,8 +34,9 @@ from .linalg import (
     algebra_closure,
     commutant,
     graded_commutant_dim,
-    mat_to_modp,
+    rows_from_dense,
     span_equal,
+    sparse_matmul,
 )
 from .tensor import (
     AdjointSpace,
@@ -194,6 +193,13 @@ def _verify_so_direct(n, r, mode, primes, solver_cap):
                          extra=extra)
 
 
+def _commute(gens, mats) -> bool:
+    """Exact check that every generator commutes with every matrix, on
+    sparse rows."""
+    gens, mats = [rows_from_dense(g) for g in gens], [rows_from_dense(m) for m in mats]
+    return all(sparse_matmul(g, m) == sparse_matmul(m, g) for g in gens for m in mats)
+
+
 def _verify_deranged(n, r, mode, primes, solver_cap):
     from .algebra import deranged_basis
 
@@ -218,6 +224,13 @@ def _verify_deranged(n, r, mode, primes, solver_cap):
         gens, d, mode="auto", primes=primes, unknown_cap=solver_cap)
     equal_b = (comm_group_span is not None
                and span_equal(diagram_span, comm_group_span))
+    # Containment of the group image in the diagram commutant reduces to
+    # the generators commuting with the diagram matrices.  equal_b proves
+    # it: every diagram matrix is then a combination of the commutant
+    # basis, which was checked exactly against the generators.  Otherwise
+    # check the products exactly.
+    if not equal_b and not _commute(gens, diagram_mats):
+        raise ArithmeticError("group and diagram actions fail to commute")
 
     # The commutant of the diagram image lives in a 50625-unknown matrix
     # space at n=4, r=2; the torus grading splits it into small blocks.
@@ -225,18 +238,6 @@ def _verify_deranged(n, r, mode, primes, solver_cap):
     chunk_mode = "exact" if mode == "exact" else "modular"
     comm_diag_dim, chunk_method = graded_commutant_dim(
         diagram_mats, weights, mode=chunk_mode, primes=primes)
-
-    # Containment of the group image in the diagram commutant reduces to
-    # the generators commuting with the diagram matrices; screen it
-    # modulo the first prime (the small cases are checked exactly in the
-    # test suite).
-    p = primes[0]
-    gens_p = [mat_to_modp(g, p) for g in gens]
-    diag_p = [mat_to_modp(m, p) for m in diagram_mats]
-    for gp in gens_p:
-        for mp in diag_p:
-            if np.any((gp @ mp - mp @ gp) % p):
-                raise ArithmeticError("group and diagram actions fail to commute")
 
     # The group image is the commutant of the group commutant (double
     # commutant theorem: semisimple, characteristic zero), and equal_b

@@ -4,18 +4,27 @@ Conventions, fixed once and pinned by the multiplicativity tests:
 
 * Tensor space bases are ordered row-major with the leftmost factor most
   significant.
+* Every diagram acts by one edge rule.  Input indices sit on the bottom
+  row and output indices on the top row; a vertical edge copies an
+  index, a bottom edge (a, b), a < b, pairs the two inputs through the
+  Gram matrix of the form, and a top edge (a, b), a < b, emits the dual
+  element, the entries of the inverse Gram matrix.  This makes
+  ``sigma_element`` an algebra homomorphism for the diagram product.
+  Mixed tensor space uses the same rule with the identity form, which is
+  the pairing of V with V*.
+* In the symplectic flavour the matrix is multiplied by the signs of two
+  reading words: the top pairs followed by the free top columns, and the
+  bottom pairs followed by those columns' bottom partners.  On a
+  permutation diagram of word u this is sign(u).  Without the sign the
+  contraction identity c.s = c would be violated, since swapping the
+  arguments of an alternating form flips its sign.
 * ``sigma_perm(w)`` moves the tensor factor in position j to position
   w[j]; equivalently position k of the output reads position w^{-1}(k)
-  of the input.  It is multiplicative for the usual composition
+  of the input.  It is the matrix of the permutation diagram of the
+  inverse word, and multiplicative for the usual composition
   (v o w)(i) = v(w(i)).
-* Diagram matrices read their input on the bottom row and emit on the
-  top row, which makes ``sigma_element`` an algebra homomorphism for the
-  diagram product; on an all-vertical diagram with word u it acts as
-  ``sigma_perm`` of the inverse word.
-* In the symplectic flavour a permutation diagram acts with an extra
-  factor sign(u).  Without the sign the contraction identity c.s = c
-  would be violated, since swapping the arguments of an alternating form
-  flips its sign.
+* Derived Lie algebra actions are Leibniz sums of one action per tensor
+  position, built by one lift.
 """
 from __future__ import annotations
 
@@ -30,8 +39,10 @@ from .diagrams import (
     BrauerDiagram,
     CapExceededError,
     Wall,
+    c_generator,
     inverse_word,
     is_walled,
+    permutation_to_diagram,
     word_sign,
 )
 from .ring import exactify
@@ -163,160 +174,104 @@ def _flat(digits, base: int) -> int:
     return out
 
 
-def _perm_flat_map(word, n: int) -> np.ndarray:
-    """Flat-index map of the place permutation sending position j to
-    position word[j]."""
-    r = len(word)
-    dim = n ** r
-    out = np.empty(dim, dtype=np.int64)
-    for flat in range(dim):
-        digs = _digits(flat, n, r)
-        j = [0] * r
-        for k in range(r):
-            j[word[k]] = digs[k]
-        out[flat] = _flat(j, n)
-    return out
+# ---------------------------------------------------------------------------
+# the diagram action, edge by edge
+
+def _diagram_rows(d: BrauerDiagram, n: int, form: BilinearForm) -> list[dict[int, int]]:
+    """Sparse rows of one diagram on (Q^n)^(x m), read edge by edge.
+
+    Every edge contributes n choices, each an (input offset, output
+    offset, coefficient) triple, and the matrix entries are the products
+    of one choice per edge: a vertical edge copies an index, a bottom
+    edge (a, b), a < b, pairs the two inputs through ``form.gram``, and a
+    top edge (a, b), a < b, emits the nonzero entries of
+    ``form.gram_inv``.  In the symplectic flavour the matrix is
+    multiplied by the signs of the two reading words: the top pairs then
+    the free top columns, and the bottom pairs then the free columns'
+    bottom partners.
+    """
+    if form.n != n:
+        raise ValueError(f"form on n={form.n} does not match space n={n}")
+    m = d.m
+    stride = [n ** (m - 1 - k) for k in range(m)]
+
+    def nonzeros(mat):
+        return [(u, v, c) for u, row in enumerate(mat.tolist())
+                for v, c in enumerate(row) if c]
+
+    pair, emit = nonzeros(form.gram), nonzeros(form.gram_inv)
+    terms = [(0, 0, 1)]
+    top_word, bot_word, free_top, free_bot = [], [], [], []
+    for v, w in d.edges:
+        if w < m:
+            choices = [(0, u * stride[v] + x * stride[w], c) for u, x, c in emit]
+            top_word += (v, w)
+        elif v >= m:
+            choices = [(u * stride[v - m] + x * stride[w - m], 0, c) for u, x, c in pair]
+            bot_word += (v - m, w - m)
+        else:
+            choices = [(i * stride[w - m], i * stride[v], 1) for i in range(n)]
+            free_top.append(v)
+            free_bot.append(w - m)
+        terms = [(src + s, dst + t, c * e) for src, dst, c in terms for s, t, e in choices]
+    sign = 1
+    if form.flavor == "symplectic":
+        sign = word_sign(top_word + free_top) * word_sign(bot_word + free_bot)
+    rows: list[dict[int, int]] = [{} for _ in range(n ** m)]
+    for src, dst, c in terms:
+        rows[dst][src] = sign * c
+    return rows
+
+
+def _element_rows(el: AlgebraElement, n: int, form: BilinearForm) -> list[dict[int, Fraction]]:
+    """Sparse rows of a specialized element: its diagrams' rows, summed."""
+    acc: list[dict[int, Fraction]] = [{} for _ in range(n ** el.m)]
+    for d, c in sorted(el.items(), key=lambda t: t[0].edges):
+        sparse_scale_add(acc, Fraction(c), _diagram_rows(d, n, form))
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # diagram-side matrices on plain tensor space
 
 def sigma_perm(word, space: TensorSpace, cap: int = DENSE_DIM_CAP) -> np.ndarray:
-    """Permutation matrix of the place permutation of ``word``."""
+    """Permutation matrix of the place permutation of ``word``: the
+    matrix of the permutation diagram of the inverse word."""
     check_dim(space, cap)
     if sorted(word) != list(range(space.r)):
         raise ValueError(f"not a permutation word of length {space.r}: {word!r}")
-    move = _perm_flat_map(word, space.n)
-    out = zeros_matrix(space.dim, space.dim)
-    for col in range(space.dim):
-        out[int(move[col]), col] = 1
-    return out
+    d = permutation_to_diagram(inverse_word(word))
+    return dense_from_rows(_diagram_rows(d, space.n, BilinearForm("symmetric", space.n)),
+                           space.dim)
 
 
 def sigma_contraction(i: int, j: int, space: TensorSpace, form: BilinearForm,
                       cap: int = DENSE_DIM_CAP) -> np.ndarray:
     """Weyl contraction in tensor positions i and j (1-based): pair the two
-    factors with the form, then re-insert the form's dual element.
+    factors with the form, then re-insert the form's dual element.  It is
+    the matrix of ``c_generator(r, i, j)``, so symmetric in i and j.
 
     Satisfies C*C = (eps n) C: the trace of the form against its inverse
     is n for the symmetric flavour and -n for the symplectic one.
     """
     check_dim(space, cap)
-    r, n = space.r, space.n
+    r = space.r
     if not (1 <= i <= r and 1 <= j <= r) or i == j:
         raise ValueError(f"bad contraction positions ({i}, {j}) for r={r}")
-    if form.n != n:
-        raise ValueError(f"form on n={form.n} does not match space n={n}")
-    a, b = i - 1, j - 1
-    gram, gram_inv = form.gram, form.gram_inv
-    out = zeros_matrix(space.dim, space.dim)
-    for src in range(space.dim):
-        digs = _digits(src, n, r)
-        scal = gram[digs[a], digs[b]]
-        if not scal:
-            continue
-        for u in range(n):
-            for v in range(n):
-                coeff = gram_inv[u, v]
-                if not coeff:
-                    continue
-                jd = list(digs)
-                jd[a], jd[b] = u, v
-                dst = _flat(jd, n)
-                out[dst, src] += scal * coeff
-    return out
-
-
-def _split_edges(d: BrauerDiagram):
-    m = d.m
-    top, bottom, vertical = [], [], []
-    for v, w in d.edges:
-        if w < m:
-            top.append((v, w))
-        elif v >= m:
-            bottom.append((v - m, w - m))
-        else:
-            vertical.append((v, w - m))
-    return top, bottom, vertical
-
-
-def _canonical_factors(d: BrauerDiagram):
-    """Write d as (vertical diagram of w_top^{-1}) o E_k o (vertical
-    diagram of beta), with E_k the diagram pairing columns (0,1), (2,3),
-    ..., and the tail columns vertical.  All words are 0-based."""
-    m = d.m
-    top, bottom, vertical = _split_edges(d)
-    k = len(top)
-    free_top = sorted(set(range(m)) - {c for e in top for c in e})
-    free_bot = sorted(set(range(m)) - {c for e in bottom for c in e})
-    w_top = [0] * m
-    w_bot = [0] * m
-    for t, (a, b) in enumerate(top):
-        w_top[2 * t], w_top[2 * t + 1] = a, b
-    for t, (a, b) in enumerate(bottom):
-        w_bot[2 * t], w_bot[2 * t + 1] = a, b
-    for u, col in enumerate(free_top):
-        w_top[2 * k + u] = col
-    for u, col in enumerate(free_bot):
-        w_bot[2 * k + u] = col
-    vert_map = dict(vertical)
-    beta = list(w_bot)
-    bot_pos = {col: 2 * k + u for u, col in enumerate(free_bot)}
-    for u, col in enumerate(free_top):
-        beta[2 * k + u] = w_bot[bot_pos[vert_map[col]]]
-    return w_top, k, beta
-
-
-def _contraction_ladder(k: int, space: TensorSpace, form: BilinearForm) -> np.ndarray:
-    """Product of the commuting contractions in positions (1,2), (3,4),
-    ..., (2k-1, 2k), assembled in one pass."""
-    r, n = space.r, space.n
-    gram, gram_inv = form.gram, form.gram_inv
-    out = zeros_matrix(space.dim, space.dim)
-    tail = range(2 * k, r)
-    for src in range(space.dim):
-        digs = _digits(src, n, r)
-        scal = 1
-        for t in range(k):
-            scal *= gram[digs[2 * t], digs[2 * t + 1]]
-            if not scal:
-                break
-        if not scal:
-            continue
-        for choice in itertools.product(range(n * n), repeat=k):
-            coeff = scal
-            jd = list(digs)
-            for t, uv in enumerate(choice):
-                u, v = divmod(uv, n)
-                coeff *= gram_inv[u, v]
-                if not coeff:
-                    break
-                jd[2 * t], jd[2 * t + 1] = u, v
-            if coeff:
-                out[_flat(jd, n), src] += coeff
-    return out
+    d = c_generator(r, i, j)
+    return dense_from_rows(_diagram_rows(d, space.n, form), space.dim)
 
 
 def diagram_matrix(d: BrauerDiagram, space: TensorSpace, form: BilinearForm,
                    cap: int = DENSE_DIM_CAP) -> np.ndarray:
-    """Matrix of one diagram: permute, contract along the horizontal
-    edges, permute again, via the canonical factorization.  Symplectic
-    flavour twists each permutation factor by its sign."""
+    """Matrix of one diagram, read edge by edge: vertical edges copy an
+    index, bottom edges pair two inputs with the form, top edges emit the
+    form's dual element.  The symplectic flavour multiplies by the signs
+    of the top and bottom reading words."""
     check_dim(space, cap)
     if d.m != space.r:
         raise ValueError(f"diagram on {d.m} columns against r={space.r}")
-    w_top, k, beta = _canonical_factors(d)
-    core = _contraction_ladder(k, space, form)
-    rows = _perm_flat_map(w_top, space.n)
-    cols = _perm_flat_map(inverse_word(beta), space.n)
-    out = np.empty_like(core)
-    out[rows, :] = core
-    out = out[:, cols]
-    if form.flavor == "symplectic":
-        sign = word_sign(w_top) * word_sign(beta)
-        if sign < 0:
-            out = -out
-    return out
+    return dense_from_rows(_diagram_rows(d, space.n, form), space.dim)
 
 
 def sigma_element(el: AlgebraElement, space: TensorSpace, form: BilinearForm,
@@ -334,44 +289,25 @@ def sigma_element(el: AlgebraElement, space: TensorSpace, form: BilinearForm,
     if el.x0 != expected:
         raise SpecializationError(
             f"x0={el.x0} but the {form.flavor} action on n={space.n} needs x0={expected}")
-    out = zeros_matrix(space.dim, space.dim)
-    for d, c in sorted(el.items(), key=lambda t: t[0].edges):
-        out = out + c * diagram_matrix(d, space, form, cap)
-    return out
+    check_dim(space, cap)
+    return dense_from_rows(_element_rows(el, space.n, form), space.dim)
 
 
 # ---------------------------------------------------------------------------
-# mixed tensor space
+# mixed tensor space: the V / V* pairing is the identity form
 
 def mixed_diagram_rows(d: BrauerDiagram, space: MixedSpace,
-                       cap: int = DEFAULT_DIM_CAP) -> list[dict[int, Fraction]]:
+                       cap: int = DEFAULT_DIM_CAP) -> list[dict[int, int]]:
     """Walled diagram on V^(x r) (x) (V*)^(x s) as sparse rows, all
-    entries 0/1: vertical edges copy indices, bottom horizontal edges
-    pair a vector with a covector, top horizontal edges emit the
-    identity element of V (x) V*."""
+    entries 0/1: bottom horizontal edges pair a vector with a covector,
+    top horizontal edges emit the identity element of V (x) V*."""
     check_dim(space, cap)
     wall = Wall(space.r, space.s)
     if d.m != wall.m:
         raise ValueError(f"diagram on {d.m} columns against r+s={wall.m}")
     if not is_walled(d, wall):
         raise ValueError("diagram does not respect the wall")
-    n, m = space.n, wall.m
-    top, bottom, vertical = _split_edges(d)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(space.dim)]
-    for src in range(space.dim):
-        digs = _digits(src, n, m)
-        if any(digs[a] != digs[b] for a, b in bottom):
-            continue
-        jd = [0] * m
-        for a, b in vertical:
-            jd[a] = digs[b]
-        for choice in itertools.product(range(n), repeat=len(top)):
-            for (a, b), val in zip(top, choice):
-                jd[a] = val
-                jd[b] = val
-            row = rows[_flat(jd, n)]
-            row[src] = row.get(src, 0) + 1
-    return rows
+    return _diagram_rows(d, space.n, BilinearForm("symmetric", space.n))
 
 
 def mixed_diagram_matrix(d: BrauerDiagram, space: MixedSpace,
@@ -393,10 +329,8 @@ def sigma_mixed_rows(el: AlgebraElement, space: MixedSpace,
             f"x0={el.x0} but the mixed action on n={space.n} needs x0={space.n}")
     if not el.is_supported_walled(wall):
         raise ValueError("element is not supported on walled diagrams")
-    acc: list[dict[int, Fraction]] = [{} for _ in range(space.dim)]
-    for d, c in sorted(el.items(), key=lambda t: t[0].edges):
-        sparse_scale_add(acc, Fraction(c), mixed_diagram_rows(d, space, cap))
-    return acc
+    check_dim(space, cap)
+    return _element_rows(el, space.n, BilinearForm("symmetric", space.n))
 
 
 def sigma_mixed(el: AlgebraElement, space: MixedSpace,
@@ -453,14 +387,18 @@ def lie_basis(family: str, n: int) -> list[np.ndarray]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _lift_entries(action_mats, dims, dim_cap):
-    """Leibniz sum of per-position actions, returned as sparse rows."""
+def _lift_entries(action_mats, dims, dim_cap, columns=None):
+    """Leibniz sum of per-position actions, returned as sparse rows.
+
+    ``columns`` restricts the sum to those source columns, renumbered in
+    the given order; then only the rows it touches come back, in target
+    order."""
     total = 1
     for d in dims:
         total *= d
     if total > dim_cap:
         raise CapExceededError(f"space dimension {total} exceeds cap {dim_cap}")
-    rows: list[dict[int, Fraction]] = [{} for _ in range(total)]
+    rows: dict[int, dict[int, Fraction]] = {}
     strides = []
     acc = 1
     for d in reversed(dims):
@@ -471,21 +409,23 @@ def _lift_entries(action_mats, dims, dim_cap):
     cols_by_pos = []
     for mat, d in zip(action_mats, dims):
         cols: list[list[tuple[int, object]]] = [[] for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                v = mat[i, j]
-                if v:
-                    cols[j].append((i, exactify(v)))
+        ii, jj = np.nonzero(mat)
+        for i, j in zip(ii.tolist(), jj.tolist()):
+            cols[j].append((i, exactify(mat[i, j])))
         cols_by_pos.append(cols)
-    for flat in range(total):
+    for col, flat in enumerate(range(total) if columns is None else columns):
         digs = [(flat // strides[k]) % dims[k] for k in range(npos)]
         for k in range(npos):
             base = flat - digs[k] * strides[k]
             for i, v in cols_by_pos[k][digs[k]]:
                 dst = base + i * strides[k]
-                row = rows[dst]
-                row[flat] = row.get(flat, 0) + v
-    return rows, total
+                row = rows.get(dst)
+                if row is None:
+                    row = rows[dst] = {}
+                row[col] = row.get(col, 0) + v
+    if columns is not None:
+        return [rows[dst] for dst in sorted(rows)], total
+    return [rows.get(dst, {}) for dst in range(total)], total
 
 
 def sl_coordinates(mat: np.ndarray) -> list:

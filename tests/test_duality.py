@@ -83,6 +83,34 @@ class TestDeranged:
         assert rep.dims["commutant_of_diagram"] == 9
         assert not rep.verified
 
+    @staticmethod
+    def _non_commuting(monkeypatch):
+        # diag(1, 0, 0) on sl_2 keeps the torus weights but does not
+        # commute with ad(e_01)
+        from diagramalg.linalg import zeros_matrix
+
+        def fake(*args, **kwargs):
+            mat = zeros_matrix(3, 3)
+            mat[0, 0] = 1
+            return mat
+
+        monkeypatch.setattr(duality, "deranged_matrix", fake)
+
+    def test_commutation_checked_exactly_without_equal_b(self, monkeypatch):
+        self._non_commuting(monkeypatch)
+        monkeypatch.setattr(duality, "span_equal", lambda a, b: False)
+        with pytest.raises(ArithmeticError, match="fail to commute"):
+            verify_duality("deranged", 2, 1)
+
+    def test_equal_b_proves_commutation(self, monkeypatch):
+        # equal_b puts every diagram matrix in the span of the exactly
+        # checked commutant basis, so no product is formed
+        self._non_commuting(monkeypatch)
+        monkeypatch.setattr(duality, "span_equal", lambda a, b: True)
+        monkeypatch.setattr(duality, "sparse_matmul", None)
+        rep = verify_duality("deranged", 2, 1)
+        assert rep.equal_b is True and rep.equal_a is True
+
 
 class TestReportShape:
     def test_json_keys(self):

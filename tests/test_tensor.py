@@ -109,6 +109,14 @@ class TestContraction:
         swap34 = sigma_perm((0, 1, 3, 2), space)
         assert matrices_equal(c @ swap34, swap34 @ c)
 
+    @pytest.mark.parametrize("flavor", ["symmetric", "symplectic"])
+    def test_symmetric_in_positions(self, flavor):
+        form = BilinearForm(flavor, 2)
+        space = TensorSpace(2, 3)
+        for i, j in itertools.combinations(range(1, 4), 2):
+            assert matrices_equal(sigma_contraction(i, j, space, form),
+                                  sigma_contraction(j, i, space, form))
+
     def test_position_validation(self):
         form = BilinearForm("symmetric", 2)
         with pytest.raises(ValueError):
@@ -153,6 +161,28 @@ class TestDiagramMatrix:
             res = compose(d1, d2)
             assert matrices_equal(mats[d1] @ mats[d2],
                                   Fraction(x0) ** res.loops * mats[res.composite])
+
+    @pytest.mark.parametrize("flavor,x0", [("symmetric", 2), ("symplectic", -2)])
+    def test_multiplicative_exhaustive_three_columns(self, flavor, x0):
+        # three columns mix pairs and free columns in the reading words,
+        # which exercises the symplectic sign
+        form = BilinearForm(flavor, 2)
+        space = TensorSpace(2, 3)
+        mats = {d: diagram_matrix(d, space, form) for d in enumerate_diagrams(3)}
+        for d1, d2 in itertools.product(mats, repeat=2):
+            res = compose(d1, d2)
+            assert matrices_equal(mats[d1] @ mats[d2],
+                                  Fraction(x0) ** res.loops * mats[res.composite])
+
+    def test_form_size_must_match_space(self):
+        c = c_generator(2, 1, 2)
+        symplectic4 = BilinearForm("symplectic", 4)
+        with pytest.raises(ValueError):
+            diagram_matrix(c, TensorSpace(2, 2), symplectic4)
+        with pytest.raises(ValueError):
+            sigma_element(AlgebraElement.from_diagram(c, 1, -2), TensorSpace(2, 2), symplectic4)
+        with pytest.raises(ValueError):
+            diagram_matrix(c, TensorSpace(4, 2), BilinearForm("symmetric", 2))
 
     def test_matches_edge_delta_oracle(self):
         for n in (2, 3):
@@ -224,6 +254,17 @@ class TestSigmaMixed:
             res = compose(d1, d2)
             assert matrices_equal(mats[d1] @ mats[d2],
                                   Fraction(2) ** res.loops * mats[res.composite])
+
+    @pytest.mark.parametrize("n,r,s", [(2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1), (2, 2, 2)])
+    def test_matches_edge_delta_oracle(self, n, r, s):
+        # the V / V* pairing is the identity form, so every edge is a
+        # Kronecker delta
+        space = MixedSpace(n, r, s)
+        wall = Wall(r, s)
+        for d in enumerate_diagrams(r + s):
+            if is_walled(d, wall):
+                assert matrices_equal(mixed_diagram_matrix(d, space),
+                                      orthogonal_diagram_matrix(d, n))
 
     def test_rejects_non_walled_support(self):
         space = MixedSpace(2, 2, 0)
