@@ -106,6 +106,19 @@ def walled_count(r: int, s: int) -> int:
     return factorial(r + s)
 
 
+def _invariant_equations(n: int, r: int) -> tuple[list[dict], list[int]]:
+    """Equation rows and unknowns (the zero-weight indices, ascending) of
+    :func:`multiplicity_trivial`."""
+    from .tensor import AdjointSpace, _ad_cols, _lift_entries, _zero_weight_support, matrix_unit
+
+    dim = AdjointSpace(n, r).dim
+    support, rows = _zero_weight_support(n, r), []
+    for a, b in itertools.permutations(range(n), 2):
+        ad = _ad_cols(matrix_unit(n, a, b), n)
+        rows += _lift_entries([ad] * r, [n * n - 1] * r, dim, columns=support)[0]
+    return rows, support
+
+
 def multiplicity_trivial(n: int, r: int, mode: str = "auto") -> int:
     """Multiplicity of the trivial module in the r-th tensor power of the
     trace-free matrices: the dimension of the joint kernel of the derived
@@ -117,20 +130,10 @@ def multiplicity_trivial(n: int, r: int, mode: str = "auto") -> int:
     the off-diagonal generators' derived actions restricted to those
     columns, one Leibniz lift per generator.
     """
-    from .tensor import AdjointSpace, _lift_entries, ad_action, lie_basis, weight_vectors
     from .linalg import solve_sparse_system
 
-    space = AdjointSpace(n, r)
-    zero = tuple(0 for _ in range(n))
-    support = [i for i, w in enumerate(weight_vectors(space)) if w == zero]
-    rows = []
-    for x in lie_basis("sl", n):
-        if any(x[a, b] for a in range(n) for b in range(n) if a != b):
-            lifted, _ = _lift_entries([ad_action(x, n)] * r, [n * n - 1] * r,
-                                      space.dim, columns=support)
-            rows.extend(lifted)
-    result = solve_sparse_system(rows, len(support), mode=mode, want_kernel=False)
-    return result.nullity
+    rows, support = _invariant_equations(n, r)
+    return solve_sparse_system(rows, len(support), mode=mode, want_kernel=False).nullity
 
 
 @dataclass(frozen=True)

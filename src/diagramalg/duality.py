@@ -30,6 +30,7 @@ from .diagrams import CapExceededError, Wall, enumerate_diagrams, is_walled
 from .linalg import (
     DEFAULT_PRIMES,
     DEFAULT_UNKNOWN_CAP,
+    LinOp,
     MatrixSpan,
     algebra_closure,
     commutant,
@@ -47,6 +48,7 @@ from .tensor import (
     check_dim,
     deranged_matrix,
     derivation_action,
+    derivation_ops_sparse,
     diagram_matrix,
     lie_basis,
     mixed_diagram_matrix,
@@ -193,14 +195,20 @@ def _verify_so_direct(n, r, mode, primes, solver_cap):
                          extra=extra)
 
 
-def _commute(gens, mats) -> bool:
-    """Exact check that every generator commutes with every matrix, on
-    sparse rows."""
-    gens, mats = [rows_from_dense(g) for g in gens], [rows_from_dense(m) for m in mats]
-    return all(sparse_matmul(g, m) == sparse_matmul(m, g) for g in gens for m in mats)
+def _commute(gens: list[LinOp], mats) -> bool:
+    """Exact check that every sparse generator commutes with every dense
+    matrix, on sparse rows."""
+    mats = [rows_from_dense(m) for m in mats]
+    return all(sparse_matmul(g.rows, m) == sparse_matmul(m, g.rows) for g in gens for m in mats)
 
 
 def _verify_deranged(n, r, mode, primes, solver_cap):
+    """GL_n on the r-th adjoint power against the deranged diagram image.
+
+    The gl_n generators are built as sparse ``LinOp`` rows
+    (``derivation_ops_sparse``, [x, -] from the structure constants of
+    sl_n) and go to the commutant solve, and to the exact commutation
+    check when ``equal_b`` fails, without a dense matrix in between."""
     from .algebra import deranged_basis
 
     space = AdjointSpace(n, r)
@@ -215,7 +223,7 @@ def _verify_deranged(n, r, mode, primes, solver_cap):
                     for el in elements]
     diagram_span = MatrixSpan.from_matrices(diagram_mats, d)
 
-    gens = [derivation_action(x, space) for x in lie_basis("gl", n)]
+    gens = [derivation_ops_sparse(x, space) for x in lie_basis("gl", n)]
 
     # Commutant of the group side: sparse, torus-reduced, exact via the
     # certified modular route; its basis realizes End of the group action

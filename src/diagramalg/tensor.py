@@ -24,11 +24,14 @@ Conventions, fixed once and pinned by the multiplicativity tests:
   inverse word, and multiplicative for the usual composition
   (v o w)(i) = v(w(i)).
 * Derived Lie algebra actions are Leibniz sums of one action per tensor
-  position, built by one lift.
+  position, built by one lift from sparse columns.  On adjoint positions
+  [x, -] is read from the sparse structure of the sl_n basis, without
+  dense commutators.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,9 +51,9 @@ from .diagrams import (
 from .ring import exactify
 from .linalg import (
     LinOp,
+    _nonzeros,
     dense_from_rows,
     frac_matrix,
-    identity_matrix,
     nullspace_exact,
     rows_from_dense,
     sparse_matmul,
@@ -387,8 +390,59 @@ def lie_basis(family: str, n: int) -> list[np.ndarray]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _lift_entries(action_mats, dims, dim_cap, columns=None):
-    """Leibniz sum of per-position actions, returned as sparse rows.
+# The sparse structure of lie_basis('sl', n), in closed form: the
+# off-diagonal units E_ab come first, row-major, then h_0, ..., h_(n-2)
+# with h_a = E_aa - E_(a+1)(a+1).  In a traceless matrix of diagonal d
+# the coordinate of h_a is cumulative: d_0 + ... + d_a.
+
+def _sl_off(n: int, a: int, b: int) -> int:
+    """Coordinate of E_ab, a != b."""
+    return a * (n - 1) + b - (b > a)
+
+
+def _sl_line(n: int, i: int, column: bool = False) -> list[tuple[int, int, int]]:
+    """Nonzeros of the basis in row i (column i if ``column``), as
+    (element, column (row), value)."""
+    units = [(_sl_off(n, c, i) if column else _sl_off(n, i, c), c, 1)
+             for c in range(n) if c != i]
+    h = n * n - n + i
+    return units + [(h - 1, i, -1)] * (i > 0) + [(h, i, 1)] * (i < n - 1)
+
+
+def _ad_cols(x: np.ndarray, n: int) -> list[dict[int, object]]:
+    """Columns of [x, -] on sl_n as sparse {row: value} dicts, rows
+    ascending.
+
+    Each nonzero x[a, b] = v reaches only the elements b_j with a nonzero
+    in row b or column a, in O(1) per entry: row a of x b_j gains v times
+    row b of b_j, and column b of b_j x gains v times column a of b_j."""
+    if x.shape != (n, n):
+        raise ValueError(f"x of shape {x.shape} does not act on sl_{n}")
+    brackets: dict[int, dict[tuple[int, int], object]] = {}
+    for k, v in _nonzeros(x).items():
+        a, b = divmod(k, n)
+        v = exactify(v)
+        for j, c, w in _sl_line(n, b):
+            e = brackets.setdefault(j, {})
+            e[a, c] = e.get((a, c), 0) + v * w
+        for j, i, w in _sl_line(n, a, column=True):
+            e = brackets.setdefault(j, {})
+            e[i, b] = e.get((i, b), 0) - w * v
+    cols: list[dict[int, object]] = [{} for _ in range(n * n - 1)]
+    for j, bracket in brackets.items():
+        coords = {_sl_off(n, i, k): v for (i, k), v in bracket.items() if i != k}
+        diag = {i: v for (i, k), v in bracket.items() if i == k}
+        acc = 0
+        for a in range(min(diag, default=n), n - 1):
+            acc += diag.get(a, 0)
+            coords[n * n - n + a] = acc
+        cols[j] = {i: exactify(v) for i, v in sorted(coords.items()) if v}
+    return cols
+
+
+def _lift_entries(action_cols, dims, dim_cap, columns=None):
+    """Leibniz sum of per-position actions, each given by its sparse
+    columns, returned as sparse rows of nonzeros.
 
     ``columns`` restricts the sum to those source columns, renumbered in
     the given order; then only the rows it touches come back, in target
@@ -406,64 +460,41 @@ def _lift_entries(action_mats, dims, dim_cap, columns=None):
         acc *= d
     strides.reverse()
     npos = len(dims)
-    cols_by_pos = []
-    for mat, d in zip(action_mats, dims):
-        cols: list[list[tuple[int, object]]] = [[] for _ in range(d)]
-        ii, jj = np.nonzero(mat)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            cols[j].append((i, exactify(mat[i, j])))
-        cols_by_pos.append(cols)
     for col, flat in enumerate(range(total) if columns is None else columns):
         digs = [(flat // strides[k]) % dims[k] for k in range(npos)]
         for k in range(npos):
             base = flat - digs[k] * strides[k]
-            for i, v in cols_by_pos[k][digs[k]]:
+            for i, v in action_cols[k][digs[k]].items():
                 dst = base + i * strides[k]
                 row = rows.get(dst)
                 if row is None:
                     row = rows[dst] = {}
                 row[col] = row.get(col, 0) + v
+                if not row[col]:
+                    del row[col]
     if columns is not None:
         return [rows[dst] for dst in sorted(rows)], total
     return [rows.get(dst, {}) for dst in range(total)], total
 
 
-def sl_coordinates(mat: np.ndarray) -> list:
-    """Coordinates of a traceless matrix in the lie_basis('sl', n) order."""
-    n = mat.shape[0]
-    coords = [exactify(mat[a, b]) for a in range(n) for b in range(n) if a != b]
-    acc = 0
-    for a in range(n - 1):
-        acc = acc + mat[a, a]
-        coords.append(exactify(acc))
-    return coords
-
-
 def ad_action(x: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of [x, -] on sl_n in the lie_basis('sl', n) coordinates.
+    """Matrix of [x, -] on sl_n in the lie_basis('sl', n) coordinates,
+    read from the sparse structure constants of sl_n and densified.
 
     Defined for any x in gl_n: commutators with a traceless matrix stay
-    traceless."""
-    basis = lie_basis("sl", n)
-    d = len(basis)
-    out = zeros_matrix(d, d)
-    for j, b in enumerate(basis):
-        coords = sl_coordinates(x @ b - b @ x)
-        for i, c in enumerate(coords):
-            if c:
-                out[i, j] = c
-    return out
+    traceless.  Entries are plain ints where the denominator is 1."""
+    return dense_from_rows(_ad_cols(x, n), n * n - 1).T.copy()
 
 
 def _position_actions(x: np.ndarray, space):
+    # the columns of x are the rows of x^T, those of -x^T the rows of -x
     if isinstance(space, TensorSpace):
-        return [x] * space.r, [space.n] * space.r
+        return [rows_from_dense(x.T)] * space.r, [space.n] * space.r
     if isinstance(space, MixedSpace):
-        dual = -x.T
-        return [x] * space.r + [dual] * space.s, [space.n] * (space.r + space.s)
+        cols, dual = rows_from_dense(x.T), rows_from_dense(-x)
+        return [cols] * space.r + [dual] * space.s, [space.n] * (space.r + space.s)
     if isinstance(space, AdjointSpace):
-        ad = ad_action(x, space.n)
-        return [ad] * space.r, [space.n ** 2 - 1] * space.r
+        return [_ad_cols(x, space.n)] * space.r, [space.n ** 2 - 1] * space.r
     raise TypeError(f"unknown space {space!r}")
 
 
@@ -471,15 +502,18 @@ def derivation_action(x: np.ndarray, space, cap: int = DENSE_DIM_CAP) -> np.ndar
     """Derived action of an n x n matrix: the Leibniz sum over tensor
     positions, acting by -x^T on dual positions and by [x, -] on adjoint
     positions."""
-    mats, dims = _position_actions(x, space)
-    rows, total = _lift_entries(mats, dims, cap)
+    cols, dims = _position_actions(x, space)
+    rows, total = _lift_entries(cols, dims, cap)
     return dense_from_rows(rows, total)
 
 
 def derivation_ops_sparse(x: np.ndarray, space, cap: int = DEFAULT_DIM_CAP) -> LinOp:
-    """Sparse form of :func:`derivation_action`, for the larger spaces."""
-    mats, dims = _position_actions(x, space)
-    rows, total = _lift_entries(mats, dims, cap)
+    """Sparse form of :func:`derivation_action`, for the larger spaces and
+    for the deranged verify.  No dense matrix is formed on the way: on
+    adjoint positions [x, -] comes from the sparse structure constants
+    of sl_n, and the rows hold nonzeros only."""
+    cols, dims = _position_actions(x, space)
+    rows, total = _lift_entries(cols, dims, cap)
     return LinOp(total, rows)
 
 
@@ -501,68 +535,40 @@ def reflection_matrix(n: int, r: int, cap: int = DENSE_DIM_CAP) -> np.ndarray:
 def gl_sl_transport(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(S, T): S embeds sl coordinates into gl = V (x) V* coordinates,
     T projects a matrix to its trace-free part in sl coordinates.
-    T S is the identity on sl."""
-    basis = lie_basis("sl", n)
-    d = len(basis)
-    s = zeros_matrix(n * n, d)
-    for k, b in enumerate(basis):
-        for a in range(n):
-            for c in range(n):
-                v = b[a, c]
-                if v:
-                    s[a * n + c, k] = v
-    t = zeros_matrix(d, n * n)
+    T S is the identity on sl.  Both are read from the sparse structure
+    of the sl basis; the trace-free part of E_aa has h_c coordinate
+    [a <= c] - (c+1)/n."""
+    d = n * n - 1
+    s, t = zeros_matrix(n * n, d), zeros_matrix(d, n * n)
+    for a, b in itertools.permutations(range(n), 2):
+        s[a * n + b, _sl_off(n, a, b)] = t[_sl_off(n, a, b), a * n + b] = 1
     for a in range(n):
-        for b in range(n):
-            col = a * n + b
-            unit = matrix_unit(n, a, b)
-            if a == b:
-                unit = unit - Fraction(1, n) * identity_matrix(n)
-            for k, v in enumerate(sl_coordinates(unit)):
-                if v:
-                    t[k, col] = v
+        for j, _, w in _sl_line(n, a)[n - 1:]:
+            s[a * n + a, j] = w
+        for c in range(n - 1):
+            t[n * n - n + c, a * n + a] = Fraction(n * (a <= c) - c - 1, n)
     return s, t
-
-
-def _mixed_pair_to_gl_flat(space: MixedSpace, mixed_flat: int) -> list[int]:
-    n = space.n
-    digs = _digits(mixed_flat, n, 2 * space.r)
-    vs, fs = digs[: space.r], digs[space.r:]
-    return [vs[t] * n + fs[t] for t in range(space.r)]
 
 
 def adjoint_transport(n: int, r: int, cap: int = DEFAULT_DIM_CAP) -> tuple[np.ndarray, np.ndarray]:
     """(inclusion, coordinates) between the adjoint power and mixed
     (r, r) tensor space, using the equivariant identification of
-    V (x) V* with n x n matrices."""
-    space = MixedSpace(n, r, r)
-    adj = AdjointSpace(n, r)
+    V (x) V* with n x n matrices: the r-th tensor powers of the pair of
+    :func:`gl_sl_transport`, with the V digits moved before the V* ones."""
+    space, d = MixedSpace(n, r, r), n * n - 1
     check_dim(space, cap)
     s, t = gl_sl_transport(n)
-    incl = zeros_matrix(space.dim, adj.dim)
-    coords = zeros_matrix(adj.dim, space.dim)
-    d = adj.n * adj.n - 1
-    for aflat in range(adj.dim):
-        ks = _digits(aflat, d, r)
-        cols = [[(g, s[g, k]) for g in range(n * n) if s[g, k]] for k in ks]
-        for picks in itertools.product(*cols):
-            val = 1
-            vs, fs = [], []
-            for g, c in picks:
-                val *= c
-                vs.append(g // n)
-                fs.append(g % n)
-            incl[_flat(vs + fs, n), aflat] += val
-    for mflat in range(space.dim):
-        gls = _mixed_pair_to_gl_flat(space, mflat)
-        rows = [[(k, t[k, g]) for k in range(d) if t[k, g]] for g in gls]
-        for picks in itertools.product(*rows):
-            val = 1
-            ks = []
-            for k, c in picks:
-                val *= c
-                ks.append(k)
-            coords[_flat(ks, d), mflat] += val
+    s_cols, t_cols = rows_from_dense(s.T), rows_from_dense(t.T)
+    incl, coords = zeros_matrix(space.dim, d ** r), zeros_matrix(d ** r, space.dim)
+    for aflat, ks in enumerate(itertools.product(range(d), repeat=r)):
+        for picks in itertools.product(*(s_cols[k].items() for k in ks)):
+            gs = [g for g, _ in picks]
+            row = _flat([g // n for g in gs] + [g % n for g in gs], n)
+            incl[row, aflat] = math.prod(c for _, c in picks)
+    for mflat, digs in enumerate(itertools.product(range(n), repeat=2 * r)):
+        gls = [digs[j] * n + digs[r + j] for j in range(r)]
+        for picks in itertools.product(*(t_cols[g].items() for g in gls)):
+            coords[_flat([k for k, _ in picks], d), mflat] = math.prod(c for _, c in picks)
     return incl, coords
 
 
@@ -591,43 +597,39 @@ def deranged_matrix(el: AlgebraElement, n: int, r: int,
 # ---------------------------------------------------------------------------
 # weight bookkeeping for the graded solvers
 
+def _sl_weights(n: int) -> list[tuple[int, ...]]:
+    """Torus weight of each element of lie_basis('sl', n): e_a - e_b for
+    E_ab, zero for the diagonal elements."""
+    return [tuple((c == a) - (c == b) for c in range(n))
+            for a, b in itertools.permutations(range(n), 2)] + [(0,) * n] * (n - 1)
+
+
+def _zero_weight_support(n: int, r: int) -> list[int]:
+    """Indices of the zero-weight basis vectors of AdjointSpace(n, r),
+    ascending, without listing every weight: the first r - 1 factors fix
+    a weight, and only the last factors of the opposite weight (one unit
+    E_ab, or the n - 1 diagonal elements for weight zero) complete it."""
+    d, weights = n * n - 1, _sl_weights(n)
+    cancel: dict[tuple[int, ...], list[int]] = {}
+    for k, w in enumerate(weights):
+        cancel.setdefault(tuple(-c for c in w), []).append(k)
+    return [p * d + k for p, ws in enumerate(itertools.product(weights, repeat=r - 1))
+            for k in cancel.get(tuple(map(sum, zip((0,) * n, *ws))), ())]
+
+
 def weight_vectors(space) -> list[tuple[int, ...]]:
     """Torus weight of every basis vector, as an integer tuple per index.
 
     These are the diagonals of the derived actions of the diagonal matrix
     units; generators that commute with the torus preserve them."""
     n = space.n
-
-    def basis_vec(a):
-        return tuple(1 if c == a else 0 for c in range(n))
-
-    def neg(w):
-        return tuple(-x for x in w)
-
+    units = [tuple(int(c == a) for c in range(n)) for a in range(n)]
     if isinstance(space, TensorSpace):
-        per_pos = [[basis_vec(a) for a in range(n)]] * space.r
+        per_pos = [units] * space.r
     elif isinstance(space, MixedSpace):
-        vw = [basis_vec(a) for a in range(n)]
-        per_pos = [vw] * space.r + [[neg(w) for w in vw]] * space.s
+        per_pos = [units] * space.r + [[tuple(-c for c in w) for w in units]] * space.s
     elif isinstance(space, AdjointSpace):
-        sl_w = [tuple(x - y for x, y in zip(basis_vec(a), basis_vec(b)))
-                for a in range(n) for b in range(n) if a != b]
-        sl_w += [tuple(0 for _ in range(n))] * (n - 1)
-        per_pos = [sl_w] * space.r
+        per_pos = [_sl_weights(n)] * space.r
     else:
         raise TypeError(f"unknown space {space!r}")
-
-    out = []
-    dims = [len(ws) for ws in per_pos]
-    total = 1
-    for d in dims:
-        total *= d
-    for flat in range(total):
-        acc = [0] * n
-        rem = flat
-        for ws in reversed(per_pos):
-            rem, dig = divmod(rem, len(ws))
-            for a in range(n):
-                acc[a] += ws[dig][a]
-        out.append(tuple(acc))
-    return out
+    return [tuple(map(sum, zip((0,) * n, *ws))) for ws in itertools.product(*per_pos)]

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: the twisted-strand
 composition is a literal graph chase on two stacked permutation
-diagrams, and the orthogonal diagram action is the edge-by-edge delta
-product rather than a permute-contract-permute factorization.
+diagrams, the orthogonal diagram action is the edge-by-edge delta
+product rather than a permute-contract-permute factorization, and the
+adjoint action forms every commutator as a dense matrix product.
 """
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ import numpy as np
 
 from diagramalg.diagrams import BrauerDiagram, Wall
 from diagramalg.linalg import zeros_matrix
+from diagramalg.ring import exactify
+from diagramalg.tensor import lie_basis
 
 
 def bizarre_compose(p1: BrauerDiagram, p2: BrauerDiagram, wall: Wall):
@@ -122,4 +125,29 @@ def orthogonal_diagram_matrix(d: BrauerDiagram, n: int) -> np.ndarray:
             if any(jdig[a] != jdig[b] for a, b in top_h):
                 continue
             out[dst, src] = 1
+    return out
+
+
+def sl_coordinates(mat: np.ndarray) -> list:
+    """Coordinates of a traceless matrix in the lie_basis('sl', n) order:
+    the off-diagonal entries, then the cumulative diagonal sums."""
+    n = mat.shape[0]
+    coords = [exactify(mat[a, b]) for a in range(n) for b in range(n) if a != b]
+    acc = 0
+    for a in range(n - 1):
+        acc = acc + mat[a, a]
+        coords.append(exactify(acc))
+    return coords
+
+
+def dense_ad_action(x: np.ndarray, n: int) -> np.ndarray:
+    """Matrix of [x, -] on sl_n from n^2 - 1 dense commutators x b - b x,
+    one per element b of lie_basis('sl', n)."""
+    basis = lie_basis("sl", n)
+    d = len(basis)
+    out = zeros_matrix(d, d)
+    for j, b in enumerate(basis):
+        for i, c in enumerate(sl_coordinates(x @ b - b @ x)):
+            if c:
+                out[i, j] = c
     return out

@@ -1,0 +1,165 @@
+"""The adjoint action from the sparse structure constants of sl_n,
+checked against dense commutators, and the sparse deranged verify."""
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from diagramalg import duality, tensor
+from diagramalg.combinatorics import _invariant_equations
+from diagramalg.duality import verify_duality
+from diagramalg.linalg import (
+    LinOp,
+    identity_matrix,
+    matrices_equal,
+    rows_from_dense,
+    zeros_matrix,
+)
+from diagramalg.tensor import (
+    AdjointSpace,
+    _lift_entries,
+    _zero_weight_support,
+    ad_action,
+    derivation_action,
+    derivation_ops_sparse,
+    gl_sl_transport,
+    lie_basis,
+    weight_vectors,
+)
+
+from oracles import dense_ad_action, sl_coordinates
+
+
+def random_fraction_matrix(n, rng):
+    x = zeros_matrix(n, n)
+    for a in range(n):
+        for b in range(n):
+            if rng.random() < 0.7:
+                x[a, b] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return x
+
+
+def sample_matrices(n):
+    rng = random.Random(100 + n)
+    return lie_basis("gl", n) + [random_fraction_matrix(n, rng) for _ in range(4)]
+
+
+def entry_types(mat):
+    return [[type(v) for v in row] for row in mat.tolist()]
+
+
+class TestAdAction:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_dense_commutators(self, n):
+        for x in sample_matrices(n):
+            got, want = ad_action(x, n), dense_ad_action(x, n)
+            assert matrices_equal(got, want)
+            assert entry_types(got) == entry_types(want)
+
+    def test_fraction_entries_survive(self):
+        x = zeros_matrix(3, 3)
+        x[0, 0], x[1, 2] = Fraction(1, 2), Fraction(6, 3)
+        got = ad_action(x, 3)
+        assert any(type(v) is Fraction for v in got.flat)
+        assert all(type(v) in (int, Fraction) for v in got.flat)
+        assert entry_types(got) == entry_types(dense_ad_action(x, 3))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2), (1, 1)])
+    def test_mis_sized_x_raises(self, shape):
+        x = zeros_matrix(*shape)
+        with pytest.raises(ValueError):
+            ad_action(x, 2)
+        with pytest.raises(ValueError):
+            derivation_ops_sparse(x, AdjointSpace(2, 1))
+
+
+class TestAdjointLift:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sparse_rows_match_dense(self, n):
+        space = AdjointSpace(n, 2)
+        for x in sample_matrices(n):
+            dense = derivation_action(x, space)
+            assert derivation_ops_sparse(x, space).rows == rows_from_dense(dense)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_leibniz_sum_of_dense_oracle(self, n):
+        space = AdjointSpace(n, 2)
+        one = identity_matrix(n * n - 1)
+        for x in sample_matrices(n):
+            ad = dense_ad_action(x, n)
+            assert matrices_equal(derivation_action(x, space),
+                                  np.kron(ad, one) + np.kron(one, ad))
+
+    def test_lifted_rows_hold_no_zeros(self):
+        # diag(1, 0) acts on e_01 (x) e_10 by 1 - 1: the Leibniz sum cancels
+        x = lie_basis("gl", 2)[0]
+        rows = derivation_ops_sparse(x, AdjointSpace(2, 2)).rows
+        assert all(v != 0 for row in rows for v in row.values())
+
+
+class TestTransport:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_dense_coordinates(self, n):
+        s, t = gl_sl_transport(n)
+        basis = lie_basis("sl", n)
+        for k, b in enumerate(basis):
+            assert [s[g, k] for g in range(n * n)] == list(b.reshape(-1))
+        for a in range(n):
+            for c in range(n):
+                unit = zeros_matrix(n, n)
+                unit[a, c] = 1
+                if a == c:
+                    unit = unit - Fraction(1, n) * identity_matrix(n)
+                want = sl_coordinates(unit)
+                got = [t[k, a * n + c] for k in range(len(basis))]
+                assert got == want
+                assert [type(v) for v in got] == [type(v) for v in want]
+
+
+class TestZeroWeightSupport:
+    @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
+    def test_matches_weight_filter(self, n, r):
+        zero = (0,) * n
+        want = [i for i, w in enumerate(weight_vectors(AdjointSpace(n, r))) if w == zero]
+        assert _zero_weight_support(n, r) == want
+
+    @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3), (4, 2)])
+    def test_equation_rows_unchanged(self, n, r):
+        # the equations of multiplicity_trivial as the weight filter and
+        # the dense commutators give them, key order included
+        space = AdjointSpace(n, r)
+        zero = (0,) * n
+        support = [i for i, w in enumerate(weight_vectors(space)) if w == zero]
+        want = []
+        for x in lie_basis("sl", n):
+            if any(x[a, b] for a in range(n) for b in range(n) if a != b):
+                lifted, _ = _lift_entries([rows_from_dense(dense_ad_action(x, n).T)] * r,
+                                          [n * n - 1] * r, space.dim, columns=support)
+                want.extend(lifted)
+        rows, got_support = _invariant_equations(n, r)
+        assert got_support == support
+        assert rows == want
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in want]
+
+
+class TestSparseDerangedPath:
+    def test_generators_never_dense(self, monkeypatch):
+        from_dense = LinOp.from_dense.__func__
+        dense_calls = []
+
+        def counting_from_dense(cls, mat):
+            dense_calls.append(mat.shape)
+            return from_dense(cls, mat)
+
+        def counting_derivation(*args, **kwargs):
+            dense_calls.append("derivation_action")
+            return derivation_action(*args, **kwargs)
+
+        monkeypatch.setattr(LinOp, "from_dense", classmethod(counting_from_dense))
+        monkeypatch.setattr(duality, "derivation_action", counting_derivation)
+        monkeypatch.setattr(tensor, "derivation_action", counting_derivation)
+        rep = verify_duality("deranged", 3, 1)
+        assert rep.verified
+        assert rep.dims["commutant_of_group"] == 1
+        assert dense_calls == []
