@@ -630,24 +630,26 @@ def intertwiner_kernel(
         raise CapExceededError(
             f"{len(support)} unknowns exceed the solver cap {unknown_cap}; "
             f"the modular engine may still apply via a smaller formulation")
-    unknown = {iu: k for k, iu in enumerate(support)}
+    # Unknowns by row of A (k -> [(u, idx)]) and by column (v -> [(i, idx)]),
+    # in support order.
+    in_row: dict[int, list[tuple[int, int]]] = {}
+    in_col: dict[int, list[tuple[int, int]]] = {}
+    for idx, (i, u) in enumerate(support):
+        in_row.setdefault(i, []).append((u, idx))
+        in_col.setdefault(u, []).append((i, idx))
 
     equations: dict[tuple[int, int, int], dict[int, Fraction]] = {}
     for g, (l, r) in enumerate(general_pairs):
         for i, lrow in enumerate(l.rows):
             for k, c in lrow.items():
-                for u in range(dim_u):
-                    idx = unknown.get((k, u))
-                    if idx is not None:
-                        row = equations.setdefault((g, i, u), {})
-                        row[idx] = row.get(idx, 0) + c
+                for u, idx in in_row.get(k, ()):
+                    row = equations.setdefault((g, i, u), {})
+                    row[idx] = row.get(idx, 0) + c
         for u, rcol in enumerate(r.cols()):
             for v, c in rcol.items():
-                for i in range(dim_w):
-                    idx = unknown.get((i, v))
-                    if idx is not None:
-                        row = equations.setdefault((g, i, u), {})
-                        row[idx] = row.get(idx, 0) - c
+                for i, idx in in_col.get(v, ()):
+                    row = equations.setdefault((g, i, u), {})
+                    row[idx] = row.get(idx, 0) - c
 
     rows = [equations[key] for key in sorted(equations)]
     rows = [r for r in rows if r]
@@ -663,15 +665,13 @@ class MatrixSpan:
     d: int
     basis: list[np.ndarray]
     rref: ExactRref
-    method: str = "exact"
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     @classmethod
-    def from_matrices(cls, mats: Iterable[np.ndarray], d: int,
-                      method: str = "exact") -> "MatrixSpan":
+    def from_matrices(cls, mats: Iterable[np.ndarray], d: int) -> "MatrixSpan":
         acc = ExactRref(d * d)
         kept = []
         for m in mats:
@@ -679,7 +679,7 @@ class MatrixSpan:
                 raise ValueError(f"expected {d}x{d} matrices, got {m.shape}")
             if acc.insert(_nonzeros(m)):
                 kept.append(m)
-        return cls(d, kept, acc, method)
+        return cls(d, kept, acc)
 
     def contains_matrix(self, m: np.ndarray) -> bool:
         return self.rref.contains(_nonzeros(m))
@@ -712,7 +712,7 @@ def commutant(
                 if vec[k]:
                     m[i, j] = vec[k]
             mats.append(m)
-        span = MatrixSpan.from_matrices(mats, d, method=result.method)
+        span = MatrixSpan.from_matrices(mats, d)
         if span.dim != result.nullity:
             raise ArithmeticError("kernel vectors were not independent")
     return span, result
@@ -868,50 +868,42 @@ def algebra_closure(
 ) -> MatrixSpan:
     """Smallest unital matrix algebra containing the seed matrices.
 
-    The span is saturated under left multiplication by the seed, which
-    reaches every word in the generators.  The first saturation screens
-    membership modulo two primes (a nonzero residue proves exact
-    independence).  A second saturation starts from the seed times that
-    basis and tests membership exactly, adding whatever the screen missed,
-    so the final dimension does not rest on the screening.
+    One saturation under left multiplication by the seed, which reaches
+    every word in the generators, forms each candidate product once.  A
+    candidate is screened modulo ``primes[0]`` and its membership is
+    settled by the exact echelon form of the returned span, so the
+    dimension does not rest on the screen.  A nonzero residue proves
+    exact independence; a screen-accepted candidate that is exactly
+    dependent raises ArithmeticError.
     """
     seed = list(seed)
     for m in seed:
         if m.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrices, got {m.shape}")
-    screens = (ModRref(d * d, primes[0]), ModRref(d * d, primes[1]))
+    screen = ModRref(d * d, primes[0])
+    span = MatrixSpan(d, [], ExactRref(d * d))
 
-    def screen_take(mat: np.ndarray) -> bool:
-        new = [acc.insert(mat_to_modp(mat, acc.p).reshape(-1)) for acc in screens]
-        # A modular rank is a lower bound on the exact dimension.
-        if max(acc.rank for acc in screens) > dim_cap:
-            raise CapExceededError(f"closure dimension exceeds cap {dim_cap}")
-        return any(new)
-
-    basis = saturate([identity_matrix(d)] + seed, seed, np.matmul, screen_take)
-    span = MatrixSpan.from_matrices(basis, d)
-    if span.dim != len(basis):
-        raise ArithmeticError("modular screening produced a dependent basis")
-
-    def exact_take(mat: np.ndarray) -> bool:
-        if span.contains_matrix(mat):
+    def take(mat: np.ndarray) -> bool:
+        screened = screen.insert(mat_to_modp(mat, screen.p).reshape(-1))
+        if not span.rref.insert(_nonzeros(mat)):
+            if screened:
+                raise ArithmeticError("modular screen accepted an exactly dependent matrix")
             return False
-        span.rref.insert(_nonzeros(mat))
         span.basis.append(mat)
+        if span.dim > dim_cap:
+            raise CapExceededError(f"closure dimension exceeds cap {dim_cap}")
         return True
 
-    saturate([g @ b for g in seed for b in span.basis], seed, np.matmul, exact_take)
+    saturate([identity_matrix(d)] + seed, seed, np.matmul, take)
     return span
 
 
 def span_equal(a: MatrixSpan, b: MatrixSpan) -> bool:
-    """Mutual containment of two matrix spans, checked exactly."""
+    """Exact equality of two matrix spans: equal finite dimensions and
+    ``a`` contained in ``b``."""
     if a.d != b.d:
         raise ValueError(f"ambient dimensions differ: {a.d} vs {b.d}")
-    if a.dim != b.dim:
-        return False
-    return (all(b.contains_matrix(m) for m in a.basis)
-            and all(a.contains_matrix(m) for m in b.basis))
+    return a.dim == b.dim and all(b.contains_matrix(m) for m in a.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -529,3 +529,84 @@ class TestKernelCertificate:
         broken = [list(vec) for vec in kernel]
         broken[-1][col] += Fraction(1, 7)
         assert not linalg._kernel_vanishes(sparse, broken)
+
+
+def gl2_closure_seed():
+    space = TensorSpace(2, 2)
+    return [derivation_action(x, space) for x in lie_basis("gl", 2)]
+
+
+class TestOnePassClosure:
+    """The closure forms each product once, screens it modulo one prime and
+    settles membership exactly; its dimension does not rest on the screen."""
+
+    def test_blind_screen_keeps_exact_dimension(self, monkeypatch):
+        monkeypatch.setattr(linalg, "mat_to_modp",
+                            lambda mat, p: np.zeros(mat.shape, dtype=np.int64))
+        closure = algebra_closure(gl2_closure_seed(), 4)
+        assert closure.dim == 10
+        for a, b in itertools.product(closure.basis, repeat=2):
+            assert closure.contains_matrix(a @ b)
+
+    def test_screen_accepting_everything_raises(self, monkeypatch):
+        calls = itertools.count()
+
+        def unit_residue(mat, p):
+            out = np.zeros(mat.shape, dtype=np.int64)
+            out.reshape(-1)[next(calls) % out.size] = 1
+            return out
+
+        monkeypatch.setattr(linalg, "mat_to_modp", unit_residue)
+        # E11 + E22 acts as twice the identity: a dependent start candidate
+        with pytest.raises(ArithmeticError):
+            algebra_closure(gl2_closure_seed(), 4)
+
+    def test_cap_is_checked_on_exact_dimension(self, monkeypatch):
+        monkeypatch.setattr(linalg, "mat_to_modp",
+                            lambda mat, p: np.zeros(mat.shape, dtype=np.int64))
+        with pytest.raises(linalg.CapExceededError):
+            algebra_closure(gl2_closure_seed(), 4, dim_cap=9)
+        assert algebra_closure(gl2_closure_seed(), 4, dim_cap=10).dim == 10
+
+    def test_one_saturation_one_screen_each_product_once(self, monkeypatch):
+        counts = {"saturate": 0, "screens": 0, "products": 0, "reductions": 0}
+        saturate, to_modp = linalg.saturate, linalg.mat_to_modp
+
+        def counted_saturate(start, gens, multiply, take):
+            counts["saturate"] += 1
+
+            def counted_multiply(g, b):
+                counts["products"] += 1
+                return multiply(g, b)
+            return saturate(start, gens, counted_multiply, take)
+
+        def counted_to_modp(mat, p):
+            counts["reductions"] += 1
+            return to_modp(mat, p)
+
+        class CountedModRref(ModRref):
+            def __init__(self, *args, **kwargs):
+                counts["screens"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "saturate", counted_saturate)
+        monkeypatch.setattr(linalg, "mat_to_modp", counted_to_modp)
+        monkeypatch.setattr(linalg, "ModRref", CountedModRref)
+        seed = gl2_closure_seed()
+        closure = algebra_closure(seed, 4)
+        assert closure.dim == 10
+        # every kept element is multiplied by every generator exactly once
+        products = len(seed) * closure.dim
+        assert counts == {"saturate": 1, "screens": 1, "products": products,
+                          "reductions": 1 + len(seed) + products}
+
+
+class TestSpanEqualOneContainment:
+    def test_equal_dimensions_different_spans(self):
+        e11 = frac_matrix([[1, 0], [0, 0]])
+        e22 = frac_matrix([[0, 0], [0, 1]])
+        a = MatrixSpan.from_matrices([e11], 2)
+        b = MatrixSpan.from_matrices([e22], 2)
+        assert a.dim == b.dim == 1
+        assert not span_equal(a, b)
+        assert not span_equal(b, a)
