@@ -20,6 +20,7 @@ from .diagrams import (
     compose,
     diagram_from_json,
     diagram_to_json,
+    double_factorial_odd,
     enumerate_diagrams,
     identity_diagram,
     is_walled,
@@ -243,7 +244,7 @@ def _avoids_straight_cross(d: BrauerDiagram, r: int) -> bool:
     return True
 
 
-def deranged_basis(r: int, n, r_cap: int = DERANGED_R_CAP) -> list[DerangedElement]:
+def deranged_basis(r: int, n) -> list[DerangedElement]:
     """Basis e*D*e of the deranged algebra, D running over walled
     (r, r)-diagrams with no horizontal edge joining a column to its
     mirror column.
@@ -257,8 +258,8 @@ def deranged_basis(r: int, n, r_cap: int = DERANGED_R_CAP) -> list[DerangedEleme
     n = Fraction(n)
     if n < 2 * r:
         raise ValueError(f"need n >= 2r (got n={n}, r={r})")
-    if r > r_cap:
-        raise CapExceededError(f"deranged basis for r={r} exceeds cap {r_cap}")
+    if r > DERANGED_R_CAP:
+        raise CapExceededError(f"deranged basis for r={r} exceeds cap {DERANGED_R_CAP}")
     wall = Wall(r, r)
     e = idempotent_e(r, n)
     out = []
@@ -278,7 +279,7 @@ def deranged_basis(r: int, n, r_cap: int = DERANGED_R_CAP) -> list[DerangedEleme
     return out
 
 
-def generated_subalgebra(gens: Iterable[AlgebraElement], cap: int = 4096) -> int:
+def generated_subalgebra(gens: Iterable[AlgebraElement]) -> int:
     """Dimension of the smallest unital subalgebra containing ``gens``.
 
     Works in diagram coordinates with exact arithmetic, saturating the
@@ -287,6 +288,7 @@ def generated_subalgebra(gens: Iterable[AlgebraElement], cap: int = 4096) -> int
     Only specialized elements are accepted (the span lives over Q).
     """
     from .linalg import ExactRref, saturate
+    from .tensor import DENSE_DIM_CAP
 
     gens = list(gens)
     if not gens:
@@ -299,11 +301,11 @@ def generated_subalgebra(gens: Iterable[AlgebraElement], cap: int = 4096) -> int
         if g.m != m or g.x0 != x0:
             raise RingMismatchError("generators must share m and ring")
 
+    dim_bound = double_factorial_odd(m)
+    if dim_bound > DENSE_DIM_CAP:
+        raise CapExceededError(f"diagram basis of size {dim_bound} exceeds cap {DENSE_DIM_CAP}")
     basis_diagrams = sorted(enumerate_diagrams(m), key=lambda d: d.edges)
     index = {d: i for i, d in enumerate(basis_diagrams)}
-    dim_bound = len(basis_diagrams)
-    if dim_bound > cap:
-        raise CapExceededError(f"diagram basis of size {dim_bound} exceeds cap {cap}")
 
     rref = ExactRref(dim_bound)
     return len(saturate([AlgebraElement.unit(m, x0)] + gens, gens, operator.mul,

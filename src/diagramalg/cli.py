@@ -40,7 +40,7 @@ from .diagrams import (
     is_walled,
 )
 from .duality import FAMILIES, verify_duality
-from .linalg import DEFAULT_PRIMES, DEFAULT_UNKNOWN_CAP
+from .linalg import DEFAULT_PRIMES, DEFAULT_UNKNOWN_CAP, MODES
 from .ring import fraction_from_str
 
 EXIT_OK = 0
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--mode", choices=("auto", "exact", "modular"), default="auto")
+    p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--primes", default=None, metavar="P1,P2",
                    help=f"moduli for the modular engine (default "
                         f"{DEFAULT_PRIMES[0]},{DEFAULT_PRIMES[1]})")

@@ -30,10 +30,10 @@ def derangements(k: int) -> int:
     return sum((-1) ** (k - j) * comb(k, j) * factorial(j) for j in range(k + 1))
 
 
-def derangements_by_enumeration(k: int, cap: int = ENUMERATION_CAP) -> int:
+def derangements_by_enumeration(k: int) -> int:
     """Count fixed-point-free permutations directly (independent oracle)."""
-    if k > cap:
-        raise ValueError(f"enumeration for k={k} exceeds cap {cap}")
+    if k > ENUMERATION_CAP:
+        raise ValueError(f"enumeration for k={k} exceeds cap {ENUMERATION_CAP}")
     return sum(1 for p in itertools.permutations(range(k))
                if all(p[i] != i for i in range(k)))
 
@@ -77,12 +77,12 @@ class DerangementTable:
                 for k, (v, m) in enumerate(zip(self.values, self.methods))]
 
 
-def derangement_table(kmax: int, enum_cap: int = ENUMERATION_CAP) -> DerangementTable:
+def derangement_table(kmax: int) -> DerangementTable:
     values = []
     methods = []
     for k in range(kmax + 1):
         formula = derangements(k)
-        if k <= enum_cap:
+        if k <= ENUMERATION_CAP:
             if derangements_by_enumeration(k) != formula:
                 raise ArithmeticError(f"formula and enumeration disagree at k={k}")
             methods.append("enumeration")
@@ -157,13 +157,13 @@ class AdjointMultiplicityReport:
 
 
 def multiplicity_adjoint(n: int, r: int, mode: str = "auto") -> AdjointMultiplicityReport:
-    from .tensor import AdjointSpace, ad_action, derivation_ops_sparse, lie_basis
+    from .tensor import AdjointSpace, derivation_ops_sparse, lie_basis
     from .linalg import intertwiner_kernel
 
     space = AdjointSpace(n, r)
     basis = lie_basis("sl", n)
     left = [derivation_ops_sparse(x, space) for x in basis]
-    right = [ad_action(x, n) for x in basis]
+    right = [derivation_ops_sparse(x, AdjointSpace(n, 1)) for x in basis]
     result, _ = intertwiner_kernel(left, right, space.dim, n * n - 1,
                                    mode=mode, want_kernel=False)
     cross = multiplicity_trivial(n, r + 1, mode=mode)

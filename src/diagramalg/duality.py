@@ -3,10 +3,11 @@
 For each family the engine builds the group side (the unital algebra
 generated by the derived Lie algebra action, plus one reflection for the
 full orthogonal group) and the diagram side (the span of the representing
-matrices of the diagram basis), computes both commutants, and compares
-spans.  Containments hold automatically because the two actions commute;
-the content of the verification is the dimension count, which is why the
-report carries all four dimensions.
+matrices of the diagram basis), and counts both commutants.  Each
+equality is one containment plus a dimension count.  Both containments
+hold exactly when the group generators commute with the diagram
+matrices, which is checked exactly, once, on sparse rows (a failure
+raises ArithmeticError); the report carries all four dimensions.
 
 The deranged family is too large for span saturation of the group image
 (it has dimension 11732 inside 225 x 225 matrices at n=4, r=2).  There
@@ -30,12 +31,12 @@ from .diagrams import CapExceededError, Wall, enumerate_diagrams, is_walled
 from .linalg import (
     DEFAULT_PRIMES,
     DEFAULT_UNKNOWN_CAP,
+    MODES,
     LinOp,
     MatrixSpan,
     algebra_closure,
     commutant,
     graded_commutant_dim,
-    rows_from_dense,
     span_equal,
     sparse_matmul,
 )
@@ -111,8 +112,7 @@ def _combine_methods(*labels: str) -> str:
     return mods[0] if mods else "mod-p"
 
 
-def _standard_sides(family: str, n: int, r: int, s: int | None,
-                    enum_cap: int, x0=None):
+def _standard_sides(family: str, n: int, r: int, s: int | None, enum_cap: int):
     """Space dimension, diagram matrices, group generator matrices and the
     abstract diagram-algebra dimension for the span-based families."""
     if family == "glA":
@@ -146,18 +146,17 @@ def _standard_sides(family: str, n: int, r: int, s: int | None,
 def _verify_span_family(family, n, r, s, mode, primes, enum_cap, solver_cap):
     d, diagram_mats, gens, abstract_dim = _standard_sides(
         family, n, r, s, enum_cap)
+    gen_ops = [LinOp.from_dense(g) for g in gens]
+    diagram_ops = [LinOp.from_dense(m) for m in diagram_mats]
+    # both containments at once; each equality is then a dimension count
+    if not _commute(gen_ops, diagram_ops):
+        raise ArithmeticError("group and diagram actions fail to commute")
     diagram_span = MatrixSpan.from_matrices(diagram_mats, d)
     group_span = algebra_closure(gens, d, primes=primes)
-    comm_diag_span, comm_diag = commutant(
-        diagram_mats, d, mode=mode, primes=primes, unknown_cap=solver_cap)
-    comm_group_span, comm_group = commutant(
-        gens, d, mode=mode, primes=primes, unknown_cap=solver_cap)
-    if comm_diag_span is None or comm_group_span is None:
-        equal_a = group_span.dim == comm_diag.nullity
-        equal_b = diagram_span.dim == comm_group.nullity
-    else:
-        equal_a = span_equal(group_span, comm_diag_span)
-        equal_b = span_equal(diagram_span, comm_group_span)
+    _, comm_diag = commutant(diagram_ops, d, mode=mode, primes=primes,
+                             want_basis=False, unknown_cap=solver_cap)
+    _, comm_group = commutant(gen_ops, d, mode=mode, primes=primes,
+                              want_basis=False, unknown_cap=solver_cap)
     dims = {
         "group_image": group_span.dim,
         "diagram_image": diagram_span.dim,
@@ -165,7 +164,9 @@ def _verify_span_family(family, n, r, s, mode, primes, enum_cap, solver_cap):
         "commutant_of_group": comm_group.nullity,
     }
     method = _combine_methods("exact", comm_diag.method, comm_group.method)
-    return DualityReport(family, n, r, s, dims, equal_a, equal_b,
+    return DualityReport(family, n, r, s, dims,
+                         group_span.dim == comm_diag.nullity,
+                         diagram_span.dim == comm_group.nullity,
                          diagram_span.dim == abstract_dim, method)
 
 
@@ -195,11 +196,11 @@ def _verify_so_direct(n, r, mode, primes, solver_cap):
                          extra=extra)
 
 
-def _commute(gens: list[LinOp], mats) -> bool:
-    """Exact check that every sparse generator commutes with every dense
-    matrix, on sparse rows."""
-    mats = [rows_from_dense(m) for m in mats]
-    return all(sparse_matmul(g.rows, m) == sparse_matmul(m, g.rows) for g in gens for m in mats)
+def _commute(gens: list[LinOp], mats: list[LinOp]) -> bool:
+    """Exact check that every generator commutes with every matrix, on
+    sparse rows."""
+    return all(sparse_matmul(g.rows, m.rows) == sparse_matmul(m.rows, g.rows)
+               for g in gens for m in mats)
 
 
 def _verify_deranged(n, r, mode, primes, solver_cap):
@@ -237,7 +238,7 @@ def _verify_deranged(n, r, mode, primes, solver_cap):
     # it: every diagram matrix is then a combination of the commutant
     # basis, which was checked exactly against the generators.  Otherwise
     # check the products exactly.
-    if not equal_b and not _commute(gens, diagram_mats):
+    if not equal_b and not _commute(gens, [LinOp.from_dense(m) for m in diagram_mats]):
         raise ArithmeticError("group and diagram actions fail to commute")
 
     # The commutant of the diagram image lives in a 50625-unknown matrix
@@ -285,6 +286,8 @@ def verify_duality(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
     if family == "sp" and n % 2 != 0:
         raise ValueError("the symplectic family needs even n")
     if family == "walled":

@@ -35,6 +35,8 @@ from .ring import exactify, fraction_from_str, fraction_to_str
 DEFAULT_PRIMES = (33554393, 33554383)
 EXTRA_PRIMES = (33554371, 33554347, 33554341, 33554317, 33554291, 33554273)
 
+MODES = ("auto", "exact", "modular")
+
 EXACT_UNKNOWN_CAP = 300       # switch to the modular engine above this
 DEFAULT_UNKNOWN_CAP = 65536   # refuse plainly oversized systems
 
@@ -501,7 +503,7 @@ def solve_sparse_system(
     for larger ones.  Mode 'modular' skips certification and reports the
     two-prime dimensions only.
     """
-    if mode not in ("auto", "exact", "modular"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("auto", "exact") and ncols <= EXACT_UNKNOWN_CAP:
         acc = ExactRref(ncols)
@@ -757,9 +759,12 @@ def graded_commutant_dim(
     even when the ambient matrix space is far too large to eliminate
     directly.  Blocks of the same shape are solved together: their
     equations form one stack, eliminated by one batched kernel call per
-    chunk of the stack (``kernel_modp_dense``, or its exact counterpart
-    under ``mode='exact'``).
+    chunk of the stack (``kernel_modp_dense``) under ``mode='modular'``;
+    under ``mode='exact'`` each block's nullity is counted from its exact
+    rank.
     """
+    if mode not in ("exact", "modular"):
+        raise ValueError(f"unknown graded mode {mode!r}; choose 'exact' or 'modular'")
     if not gens:
         raise ValueError("need at least one generator")
     d = gens[0].shape[0]
@@ -771,11 +776,11 @@ def graded_commutant_dim(
     _check_weight_zero(gens, labels)
     classes = [np.flatnonzero(labels == c) for c in range(len(keys))]
     if mode == "exact":
-        return _graded_total(np.stack(gens), classes, _kernel_exact, lambda m: m), "exact"
+        return _graded_total(np.stack(gens), classes, _nullity_exact, lambda m: m), "exact"
 
     def modular_total(p: int) -> int:
         gens_p = np.stack([mat_to_modp(g, p) for g in gens])
-        return _graded_total(gens_p, classes, lambda m: kernel_modp_dense(m, p),
+        return _graded_total(gens_p, classes, lambda m: kernel_modp_dense(m, p).any(axis=1).sum(),
                              lambda m: np.mod(m, p, out=m))
 
     (p1, dim1), (p2, dim2) = _first_two_primes(primes, modular_total)
@@ -784,17 +789,16 @@ def graded_commutant_dim(
     return dim1, f"mod-p({p1},{p2})"
 
 
-def _graded_total(gens: np.ndarray, classes, kernel, reduce) -> int:
+def _graded_total(gens: np.ndarray, classes, nullity, reduce) -> int:
     """Sum over pairs of weight classes (I, J) of the dimension of
     { X in Hom(J, I) : g X == X g for every generator }.
 
     ``gens`` is a (k, d, d) stack.  For every pair of class sizes (a, b)
     the equations of all blocks of that shape are built at once as a
-    (blocks, k*a*b, a*b) stack, generators stacked by rows, and a block's
-    dimension is its number of kernel vectors.  ``kernel(stack)`` returns
-    the batched kernel layout of ``ModRref.kernel_basis`` and ``reduce``
-    brings an array to normal form, so one loop serves both the exact and
-    the modular arithmetic.
+    (blocks, k*a*b, a*b) stack, generators stacked by rows.
+    ``nullity(stack)`` returns the summed nullity of the blocks of a
+    stack and ``reduce`` brings an array to normal form, so one loop
+    serves both the exact and the modular arithmetic.
     """
     k = gens.shape[0]
     diag = {}  # diag[a][c, g] is generator g restricted to the c-th class of size a
@@ -815,26 +819,22 @@ def _graded_total(gens: np.ndarray, classes, kernel, reduce) -> int:
                 eqs[:, :, :, j, :, j] = g_left
             for i in range(a):
                 eqs[:, :, i, :, i, :] -= g_right
-            stack = reduce(eqs.reshape(left.size, k * a * b, a * b))
-            total += int((kernel(stack) != 0).any(axis=1).sum())
+            total += int(nullity(reduce(eqs.reshape(left.size, k * a * b, a * b))))
     return total
 
 
-def _kernel_exact(stack: np.ndarray) -> np.ndarray:
-    """Exact counterpart of ``kernel_modp_dense`` on a (B, m, n) stack."""
-    nblocks, _, n = stack.shape
-    out = np.zeros((nblocks, n, n), dtype=object)
-    for b, mat in enumerate(stack):
-        acc = ExactRref(n)
+def _nullity_exact(stack: np.ndarray) -> int:
+    """Summed exact nullity of the matrices of a (B, m, n) stack."""
+    total = 0
+    for mat in stack:
+        acc = ExactRref(stack.shape[-1])
         # repeated equations (common with permutation generators) add nothing
         for row in dict.fromkeys(map(tuple, mat.tolist())):
-            if acc.rank == n:
+            if acc.rank == acc.ncols:
                 break
             acc.insert(row)
-        free = [j for j in range(n) if j not in acc.pivot_cols]
-        for f, vec in zip(free, acc.kernel_basis()):
-            out[b, :, f] = vec
-    return out
+        total += acc.ncols - acc.rank
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -237,10 +237,10 @@ def _element_rows(el: AlgebraElement, n: int, form: BilinearForm) -> list[dict[i
 # ---------------------------------------------------------------------------
 # diagram-side matrices on plain tensor space
 
-def sigma_perm(word, space: TensorSpace, cap: int = DENSE_DIM_CAP) -> np.ndarray:
+def sigma_perm(word, space: TensorSpace) -> np.ndarray:
     """Permutation matrix of the place permutation of ``word``: the
     matrix of the permutation diagram of the inverse word."""
-    check_dim(space, cap)
+    check_dim(space, DENSE_DIM_CAP)
     if sorted(word) != list(range(space.r)):
         raise ValueError(f"not a permutation word of length {space.r}: {word!r}")
     d = permutation_to_diagram(inverse_word(word))
@@ -248,8 +248,7 @@ def sigma_perm(word, space: TensorSpace, cap: int = DENSE_DIM_CAP) -> np.ndarray
                            space.dim)
 
 
-def sigma_contraction(i: int, j: int, space: TensorSpace, form: BilinearForm,
-                      cap: int = DENSE_DIM_CAP) -> np.ndarray:
+def sigma_contraction(i: int, j: int, space: TensorSpace, form: BilinearForm) -> np.ndarray:
     """Weyl contraction in tensor positions i and j (1-based): pair the two
     factors with the form, then re-insert the form's dual element.  It is
     the matrix of ``c_generator(r, i, j)``, so symmetric in i and j.
@@ -257,7 +256,7 @@ def sigma_contraction(i: int, j: int, space: TensorSpace, form: BilinearForm,
     Satisfies C*C = (eps n) C: the trace of the form against its inverse
     is n for the symmetric flavour and -n for the symplectic one.
     """
-    check_dim(space, cap)
+    check_dim(space, DENSE_DIM_CAP)
     r = space.r
     if not (1 <= i <= r and 1 <= j <= r) or i == j:
         raise ValueError(f"bad contraction positions ({i}, {j}) for r={r}")
@@ -265,20 +264,18 @@ def sigma_contraction(i: int, j: int, space: TensorSpace, form: BilinearForm,
     return dense_from_rows(_diagram_rows(d, space.n, form), space.dim)
 
 
-def diagram_matrix(d: BrauerDiagram, space: TensorSpace, form: BilinearForm,
-                   cap: int = DENSE_DIM_CAP) -> np.ndarray:
+def diagram_matrix(d: BrauerDiagram, space: TensorSpace, form: BilinearForm) -> np.ndarray:
     """Matrix of one diagram, read edge by edge: vertical edges copy an
     index, bottom edges pair two inputs with the form, top edges emit the
     form's dual element.  The symplectic flavour multiplies by the signs
     of the top and bottom reading words."""
-    check_dim(space, cap)
+    check_dim(space, DENSE_DIM_CAP)
     if d.m != space.r:
         raise ValueError(f"diagram on {d.m} columns against r={space.r}")
     return dense_from_rows(_diagram_rows(d, space.n, form), space.dim)
 
 
-def sigma_element(el: AlgebraElement, space: TensorSpace, form: BilinearForm,
-                  cap: int = DENSE_DIM_CAP) -> np.ndarray:
+def sigma_element(el: AlgebraElement, space: TensorSpace, form: BilinearForm) -> np.ndarray:
     """Representing matrix of a specialized element on tensor space.
 
     The specialization must match the form: x0 = n for the symmetric
@@ -292,19 +289,18 @@ def sigma_element(el: AlgebraElement, space: TensorSpace, form: BilinearForm,
     if el.x0 != expected:
         raise SpecializationError(
             f"x0={el.x0} but the {form.flavor} action on n={space.n} needs x0={expected}")
-    check_dim(space, cap)
+    check_dim(space, DENSE_DIM_CAP)
     return dense_from_rows(_element_rows(el, space.n, form), space.dim)
 
 
 # ---------------------------------------------------------------------------
 # mixed tensor space: the V / V* pairing is the identity form
 
-def mixed_diagram_rows(d: BrauerDiagram, space: MixedSpace,
-                       cap: int = DEFAULT_DIM_CAP) -> list[dict[int, int]]:
+def mixed_diagram_rows(d: BrauerDiagram, space: MixedSpace) -> list[dict[int, int]]:
     """Walled diagram on V^(x r) (x) (V*)^(x s) as sparse rows, all
     entries 0/1: bottom horizontal edges pair a vector with a covector,
     top horizontal edges emit the identity element of V (x) V*."""
-    check_dim(space, cap)
+    check_dim(space)
     wall = Wall(space.r, space.s)
     if d.m != wall.m:
         raise ValueError(f"diagram on {d.m} columns against r+s={wall.m}")
@@ -313,14 +309,12 @@ def mixed_diagram_rows(d: BrauerDiagram, space: MixedSpace,
     return _diagram_rows(d, space.n, BilinearForm("symmetric", space.n))
 
 
-def mixed_diagram_matrix(d: BrauerDiagram, space: MixedSpace,
-                         cap: int = DENSE_DIM_CAP) -> np.ndarray:
-    check_dim(space, cap)
-    return dense_from_rows(mixed_diagram_rows(d, space, cap), space.dim)
+def mixed_diagram_matrix(d: BrauerDiagram, space: MixedSpace) -> np.ndarray:
+    check_dim(space, DENSE_DIM_CAP)
+    return dense_from_rows(mixed_diagram_rows(d, space), space.dim)
 
 
-def sigma_mixed_rows(el: AlgebraElement, space: MixedSpace,
-                     cap: int = DEFAULT_DIM_CAP) -> list[dict[int, Fraction]]:
+def sigma_mixed_rows(el: AlgebraElement, space: MixedSpace) -> list[dict[int, Fraction]]:
     """Sparse rows of the representing matrix of a walled element."""
     wall = Wall(space.r, space.s)
     if el.m != wall.m:
@@ -332,18 +326,17 @@ def sigma_mixed_rows(el: AlgebraElement, space: MixedSpace,
             f"x0={el.x0} but the mixed action on n={space.n} needs x0={space.n}")
     if not el.is_supported_walled(wall):
         raise ValueError("element is not supported on walled diagrams")
-    check_dim(space, cap)
+    check_dim(space)
     return _element_rows(el, space.n, BilinearForm("symmetric", space.n))
 
 
-def sigma_mixed(el: AlgebraElement, space: MixedSpace,
-                cap: int = DENSE_DIM_CAP) -> np.ndarray:
+def sigma_mixed(el: AlgebraElement, space: MixedSpace) -> np.ndarray:
     """Representing matrix of a walled element on mixed tensor space.
 
     Requires support on walled diagrams and specialization x0 = n.
     """
-    check_dim(space, cap)
-    return dense_from_rows(sigma_mixed_rows(el, space, cap), space.dim)
+    check_dim(space, DENSE_DIM_CAP)
+    return dense_from_rows(sigma_mixed_rows(el, space), space.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -498,30 +491,28 @@ def _position_actions(x: np.ndarray, space):
     raise TypeError(f"unknown space {space!r}")
 
 
-def derivation_action(x: np.ndarray, space, cap: int = DENSE_DIM_CAP) -> np.ndarray:
-    """Derived action of an n x n matrix: the Leibniz sum over tensor
-    positions, acting by -x^T on dual positions and by [x, -] on adjoint
-    positions."""
+def derivation_ops_sparse(x: np.ndarray, space) -> LinOp:
+    """Derived action of an n x n matrix as sparse rows of nonzeros: the
+    Leibniz sum over tensor positions, acting by -x^T on dual positions
+    and by [x, -] on adjoint positions, read from the sparse structure
+    constants of sl_n without a dense matrix."""
     cols, dims = _position_actions(x, space)
-    rows, total = _lift_entries(cols, dims, cap)
-    return dense_from_rows(rows, total)
-
-
-def derivation_ops_sparse(x: np.ndarray, space, cap: int = DEFAULT_DIM_CAP) -> LinOp:
-    """Sparse form of :func:`derivation_action`, for the larger spaces and
-    for the deranged verify.  No dense matrix is formed on the way: on
-    adjoint positions [x, -] comes from the sparse structure constants
-    of sl_n, and the rows hold nonzeros only."""
-    cols, dims = _position_actions(x, space)
-    rows, total = _lift_entries(cols, dims, cap)
+    rows, total = _lift_entries(cols, dims, DEFAULT_DIM_CAP)
     return LinOp(total, rows)
 
 
-def reflection_matrix(n: int, r: int, cap: int = DENSE_DIM_CAP) -> np.ndarray:
+def derivation_action(x: np.ndarray, space) -> np.ndarray:
+    """Dense matrix of :func:`derivation_ops_sparse`, for spaces within
+    the dense cap."""
+    check_dim(space, DENSE_DIM_CAP)
+    return derivation_ops_sparse(x, space).to_dense()
+
+
+def reflection_matrix(n: int, r: int) -> np.ndarray:
     """Tensor power of diag(-1, 1, ..., 1): the determinant -1 element
     that extends the rotation group to the full orthogonal group."""
     space = TensorSpace(n, r)
-    check_dim(space, cap)
+    check_dim(space, DENSE_DIM_CAP)
     out = zeros_matrix(space.dim, space.dim)
     for flat in range(space.dim):
         digs = _digits(flat, n, r)
@@ -550,13 +541,13 @@ def gl_sl_transport(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
-def adjoint_transport(n: int, r: int, cap: int = DEFAULT_DIM_CAP) -> tuple[np.ndarray, np.ndarray]:
+def adjoint_transport(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """(inclusion, coordinates) between the adjoint power and mixed
     (r, r) tensor space, using the equivariant identification of
     V (x) V* with n x n matrices: the r-th tensor powers of the pair of
     :func:`gl_sl_transport`, with the V digits moved before the V* ones."""
     space, d = MixedSpace(n, r, r), n * n - 1
-    check_dim(space, cap)
+    check_dim(space)
     s, t = gl_sl_transport(n)
     s_cols, t_cols = rows_from_dense(s.T), rows_from_dense(t.T)
     incl, coords = zeros_matrix(space.dim, d ** r), zeros_matrix(d ** r, space.dim)
@@ -572,24 +563,24 @@ def adjoint_transport(n: int, r: int, cap: int = DEFAULT_DIM_CAP) -> tuple[np.nd
     return incl, coords
 
 
-def adjoint_projection(n: int, r: int, cap: int = DENSE_DIM_CAP) -> np.ndarray:
+def adjoint_projection(n: int, r: int) -> np.ndarray:
     """The projector on mixed (r, r) space represented by the sandwich
     idempotent; its image is the adjoint power, realized inside mixed
     tensor space."""
-    return sigma_mixed(idempotent_e(r, n), MixedSpace(n, r, r), cap)
+    return sigma_mixed(idempotent_e(r, n), MixedSpace(n, r, r))
 
 
 def deranged_matrix(el: AlgebraElement, n: int, r: int,
-                    cap: int = DENSE_DIM_CAP,
                     transport: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Action of a sandwiched walled element on the adjoint power,
     transported from mixed tensor space.  The whole chain is multiplied
     sparsely; pass a precomputed transport pair to amortize it."""
+    space = MixedSpace(n, r, r)
+    check_dim(space, DENSE_DIM_CAP)
     incl, coords = adjoint_transport(n, r) if transport is None else transport
     adj_dim = AdjointSpace(n, r).dim
     rows = sparse_matmul(
-        sparse_matmul(rows_from_dense(coords),
-                      sigma_mixed_rows(el, MixedSpace(n, r, r), cap)),
+        sparse_matmul(rows_from_dense(coords), sigma_mixed_rows(el, space)),
         rows_from_dense(incl))
     return dense_from_rows(rows, adj_dim)
 

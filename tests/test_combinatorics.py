@@ -99,3 +99,18 @@ class TestMultiplicities:
         report = multiplicity_adjoint(2, 1)
         assert report.computed == 1
         assert report.cross_check == 1
+
+
+class TestAdjointMultiplicitySparse:
+    def test_no_dense_operators(self, monkeypatch):
+        from diagramalg import tensor
+        from diagramalg.linalg import LinOp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense operator built")
+
+        monkeypatch.setattr(tensor, "ad_action", refuse)
+        monkeypatch.setattr(LinOp, "from_dense", refuse)
+        report = multiplicity_adjoint(3, 2)
+        assert report.consistent
+        assert report.computed == 2

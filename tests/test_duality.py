@@ -145,3 +145,75 @@ class TestValidation:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             verify_duality("affine", 2, 2)
+
+
+class TestOneEqualityRule:
+    @staticmethod
+    def _non_commuting(monkeypatch):
+        # diag(1, 0, 0, 0) on (Q^2)^(x 2) does not commute with E_01
+        from diagramalg.linalg import zeros_matrix
+
+        def fake(*args, **kwargs):
+            mat = zeros_matrix(4, 4)
+            mat[0, 0] = 1
+            return mat
+
+        monkeypatch.setattr(duality, "sigma_perm", fake)
+
+    @pytest.mark.parametrize("mode", ["auto", "modular", "exact"])
+    def test_non_commuting_actions_raise_in_every_mode(self, monkeypatch, mode):
+        self._non_commuting(monkeypatch)
+        with pytest.raises(ArithmeticError, match="fail to commute"):
+            verify_duality("glA", 2, 2, mode=mode)
+
+    @pytest.mark.parametrize("family,n,r,s", [
+        ("glA", 2, 3, None), ("o", 3, 2, None), ("sp", 2, 2, None),
+        ("walled", 2, 1, 1),
+    ])
+    @pytest.mark.parametrize("mode", ["auto", "modular"])
+    def test_span_families_count_dimensions(self, monkeypatch, family, n, r, s, mode):
+        # no span comparison and no commutant basis: one exact commutation
+        # check and four dimensions decide both equalities
+        def refuse(*args, **kwargs):
+            raise AssertionError("span_equal called")
+
+        bases = []
+        original = duality.commutant
+
+        def recording(*args, **kwargs):
+            bases.append(kwargs.get("want_basis", True))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(duality, "span_equal", refuse)
+        monkeypatch.setattr(duality, "commutant", recording)
+        rep = verify_duality(family, n, r, s, mode=mode)
+        assert rep.verified
+        assert bases == [False, False]
+        assert rep.equal_a == (rep.dims["group_image"] == rep.dims["commutant_of_diagram"])
+        assert rep.equal_b == (rep.dims["diagram_image"] == rep.dims["commutant_of_group"])
+
+
+class TestModeValidation:
+    def test_deranged_rejects_unknown_mode(self):
+        # a misspelt mode must not fall through to the modular graded solve
+        with pytest.raises(ValueError, match="unknown mode"):
+            verify_duality("deranged", 2, 1, mode="exactt")
+
+    def test_rejected_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("sigma_perm", "derivation_action", "adjoint_transport",
+                     "algebra_closure", "commutant"):
+            monkeypatch.setattr(duality, name, refuse)
+        for family, r in (("glA", 2), ("deranged", 1), ("so-direct", 1)):
+            with pytest.raises(ValueError, match="unknown mode"):
+                verify_duality(family, 2, r, mode="exactt")
+
+    def test_graded_solve_rejects_unknown_mode(self):
+        from diagramalg.linalg import graded_commutant_dim, identity_matrix
+
+        with pytest.raises(ValueError, match="unknown graded mode"):
+            graded_commutant_dim([identity_matrix(2)], [(0,), (1,)], mode="exactt")
+        with pytest.raises(ValueError, match="unknown graded mode"):
+            graded_commutant_dim([identity_matrix(2)], [(0,), (1,)], mode="auto")

@@ -610,3 +610,14 @@ class TestSpanEqualOneContainment:
         assert a.dim == b.dim == 1
         assert not span_equal(a, b)
         assert not span_equal(b, a)
+
+
+class TestExactGradedCountsNullity:
+    def test_no_kernel_built(self, monkeypatch):
+        # exact blocks are counted from their rank; no kernel vector is formed
+        def refuse(self):
+            raise AssertionError("kernel built only to be counted")
+
+        monkeypatch.setattr(ExactRref, "kernel_basis", refuse)
+        for mats, space, dim in graded_cases():
+            assert graded_commutant_dim(mats, weight_vectors(space), mode="exact") == (dim, "exact")

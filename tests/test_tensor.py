@@ -6,6 +6,7 @@ import pytest
 
 from diagramalg.algebra import AlgebraElement, RingMismatchError, idempotent_e
 from diagramalg.diagrams import (
+    CapExceededError,
     Wall,
     c_generator,
     compose,
@@ -17,7 +18,7 @@ from diagramalg.diagrams import (
     wall_generator,
     word_sign,
 )
-from diagramalg.linalg import identity_matrix, matrices_equal, rref, zeros_matrix
+from diagramalg.linalg import frac_matrix, identity_matrix, matrices_equal, rref, zeros_matrix
 from diagramalg.tensor import (
     AdjointSpace,
     BilinearForm,
@@ -33,6 +34,7 @@ from diagramalg.tensor import (
     diagram_matrix,
     gl_sl_transport,
     lie_basis,
+    matrix_unit,
     mixed_diagram_matrix,
     reflection_matrix,
     sigma_contraction,
@@ -460,3 +462,38 @@ class TestWeights:
             d = derivation_action(units[a * 2 + a], space)
             for i, w in enumerate(ws):
                 assert d[i, i] == w[a]
+
+
+class TestSizeCapsAreConstants:
+    """The dense builders refuse a space above DENSE_DIM_CAP (4096) and
+    the sparse derivation one above DEFAULT_DIM_CAP (65536), before any
+    matrix or row is allocated."""
+
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        from diagramalg import tensor
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the cap check")
+
+        for name in ("zeros_matrix", "dense_from_rows", "_diagram_rows",
+                     "_position_actions"):
+            monkeypatch.setattr(tensor, name, refuse)
+
+    def test_dense_builders(self, no_allocation):
+        space = TensorSpace(2, 13)  # 8192 > 4096
+        form = BilinearForm("symmetric", 2)
+        x = frac_matrix([[0, 1], [0, 0]])
+        builders = [
+            lambda: sigma_perm(tuple(range(13)), space),
+            lambda: diagram_matrix(identity_diagram(13), space, form),
+            lambda: derivation_action(x, space),
+            lambda: reflection_matrix(2, 13),
+        ]
+        for build in builders:
+            with pytest.raises(CapExceededError, match="exceeds cap 4096"):
+                build()
+
+    def test_sparse_derivation(self):
+        with pytest.raises(CapExceededError, match="exceeds cap 65536"):
+            derivation_ops_sparse(matrix_unit(2, 0, 1), TensorSpace(2, 17))
