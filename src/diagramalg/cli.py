@@ -228,7 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--mode", choices=MODES, default="auto")
+    p.add_argument("--mode", choices=MODES, default="auto",
+                   help="auto: exact arithmetic on small systems, one prime "
+                        "certified by an exact check on larger ones (default); "
+                        "exact: exact arithmetic throughout; modular: "
+                        "uncertified counts on which two primes agree")
     p.add_argument("--primes", default=None, metavar="P1,P2",
                    help=f"moduli for the modular engine (default "
                         f"{DEFAULT_PRIMES[0]},{DEFAULT_PRIMES[1]})")

@@ -7,7 +7,8 @@ matrices of the diagram basis), and counts both commutants.  Each
 equality is one containment plus a dimension count.  Both containments
 hold exactly when the group generators commute with the diagram
 matrices, which is checked exactly, once, on sparse rows (a failure
-raises ArithmeticError); the report carries all four dimensions.
+raises ArithmeticError); the report carries all four dimensions, and an
+equality that holds proves exact the modular commutant count it compares.
 
 The deranged family is too large for span saturation of the group image
 (it has dimension 11732 inside 225 x 225 matrices at n=4, r=2).  There
@@ -163,11 +164,15 @@ def _verify_span_family(family, n, r, s, mode, primes, enum_cap, solver_cap):
         "commutant_of_diagram": comm_diag.nullity,
         "commutant_of_group": comm_group.nullity,
     }
-    method = _combine_methods("exact", comm_diag.method, comm_group.method)
-    return DualityReport(family, n, r, s, dims,
-                         group_span.dim == comm_diag.nullity,
-                         diagram_span.dim == comm_group.nullity,
-                         diagram_span.dim == abstract_dim, method)
+    equal_a = group_span.dim == comm_diag.nullity
+    equal_b = diagram_span.dim == comm_group.nullity
+    # The checked containment gives image dim <= exact nullity <= modular
+    # nullity, so an equality proves a modular count exact.
+    methods = ["mod-p-confirmed-exact" if equal and res.method.startswith("mod-p(")
+               else res.method for res, equal in ((comm_diag, equal_a), (comm_group, equal_b))]
+    return DualityReport(family, n, r, s, dims, equal_a, equal_b,
+                         diagram_span.dim == abstract_dim,
+                         _combine_methods("exact", *methods))
 
 
 def _verify_so_direct(n, r, mode, primes, solver_cap):
@@ -226,13 +231,13 @@ def _verify_deranged(n, r, mode, primes, solver_cap):
 
     gens = [derivation_ops_sparse(x, space) for x in lie_basis("gl", n)]
 
-    # Commutant of the group side: sparse, torus-reduced, exact via the
-    # certified modular route; its basis realizes End of the group action
-    # and is needed exactly, whatever the requested mode.
+    # Commutant of the group side: sparse and torus-reduced.  Its basis
+    # realizes End of the group action and the span check needs it
+    # exactly, so the modular mode takes the certified route here.
     comm_group_span, comm_group = commutant(
-        gens, d, mode="auto", primes=primes, unknown_cap=solver_cap)
-    equal_b = (comm_group_span is not None
-               and span_equal(diagram_span, comm_group_span))
+        gens, d, mode="auto" if mode == "modular" else mode, primes=primes,
+        unknown_cap=solver_cap)
+    equal_b = span_equal(diagram_span, comm_group_span)
     # Containment of the group image in the diagram commutant reduces to
     # the generators commuting with the diagram matrices.  equal_b proves
     # it: every diagram matrix is then a combination of the commutant

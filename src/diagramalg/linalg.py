@@ -1,18 +1,20 @@
 """Exact linear algebra over Q with a certified modular fast path.
 
 Small systems are solved directly with exact int/Fraction arithmetic
-over sparse rows.  Larger systems are eliminated modulo two fixed
-word-sized primes; the modular answer is then upgraded to an
-unconditional exact one where feasible:
+over sparse rows.  Larger systems are eliminated modulo one word-sized
+prime, and the modular answer is certified exactly:
 
 * a modular rank is always a lower bound on the exact rank (a nonzero
   minor mod p is nonzero over Q), and
-* kernel vectors are lifted by CRT plus rational reconstruction and then
-  verified exactly against the original equations, in integer
-  arithmetic after scaling out the denominators.
+* the modular kernel vectors are lifted by rational reconstruction
+  modulo that prime and verified exactly against the original
+  equations, in integer arithmetic after scaling out the denominators.
 
-When the verified kernel dimension and the modular rank add up to the
-number of unknowns, both bounds are tight and the result is exact.  The
+The verified kernel dimension and the modular rank then add up to the
+number of unknowns, so both bounds are tight and the result is exact.
+When the lift or its check fails (an unlucky prime or a large entry),
+the exact engine answers instead.  Uncertified modular counts use two
+primes that agree on the result; a prime that disagrees is skipped.  The
 method tag records which route produced a number: ``exact``,
 ``mod-p(p1,p2)`` or ``mod-p-confirmed-exact``.
 """
@@ -37,7 +39,7 @@ EXTRA_PRIMES = (33554371, 33554347, 33554341, 33554317, 33554291, 33554273)
 
 MODES = ("auto", "exact", "modular")
 
-EXACT_UNKNOWN_CAP = 300       # switch to the modular engine above this
+EXACT_UNKNOWN_CAP = 300       # mode 'auto' takes the certified modular route above this
 DEFAULT_UNKNOWN_CAP = 65536   # refuse plainly oversized systems
 
 
@@ -412,29 +414,27 @@ def kernel_modp_dense(mat: np.ndarray, p: int) -> np.ndarray:
     return acc.kernel_basis()
 
 
-def _first_two_primes(primes: Sequence[int], run) -> list[tuple[int, object]]:
+def _agreeing_primes(primes: Sequence[int], run, count: int, key) -> list[tuple[int, object]]:
     """Call ``run(p)`` for ``primes`` and then ``EXTRA_PRIMES`` and return
-    ``(p, run(p))`` for the first two primes that succeed.  ``run`` raises
-    ZeroDivisionError when p divides a denominator of its input; that
-    prime is skipped."""
-    done = []
+    ``(p, run(p))`` for the first ``count`` primes whose results agree on
+    ``key(result)``.  ``run`` raises ZeroDivisionError when p divides a
+    denominator of its input; that prime is skipped, and so is a prime
+    whose result no later prime matches."""
+    seen: dict = {}
     for p in list(primes) + [q for q in EXTRA_PRIMES if q not in primes]:
         try:
-            done.append((p, run(p)))
+            result = run(p)
         except ZeroDivisionError:
             continue
-        if len(done) == 2:
-            return done
-    raise ArithmeticError("ran out of primes that reduce the input cleanly")
+        agreeing = seen.setdefault(key(result), [])
+        agreeing.append((p, result))
+        if len(agreeing) == count:
+            return agreeing
+    raise ArithmeticError(f"ran out of primes: no {count} reduce the input cleanly and agree")
 
 
 # ---------------------------------------------------------------------------
-# CRT and rational reconstruction
-
-def crt_pair(a1: int, p1: int, a2: int, p2: int) -> int:
-    inv = pow(p1 % p2, p2 - 2, p2)
-    return (a1 + p1 * ((a2 - a1) * inv % p2)) % (p1 * p2)
-
+# sparse linear systems with certification
 
 def rational_reconstruct(a: int, modulus: int) -> Fraction | None:
     """Find p/q == a (mod modulus) with |p|, q <= sqrt(modulus/2)."""
@@ -449,9 +449,6 @@ def rational_reconstruct(a: int, modulus: int) -> Fraction | None:
         return None
     return Fraction(r1, t1) if t1 > 0 else Fraction(-r1, -t1)
 
-
-# ---------------------------------------------------------------------------
-# sparse linear systems with certification
 
 @dataclass
 class SolveResult:
@@ -497,20 +494,16 @@ def solve_sparse_system(
 ) -> SolveResult:
     """Rank and kernel of a sparse system of exact linear equations.
 
-    Modes 'exact' and 'auto' both return unconditionally exact answers:
-    pure Fraction elimination for small systems, and the certified
-    modular route (which proves its result, see the module docstring)
-    for larger ones.  Mode 'modular' skips certification and reports the
-    two-prime dimensions only.
+    Mode 'exact' eliminates in exact arithmetic at every size.  Mode
+    'auto' does so up to ``EXACT_UNKNOWN_CAP`` unknowns; above it, it
+    eliminates modulo one prime and certifies the result by an exactly
+    checked lift of the kernel (see the module docstring), falling back
+    to exact elimination when the lift or its check fails.  Both return
+    unconditionally exact answers.  Mode 'modular' skips certification
+    and reports the dimensions on which two primes agree.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode in ("auto", "exact") and ncols <= EXACT_UNKNOWN_CAP:
-        acc = ExactRref(ncols)
-        for row in rows:
-            acc.insert(row)
-        kernel = acc.kernel_basis() if want_kernel else None
-        return SolveResult(ncols - acc.rank, acc.rank, kernel, "exact")
 
     def eliminate(p: int) -> ModRref:
         acc = ModRref(ncols, p)
@@ -519,28 +512,25 @@ def solve_sparse_system(
             acc.insert_sparse([(j, _residue(c, p, cache)) for j, c in row.items()])
         return acc
 
-    (p1, t1), (p2, t2) = _first_two_primes(primes, eliminate)
-    if t1.rank != t2.rank or t1.pivot_cols != t2.pivot_cols:
-        raise ArithmeticError(
-            f"primes {[p1, p2]} disagree on the echelon shape; system is ill-conditioned "
-            f"for the configured primes")
-    rank = t1.rank
-    nullity = ncols - rank
-    label = f"mod-p({p1},{p2})"
     if mode == "modular":
-        return SolveResult(nullity, rank, None, label)
-
-    # Lift the kernel: CRT across the two primes, rational reconstruction,
-    # then exact verification row by row.  Together with the modular rank
-    # (a lower bound on the exact rank) this pins both dimensions exactly.
-    kernel = [[rational_reconstruct(crt_pair(a, p1, b, p2), p1 * p2) for a, b in zip(c1, c2)]
-              for c1, c2 in zip(t1.kernel_basis().T.tolist(), t2.kernel_basis().T.tolist())]
-    if any(q is None for vec in kernel for q in vec):
-        raise ArithmeticError("rational reconstruction failed; rerun with more primes")
-    if not _kernel_vanishes(rows, kernel):
-        raise ArithmeticError("lifted kernel vector failed exact verification")
-    return SolveResult(nullity, rank, kernel if want_kernel else None,
-                       "mod-p-confirmed-exact")
+        (p1, acc), (p2, _) = _agreeing_primes(primes, eliminate, 2,
+                                              lambda t: (t.rank, t.pivot_cols))
+        return SolveResult(ncols - acc.rank, acc.rank, None, f"mod-p({p1},{p2})")
+    if mode == "auto" and ncols > EXACT_UNKNOWN_CAP:
+        # The lifted vectors are independent (one per free column) and
+        # checked exactly, so the exact nullity is at least the modular
+        # one, which is never below it: the two are equal.
+        ((p, acc),) = _agreeing_primes(primes, eliminate, 1, lambda t: None)
+        kernel = [[rational_reconstruct(a, p) for a in vec]
+                  for vec in acc.kernel_basis().T.tolist()]
+        if not any(None in vec for vec in kernel) and _kernel_vanishes(rows, kernel):
+            return SolveResult(ncols - acc.rank, acc.rank, kernel if want_kernel else None,
+                               "mod-p-confirmed-exact")
+    acc = ExactRref(ncols)
+    for row in rows:
+        acc.insert(row)
+    kernel = acc.kernel_basis() if want_kernel else None
+    return SolveResult(ncols - acc.rank, acc.rank, kernel, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +621,7 @@ def intertwiner_kernel(
     if len(support) > unknown_cap:
         raise CapExceededError(
             f"{len(support)} unknowns exceed the solver cap {unknown_cap}; "
-            f"the modular engine may still apply via a smaller formulation")
+            f"raise it with --solver-cap")
     # Unknowns by row of A (k -> [(u, idx)]) and by column (v -> [(i, idx)]),
     # in support order.
     in_row: dict[int, list[tuple[int, int]]] = {}
@@ -783,10 +773,8 @@ def graded_commutant_dim(
         return _graded_total(gens_p, classes, lambda m: kernel_modp_dense(m, p).any(axis=1).sum(),
                              lambda m: np.mod(m, p, out=m))
 
-    (p1, dim1), (p2, dim2) = _first_two_primes(primes, modular_total)
-    if dim1 != dim2:
-        raise ArithmeticError(f"primes {[p1, p2]} disagree: {[dim1, dim2]}")
-    return dim1, f"mod-p({p1},{p2})"
+    (p1, total), (p2, _) = _agreeing_primes(primes, modular_total, 2, lambda t: t)
+    return total, f"mod-p({p1},{p2})"
 
 
 def _graded_total(gens: np.ndarray, classes, nullity, reduce) -> int:

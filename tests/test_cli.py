@@ -169,6 +169,20 @@ class TestVerify:
         assert rc == 3
         assert "cap" in err
 
+    def test_modes_agree_on_dims_and_tag_their_route(self):
+        # 729 and 365 unknowns: above the exact cap of mode auto
+        tags = {"auto": "mod-p-confirmed-exact", "exact": "exact",
+                "modular": "mod-p-confirmed-exact"}
+        dims = []
+        for mode, tag in tags.items():
+            rc, out, _ = run_cli("verify", "--duality", "o", "--n", "3", "--r", "3",
+                                 "--mode", mode)
+            assert rc == 0
+            obj = json.loads(out)
+            assert obj["method"] == tag, mode
+            dims.append(obj["dims"])
+        assert dims[0] == dims[1] == dims[2]
+
     def test_timing_flag_fills_elapsed(self):
         rc, out, _ = run_cli("verify", "--duality", "glA", "--n", "2", "--r", "2",
                              "--timing")

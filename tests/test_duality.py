@@ -193,6 +193,40 @@ class TestOneEqualityRule:
         assert rep.equal_b == (rep.dims["diagram_image"] == rep.dims["commutant_of_group"])
 
 
+class TestModularTags:
+    def test_equalities_prove_the_modular_counts(self):
+        # group image <= exact nullity <= modular nullity, both ways round
+        rep = verify_duality("sp", 4, 2, mode="modular")
+        assert rep.verified
+        assert rep.method == "mod-p-confirmed-exact"
+
+    def test_failed_equality_keeps_the_modular_tag(self, monkeypatch):
+        from diagramalg.linalg import MatrixSpan, identity_matrix
+
+        monkeypatch.setattr(duality, "algebra_closure",
+                            lambda gens, d, primes: MatrixSpan.from_matrices(
+                                [identity_matrix(d)], d))
+        rep = verify_duality("sp", 4, 2, mode="modular")
+        assert rep.equal_a is False and rep.equal_b is True
+        assert rep.method == "mod-p(33554393,33554383)"
+
+    @pytest.mark.parametrize("mode,passed", [
+        ("auto", "auto"), ("exact", "exact"), ("modular", "auto"),
+    ])
+    def test_deranged_group_commutant_mode(self, monkeypatch, mode, passed):
+        # the span check needs an exact basis, so only modular is raised
+        modes = []
+        original = duality.commutant
+
+        def recording(*args, **kwargs):
+            modes.append(kwargs["mode"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(duality, "commutant", recording)
+        assert verify_duality("deranged", 2, 1, mode=mode).verified
+        assert modes == [passed]
+
+
 class TestModeValidation:
     def test_deranged_rejects_unknown_mode(self):
         # a misspelt mode must not fall through to the modular graded solve

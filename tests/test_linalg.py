@@ -17,7 +17,6 @@ from diagramalg.linalg import (
     ModRref,
     algebra_closure,
     commutant,
-    crt_pair,
     frac_matrix,
     graded_commutant_dim,
     identity_matrix,
@@ -118,12 +117,6 @@ class TestExactRref:
 
 
 class TestReconstruction:
-    def test_crt(self):
-        p1, p2 = DEFAULT_PRIMES
-        assert crt_pair(3, p1, 3, p2) == 3
-        val = 123456789
-        assert crt_pair(val % p1, p1, val % p2, p2) == val
-
     def test_rational_reconstruct_roundtrip(self):
         p1, p2 = DEFAULT_PRIMES
         modulus = p1 * p2
@@ -165,6 +158,70 @@ class TestSolveSparse:
         assert res.method == "mod-p-confirmed-exact"
         assert res.nullity == res_exact.nullity
         assert res.kernel == res_exact.kernel
+
+
+class TestPrimeRule:
+    P1 = DEFAULT_PRIMES[0]
+    NEXT_TWO = "mod-p(33554383,33554371)"
+
+    @classmethod
+    def unlucky_system(cls):
+        # x + y = 0 and x + (1 + p1) y = 0: the rows agree modulo p1 only
+        return [{0: Fraction(1), 1: Fraction(1)},
+                {0: Fraction(1), 1: Fraction(1 + cls.P1)}], 2
+
+    def test_modular_skips_a_disagreeing_prime(self):
+        res = solve_sparse_system(*self.unlucky_system(), mode="modular")
+        assert (res.nullity, res.method) == (0, self.NEXT_TWO)
+
+    def test_graded_skips_a_disagreeing_prime(self):
+        gen = zeros_matrix(2, 2)
+        gen[0, 0], gen[1, 1] = 1, 1 + self.P1
+        assert graded_commutant_dim([gen], [(0,), (1,)]) == (2, self.NEXT_TWO)
+
+    def test_failed_check_falls_back_to_exact(self, monkeypatch):
+        # modulo p1 the kernel is (-1, 1), which lifts cleanly and fails
+        # the exact check
+        monkeypatch.setattr(linalg, "EXACT_UNKNOWN_CAP", 0)
+        res = solve_sparse_system(*self.unlucky_system(), mode="auto")
+        assert (res.nullity, res.rank, res.kernel, res.method) == (0, 2, [], "exact")
+
+    def test_failed_reconstruction_falls_back_to_exact(self, monkeypatch):
+        rows, ncols = TestSolveSparse.small_system()
+        expected = solve_sparse_system(rows, ncols, mode="exact")
+        monkeypatch.setattr(linalg, "EXACT_UNKNOWN_CAP", 0)
+        monkeypatch.setattr(linalg, "rational_reconstruct", lambda a, modulus: None)
+        res = solve_sparse_system(rows, ncols, mode="auto")
+        assert res.method == "exact"
+        assert (res.nullity, res.kernel) == (2, expected.kernel)
+
+    @pytest.mark.parametrize("mode,tables,method", [
+        ("auto", 1, "mod-p-confirmed-exact"),
+        ("exact", 0, "exact"),
+    ])
+    def test_modular_tables_above_the_cap(self, monkeypatch, mode, tables, method):
+        # x_0 = x_1 = ... = x_n on n + 1 > EXACT_UNKNOWN_CAP unknowns
+        built = []
+
+        class Counting(ModRref):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "ModRref", Counting)
+        n = linalg.EXACT_UNKNOWN_CAP
+        rows = [{i: Fraction(1), i + 1: Fraction(-1)} for i in range(n)]
+        res = solve_sparse_system(rows, n + 1, mode=mode)
+        assert (res.nullity, res.method) == (1, method)
+        assert res.kernel == [[1] * (n + 1)]
+        assert len(built) == tables
+
+    def test_running_out_of_primes_raises(self):
+        den = 1
+        for p in DEFAULT_PRIMES + linalg.EXTRA_PRIMES:
+            den *= p
+        with pytest.raises(ArithmeticError, match="ran out of primes"):
+            solve_sparse_system([{0: Fraction(1, den)}], 2, mode="modular")
 
 
 class TestCommutant:
