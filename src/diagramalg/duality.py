@@ -10,6 +10,14 @@ matrices, which is checked exactly, once, on sparse rows (a failure
 raises ArithmeticError); the report carries all four dimensions, and an
 equality that holds proves exact the modular commutant count it compares.
 
+The diagram commutant is solved before the group image, because its
+nullity bounds the image: the checked containment puts the image inside
+that commutant, and a nullity counted modulo a prime is never below the
+exact one.  The closure then saturates on residues modulo one prime and
+stops once that many words are independent there (independent residues
+come from exactly independent words), so only a basis of the image is
+multiplied out exactly; if it stops short, the exact saturation decides.
+
 The deranged family is too large for span saturation of the group image
 (it has dimension 11732 inside 225 x 225 matrices at n=4, r=2).  There
 the commutant of the group generators is computed exactly and proven
@@ -153,9 +161,11 @@ def _verify_span_family(family, n, r, s, mode, primes, enum_cap, solver_cap):
     if not _commute(gen_ops, diagram_ops):
         raise ArithmeticError("group and diagram actions fail to commute")
     diagram_span = MatrixSpan.from_matrices(diagram_mats, d)
-    group_span = algebra_closure(gens, d, primes=primes)
     _, comm_diag = commutant(diagram_ops, d, mode=mode, primes=primes,
                              want_basis=False, unknown_cap=solver_cap)
+    # The group image lies in the diagram commutant, whose exact dimension
+    # is at most this nullity in every mode: a proven bound for the closure.
+    group_span = algebra_closure(gens, d, primes=primes, bound=comm_diag.nullity)
     _, comm_group = commutant(gen_ops, d, mode=mode, primes=primes,
                               want_basis=False, unknown_cap=solver_cap)
     dims = {

@@ -32,8 +32,10 @@ import numpy as np
 from .diagrams import CapExceededError
 from .ring import exactify, fraction_from_str, fraction_to_str
 
-# Primes just below 2**25: row operations and matrix products over these
-# fit comfortably in int64 (products < 2**50, inner dimensions < 2**11).
+# Primes just below 2**25: a product of two residues is below 2**50, and
+# an int64 sum holds (2**63 - 1) // (p - 1)**2 of them (8192 at these
+# primes).  Longer sums are reduced mod p in chunks of that length
+# (``_matmul_mod``), so larger primes and longer rows stay exact too.
 DEFAULT_PRIMES = (33554393, 33554383)
 EXTRA_PRIMES = (33554371, 33554347, 33554341, 33554317, 33554291, 33554273)
 
@@ -90,6 +92,25 @@ def mat_to_modp(mat: np.ndarray, p: int) -> np.ndarray:
     dst = out.reshape(-1)
     for k, q in _nonzeros(mat).items():
         dst[k] = _residue(q, p, cache)
+    return out
+
+
+def _sum_terms(p: int) -> int:
+    """How many products of two residues mod p one int64 sum can hold."""
+    return (2 ** 63 - 1) // (p - 1) ** 2
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``a @ b mod p`` for int64 arrays of residues mod p.  The products
+    are summed at most ``_sum_terms(p)`` at a time, with a reduction after
+    each chunk, so no int64 sum wraps."""
+    step = _sum_terms(p)
+    if a.shape[-1] <= step:
+        return a @ b % p
+    out = a[..., :step] @ b[..., :step, :] % p
+    for s in range(step, a.shape[-1], step):
+        out += a[..., s:s + step] @ b[..., s:s + step, :] % p
+        out %= p
     return out
 
 
@@ -267,6 +288,7 @@ class ModRref:
     def __init__(self, ncols: int, p: int, *, batch: int | None = None):
         self.ncols = ncols
         self.p = p
+        self._step = _sum_terms(p)
         self.batch = batch
         lead = () if batch is None else (batch,)
         self._rows = np.zeros(lead + (ncols, ncols), dtype=np.int64)
@@ -285,7 +307,8 @@ class ModRref:
         if top:
             coeffs = v[self._form_ix + (self._pivots[..., :top],)]
             if coeffs.any():
-                v -= (coeffs[..., None, :] @ self._rows[..., :top, :])[..., 0, :]
+                v -= _matmul_mod(coeffs[..., None, :], self._rows[..., :top, :],
+                                 self.p)[..., 0, :]
                 np.mod(v, self.p, out=v)
         return v
 
@@ -348,7 +371,8 @@ class ModRref:
         Because the pivot rows are fully reduced, the only pivot rows
         that can interact with a sparse row are those whose pivot column
         the row actually touches; one pass over the nonzero entries
-        reduces it completely.
+        reduces it completely.  The subtractions are reduced mod p in
+        chunks of ``_sum_terms(p)`` hits, so no int64 entry wraps.
         """
         v = np.zeros(self.ncols, dtype=np.int64)
         hits = []
@@ -359,9 +383,10 @@ class ModRref:
                 row = self._pivot_row.get(col)
                 if row is not None:
                     hits.append((row, val))
-        for row, val in hits:
-            v = v - val * self._rows[row]
-        if hits:
+        step = self._step
+        for start in range(0, len(hits), step):
+            for row, val in hits[start:start + step]:
+                v = v - val * self._rows[row]
             v = np.mod(v, self.p)
         return self._install(v)
 
@@ -853,6 +878,7 @@ def algebra_closure(
     d: int,
     primes: Sequence[int] = DEFAULT_PRIMES,
     dim_cap: int = 4096,
+    bound: int | None = None,
 ) -> MatrixSpan:
     """Smallest unital matrix algebra containing the seed matrices.
 
@@ -862,17 +888,41 @@ def algebra_closure(
     settled by the exact echelon form of the returned span, so the
     dimension does not rest on the screen.  A nonzero residue proves
     exact independence; a screen-accepted candidate that is exactly
-    dependent raises ArithmeticError.
+    dependent raises ArithmeticError.  When ``primes[0]`` divides a seed
+    denominator the saturation runs without the screen.
+
+    ``bound``, if given, must be a proven upper bound on the dimension of
+    the closure.  The saturation then runs first on int64 residues modulo
+    ``p = primes[0]`` alone, each kept residue recorded as a word (a
+    start element, or a seed matrix times an earlier kept word).  On
+    p-integral matrices reduction mod p is a ring homomorphism, so words
+    whose residues are independent mod p are independent over Q, and
+    their count is a lower bound on the dimension.  Saturation stops
+    taking candidates at ``bound`` kept words, which are then a basis;
+    only they are multiplied out exactly, and one that is exactly
+    dependent (a broken reduction) raises ArithmeticError.  If fewer
+    residues are kept, or the seed does not reduce mod p, the exact
+    saturation above runs.
     """
     seed = list(seed)
     for m in seed:
         if m.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrices, got {m.shape}")
+    start = [identity_matrix(d)] + seed
+    if bound is not None:
+        span = _bounded_closure(start, d, primes[0], bound, dim_cap)
+        if span is not None:
+            return span
     screen = ModRref(d * d, primes[0])
     span = MatrixSpan(d, [], ExactRref(d * d))
 
     def take(mat: np.ndarray) -> bool:
-        screened = screen.insert(mat_to_modp(mat, screen.p).reshape(-1))
+        nonlocal screen
+        try:
+            screened = screen is not None and screen.insert(
+                mat_to_modp(mat, screen.p).reshape(-1))
+        except ZeroDivisionError:  # only a seed matrix can fail: drop the screen
+            screen, screened = None, False
         if not span.rref.insert(_nonzeros(mat)):
             if screened:
                 raise ArithmeticError("modular screen accepted an exactly dependent matrix")
@@ -882,7 +932,46 @@ def algebra_closure(
             raise CapExceededError(f"closure dimension exceeds cap {dim_cap}")
         return True
 
-    saturate([identity_matrix(d)] + seed, seed, np.matmul, take)
+    saturate(start, seed, np.matmul, take)
+    return span
+
+
+def _bounded_closure(start: list, d: int, p: int, bound: int, dim_cap: int) -> MatrixSpan | None:
+    """The closure of ``start`` (the identity, then the seed) from a
+    saturation on residues mod p, as ``algebra_closure`` describes, or
+    None when the seed does not reduce mod p or fewer than ``bound``
+    residues come out independent."""
+    try:
+        residues = [mat_to_modp(m, p) for m in start]
+    except ZeroDivisionError:
+        return None
+    screen = ModRref(d * d, p)
+    # kept words -> their position: (None, i) is start[i], (g, k) is the
+    # seed matrix start[g + 1] times the k-th kept word
+    words: dict[tuple, int] = {}
+
+    def multiply(gen, cand):
+        g, g_res = gen
+        return _matmul_mod(g_res, cand[0], p), (g, words[cand[1]])
+
+    def take(cand) -> bool:
+        if len(words) == bound or not screen.insert(cand[0].reshape(-1)):
+            return False
+        words[cand[1]] = len(words)
+        if len(words) > dim_cap:
+            raise CapExceededError(f"closure dimension exceeds cap {dim_cap}")
+        return True
+
+    saturate([(r, (None, i)) for i, r in enumerate(residues)],
+             list(enumerate(residues[1:])), multiply, take)
+    if len(words) < bound:
+        return None
+    mats: list[np.ndarray] = []
+    for g, k in words:
+        mats.append(start[k] if g is None else start[g + 1] @ mats[k])
+    span = MatrixSpan.from_matrices(mats, d)
+    if span.dim < len(mats):
+        raise ArithmeticError("words independent modulo p are exactly dependent")
     return span
 
 

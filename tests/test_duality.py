@@ -204,7 +204,7 @@ class TestModularTags:
         from diagramalg.linalg import MatrixSpan, identity_matrix
 
         monkeypatch.setattr(duality, "algebra_closure",
-                            lambda gens, d, primes: MatrixSpan.from_matrices(
+                            lambda gens, d, primes, **_: MatrixSpan.from_matrices(
                                 [identity_matrix(d)], d))
         rep = verify_duality("sp", 4, 2, mode="modular")
         assert rep.equal_a is False and rep.equal_b is True
@@ -225,6 +225,44 @@ class TestModularTags:
         monkeypatch.setattr(duality, "commutant", recording)
         assert verify_duality("deranged", 2, 1, mode=mode).verified
         assert modes == [passed]
+
+
+class TestBoundedClosure:
+    def test_inflated_bound_falls_back_to_the_exact_image(self, monkeypatch):
+        # a diagram commutant one too large: the residues stop short of the
+        # bound, the exact saturation reports the true image, equal_a fails
+        import dataclasses
+
+        original = duality.commutant
+        calls = []
+
+        def inflated(*args, **kwargs):
+            span, res = original(*args, **kwargs)
+            calls.append(res.nullity)
+            if len(calls) == 1:
+                res = dataclasses.replace(res, nullity=res.nullity + 1)
+            return span, res
+
+        monkeypatch.setattr(duality, "commutant", inflated)
+        rep = verify_duality("sp", 4, 2)
+        assert calls == [126, 3]
+        assert rep.dims["group_image"] == 126
+        assert rep.dims["commutant_of_diagram"] == 127
+        assert rep.equal_a is False and rep.equal_b is True
+
+    @pytest.mark.parametrize("mode", ["auto", "modular", "exact"])
+    def test_bound_is_the_diagram_commutant(self, monkeypatch, mode):
+        bounds = []
+        original = duality.algebra_closure
+
+        def recording(*args, **kwargs):
+            bounds.append(kwargs["bound"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(duality, "algebra_closure", recording)
+        rep = verify_duality("sp", 4, 2, mode=mode)
+        assert rep.verified
+        assert bounds == [rep.dims["commutant_of_diagram"]] == [126]
 
 
 class TestModeValidation:

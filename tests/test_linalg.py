@@ -678,3 +678,107 @@ class TestExactGradedCountsNullity:
         monkeypatch.setattr(ExactRref, "kernel_basis", refuse)
         for mats, space, dim in graded_cases():
             assert graded_commutant_dim(mats, weight_vectors(space), mode="exact") == (dim, "exact")
+
+
+def sp42_closure_seed():
+    space = TensorSpace(4, 2)
+    return [derivation_action(x, space) for x in lie_basis("sp", 4)]
+
+
+class TestBoundedClosure:
+    """With a proven upper bound the closure saturates on residues modulo
+    one prime and multiplies out only the kept words."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        # reductions mod p, and one flag per saturation: exact products?
+        counts = {"reductions": 0, "exact_saturations": []}
+        saturate, to_modp = linalg.saturate, linalg.mat_to_modp
+
+        def counted_saturate(start, gens, multiply, take):
+            counts["exact_saturations"].append(multiply is np.matmul)
+            return saturate(start, gens, multiply, take)
+
+        def counted_to_modp(mat, p):
+            counts["reductions"] += 1
+            return to_modp(mat, p)
+
+        monkeypatch.setattr(linalg, "saturate", counted_saturate)
+        monkeypatch.setattr(linalg, "mat_to_modp", counted_to_modp)
+        return counts
+
+    @pytest.mark.parametrize("make_seed,d,dim", [
+        (gl2_closure_seed, 4, 10), (sp42_closure_seed, 16, 126),
+    ], ids=["gl2", "sp4"])
+    def test_true_bound_gives_the_closure(self, monkeypatch, make_seed, d, dim):
+        seed = make_seed()
+        unbounded = algebra_closure(seed, d)
+        counts = self.counting(monkeypatch)
+        bounded = algebra_closure(seed, d, bound=dim)
+        assert bounded.dim == unbounded.dim == dim
+        assert span_equal(bounded, unbounded)
+        # one reduction per start element (the identity and the seed)
+        assert counts == {"reductions": 1 + len(seed), "exact_saturations": [False]}
+
+    def test_loose_bound_falls_back(self, monkeypatch):
+        counts = self.counting(monkeypatch)
+        assert algebra_closure(gl2_closure_seed(), 4, bound=11).dim == 10
+        assert counts["exact_saturations"] == [False, True]
+
+    def test_prime_in_a_seed_denominator_falls_back(self, monkeypatch):
+        seed = gl2_closure_seed()
+        seed[0] = seed[0] * Fraction(1, 33554393)
+        counts = self.counting(monkeypatch)
+        assert algebra_closure(seed, 4, bound=10).dim == 10
+        assert counts["exact_saturations"] == [True]
+        # the exact saturation drops its screen instead of raising
+        assert algebra_closure(seed, 4).dim == 10
+
+    def test_cap_is_enforced(self):
+        with pytest.raises(linalg.CapExceededError):
+            algebra_closure(gl2_closure_seed(), 4, dim_cap=9, bound=10)
+        assert algebra_closure(gl2_closure_seed(), 4, dim_cap=10, bound=10).dim == 10
+
+    def test_broken_reduction_raises(self, monkeypatch):
+        # random residues make every word independent mod p, but
+        # E11 + E22 acts as twice the identity
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(linalg, "mat_to_modp",
+                            lambda mat, p: rng.integers(0, p, size=mat.shape))
+        with pytest.raises(ArithmeticError, match="exactly dependent"):
+            algebra_closure(gl2_closure_seed(), 4, bound=10)
+
+
+class TestModRrefWideSums:
+    """Near 2**31 an int64 holds only two products of residues; longer
+    sums are reduced in chunks."""
+
+    P = 2 ** 31 - 1
+
+    @classmethod
+    def rank_six_rows(cls, rng):
+        b = [[rng.randrange(cls.P) for _ in range(6)] for _ in range(8)]
+        c = [[rng.randrange(cls.P) for _ in range(8)] for _ in range(6)]
+        return [[sum(b[i][k] * c[k][j] for k in range(6)) % cls.P for j in range(8)]
+                for i in range(8)]
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_rank_of_random_rank_six_matrices(self, sparse):
+        rng = random.Random(11)
+        for _ in range(50):
+            acc = ModRref(8, self.P)
+            for row in self.rank_six_rows(rng):
+                if sparse:
+                    acc.insert_sparse(enumerate(row))
+                else:
+                    acc.insert(np.array(row, dtype=np.int64))
+            assert acc.rank == 6
+
+    def test_matmul_mod_matches_integer_product(self):
+        rng = random.Random(12)
+        a = [[rng.randrange(self.P) for _ in range(7)] for _ in range(3)]
+        b = [[rng.randrange(self.P) for _ in range(4)] for _ in range(7)]
+        want = [[sum(a[i][k] * b[k][j] for k in range(7)) % self.P for j in range(4)]
+                for i in range(3)]
+        got = linalg._matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), self.P)
+        assert got.tolist() == want
