@@ -9,7 +9,7 @@ rendering of the same object); diagnostics go to stderr.
 Exit codes: 0 success / verified, 1 a verification ran and an equality
 came out false, 2 usage or input errors, 3 a resource cap was hit, 4 an
 internal failure (arithmetic the engine could not complete, such as
-primes that disagree, or memory exhausted).
+running out of primes that agree, or memory exhausted).
 
 Results never depend on the environment or on timing; identical
 invocations print identical bytes.  ``--threads`` is accepted for sweep
@@ -40,7 +40,7 @@ from .diagrams import (
     is_walled,
 )
 from .duality import FAMILIES, verify_duality
-from .linalg import DEFAULT_PRIMES, DEFAULT_UNKNOWN_CAP, MODES
+from .linalg import DEFAULT_UNKNOWN_CAP, MODES
 from .ring import fraction_from_str
 
 EXIT_OK = 0
@@ -82,24 +82,6 @@ def _render_text(obj, indent: str = "") -> str:
     if obj is False:
         return "false"
     return str(obj)
-
-
-def _parse_primes(text: str) -> tuple[int, int]:
-    try:
-        parts = [int(p) for p in text.split(",")]
-    except ValueError:
-        raise UsageError(f"--primes wants 'p1,p2', got {text!r}")
-    if len(parts) != 2 or parts[0] == parts[1]:
-        raise UsageError("--primes wants two distinct primes")
-    for p in parts:
-        if p < 3 or p > 1 << 26:
-            raise UsageError(f"prime {p} out of the supported range (3, 2^26)")
-        k = 2
-        while k * k <= p:
-            if p % k == 0:
-                raise UsageError(f"{p} is not prime")
-            k += 1
-    return parts[0], parts[1]
 
 
 def cmd_multiply(args) -> int:
@@ -178,11 +160,9 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    primes = _parse_primes(args.primes) if args.primes else DEFAULT_PRIMES
     report = verify_duality(
-        args.duality, args.n, args.r, args.s, mode=args.mode, primes=primes,
-        enum_cap=args.enum_cap, solver_cap=args.solver_cap,
-        with_timing=args.timing)
+        args.duality, args.n, args.r, args.s, mode=args.mode,
+        solver_cap=args.solver_cap, with_timing=args.timing)
     _emit(report.to_json_dict(), args.output)
     if args.duality == "so-direct":
         return EXIT_OK if report.extra.get("proper_subalgebra") else EXIT_FALSE
@@ -233,10 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "certified by an exact check on larger ones (default); "
                         "exact: exact arithmetic throughout; modular: "
                         "uncertified counts on which two primes agree")
-    p.add_argument("--primes", default=None, metavar="P1,P2",
-                   help=f"moduli for the modular engine (default "
-                        f"{DEFAULT_PRIMES[0]},{DEFAULT_PRIMES[1]})")
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.add_argument("--solver-cap", type=int, default=DEFAULT_UNKNOWN_CAP)
     p.add_argument("--timing", action="store_true",
                    help="fill elapsed_ms (off by default so identical "

@@ -14,9 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .diagrams import double_factorial_odd
+from .diagrams import CapExceededError, double_factorial_odd
 
 ENUMERATION_CAP = 8
+# N(1558), with 4299 digits, is the last N(k) that CPython's default
+# int-to-str limit (4300 digits) lets print; larger tables are refused on
+# every build.
+TABLE_CAP = 1558
 
 
 def derangements(k: int) -> int:
@@ -78,6 +82,8 @@ class DerangementTable:
 
 
 def derangement_table(kmax: int) -> DerangementTable:
+    if kmax > TABLE_CAP:
+        raise CapExceededError(f"derangement table up to {kmax} exceeds cap {TABLE_CAP}")
     values = []
     methods = []
     for k in range(kmax + 1):
@@ -111,11 +117,11 @@ def _invariant_equations(n: int, r: int) -> tuple[list[dict], list[int]]:
     :func:`multiplicity_trivial`."""
     from .tensor import AdjointSpace, _ad_cols, _lift_entries, _zero_weight_support, matrix_unit
 
-    dim = AdjointSpace(n, r).dim
+    AdjointSpace(n, r)  # refuses n < 2 and r < 1
     support, rows = _zero_weight_support(n, r), []
     for a, b in itertools.permutations(range(n), 2):
         ad = _ad_cols(matrix_unit(n, a, b), n)
-        rows += _lift_entries([ad] * r, [n * n - 1] * r, dim, columns=support)[0]
+        rows += _lift_entries([ad] * r, [n * n - 1] * r, columns=support)[0]
     return rows, support
 
 

@@ -38,7 +38,6 @@ from math import factorial
 from .combinatorics import derangements, diagram_count, walled_count
 from .diagrams import CapExceededError, Wall, enumerate_diagrams, is_walled
 from .linalg import (
-    DEFAULT_PRIMES,
     DEFAULT_UNKNOWN_CAP,
     MODES,
     LinOp,
@@ -121,7 +120,7 @@ def _combine_methods(*labels: str) -> str:
     return mods[0] if mods else "mod-p"
 
 
-def _standard_sides(family: str, n: int, r: int, s: int | None, enum_cap: int):
+def _standard_sides(family: str, n: int, r: int, s: int | None):
     """Space dimension, diagram matrices, group generator matrices and the
     abstract diagram-algebra dimension for the span-based families."""
     if family == "glA":
@@ -135,7 +134,7 @@ def _standard_sides(family: str, n: int, r: int, s: int | None, enum_cap: int):
         form = BilinearForm(flavor, n)
         space = TensorSpace(n, r)
         diagram_mats = [diagram_matrix(d, space, form)
-                        for d in enumerate_diagrams(r, cap=enum_cap)]
+                        for d in enumerate_diagrams(r)]
         gens = [derivation_action(x, space)
                 for x in lie_basis("so" if family == "o" else "sp", n)]
         if family == "o":
@@ -145,29 +144,28 @@ def _standard_sides(family: str, n: int, r: int, s: int | None, enum_cap: int):
         space = MixedSpace(n, r, s)
         wall = Wall(r, s)
         diagram_mats = [mixed_diagram_matrix(d, space)
-                        for d in enumerate_diagrams(wall.m, cap=enum_cap)
+                        for d in enumerate_diagrams(wall.m)
                         if is_walled(d, wall)]
         gens = [derivation_action(x, space) for x in lie_basis("gl", n)]
         return space.dim, diagram_mats, gens, walled_count(r, s)
     raise ValueError(f"unknown standard family {family!r}")
 
 
-def _verify_span_family(family, n, r, s, mode, primes, enum_cap, solver_cap):
-    d, diagram_mats, gens, abstract_dim = _standard_sides(
-        family, n, r, s, enum_cap)
+def _verify_span_family(family, n, r, s, mode, solver_cap):
+    d, diagram_mats, gens, abstract_dim = _standard_sides(family, n, r, s)
     gen_ops = [LinOp.from_dense(g) for g in gens]
     diagram_ops = [LinOp.from_dense(m) for m in diagram_mats]
     # both containments at once; each equality is then a dimension count
     if not _commute(gen_ops, diagram_ops):
         raise ArithmeticError("group and diagram actions fail to commute")
     diagram_span = MatrixSpan.from_matrices(diagram_mats, d)
-    _, comm_diag = commutant(diagram_ops, d, mode=mode, primes=primes,
-                             want_basis=False, unknown_cap=solver_cap)
+    _, comm_diag = commutant(diagram_ops, d, mode=mode, want_basis=False,
+                             unknown_cap=solver_cap)
     # The group image lies in the diagram commutant, whose exact dimension
     # is at most this nullity in every mode: a proven bound for the closure.
-    group_span = algebra_closure(gens, d, primes=primes, bound=comm_diag.nullity)
-    _, comm_group = commutant(gen_ops, d, mode=mode, primes=primes,
-                              want_basis=False, unknown_cap=solver_cap)
+    group_span = algebra_closure(gens, d, bound=comm_diag.nullity)
+    _, comm_group = commutant(gen_ops, d, mode=mode, want_basis=False,
+                              unknown_cap=solver_cap)
     dims = {
         "group_image": group_span.dim,
         "diagram_image": diagram_span.dim,
@@ -185,16 +183,16 @@ def _verify_span_family(family, n, r, s, mode, primes, enum_cap, solver_cap):
                          _combine_methods("exact", *methods))
 
 
-def _verify_so_direct(n, r, mode, primes, solver_cap):
+def _verify_so_direct(n, r, mode, solver_cap):
     """No diagram side here: only the strict containment of the full
     orthogonal commutant inside the rotation-only commutant is computed."""
     space = TensorSpace(n, r)
     gens_so = [derivation_action(x, space) for x in lie_basis("so", n)]
     gens_o = gens_so + [reflection_matrix(n, r)]
-    _, so_comm = commutant(gens_so, space.dim, mode=mode, primes=primes,
-                           want_basis=False, unknown_cap=solver_cap)
-    _, o_comm = commutant(gens_o, space.dim, mode=mode, primes=primes,
-                          want_basis=False, unknown_cap=solver_cap)
+    _, so_comm = commutant(gens_so, space.dim, mode=mode, want_basis=False,
+                           unknown_cap=solver_cap)
+    _, o_comm = commutant(gens_o, space.dim, mode=mode, want_basis=False,
+                          unknown_cap=solver_cap)
     dims = {
         "group_image": None,
         "diagram_image": None,
@@ -218,7 +216,7 @@ def _commute(gens: list[LinOp], mats: list[LinOp]) -> bool:
                for g in gens for m in mats)
 
 
-def _verify_deranged(n, r, mode, primes, solver_cap):
+def _verify_deranged(n, r, mode, solver_cap):
     """GL_n on the r-th adjoint power against the deranged diagram image.
 
     The gl_n generators are built as sparse ``LinOp`` rows
@@ -245,7 +243,7 @@ def _verify_deranged(n, r, mode, primes, solver_cap):
     # realizes End of the group action and the span check needs it
     # exactly, so the modular mode takes the certified route here.
     comm_group_span, comm_group = commutant(
-        gens, d, mode="auto" if mode == "modular" else mode, primes=primes,
+        gens, d, mode="auto" if mode == "modular" else mode,
         unknown_cap=solver_cap)
     equal_b = span_equal(diagram_span, comm_group_span)
     # Containment of the group image in the diagram commutant reduces to
@@ -261,7 +259,7 @@ def _verify_deranged(n, r, mode, primes, solver_cap):
     weights = weight_vectors(space)
     chunk_mode = "exact" if mode == "exact" else "modular"
     comm_diag_dim, chunk_method = graded_commutant_dim(
-        diagram_mats, weights, mode=chunk_mode, primes=primes)
+        diagram_mats, weights, mode=chunk_mode)
 
     # The group image is the commutant of the group commutant (double
     # commutant theorem: semisimple, characteristic zero), and equal_b
@@ -287,8 +285,6 @@ def verify_duality(
     r: int,
     s: int | None = None,
     mode: str = "auto",
-    primes=DEFAULT_PRIMES,
-    enum_cap: int = 6,
     solver_cap: int = DEFAULT_UNKNOWN_CAP,
     with_timing: bool = False,
 ) -> DualityReport:
@@ -315,12 +311,11 @@ def verify_duality(
         raise ValueError(f"family {family!r} does not take s")
     t0 = time.monotonic()
     if family == "so-direct":
-        report = _verify_so_direct(n, r, mode, primes, solver_cap)
+        report = _verify_so_direct(n, r, mode, solver_cap)
     elif family == "deranged":
-        report = _verify_deranged(n, r, mode, primes, solver_cap)
+        report = _verify_deranged(n, r, mode, solver_cap)
     else:
-        report = _verify_span_family(family, n, r, s, mode, primes,
-                                     enum_cap, solver_cap)
+        report = _verify_span_family(family, n, r, s, mode, solver_cap)
     if with_timing:
         report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return report

@@ -15,8 +15,10 @@ number of unknowns, so both bounds are tight and the result is exact.
 When the lift or its check fails (an unlucky prime or a large entry),
 the exact engine answers instead.  Uncertified modular counts use two
 primes that agree on the result; a prime that disagrees is skipped.  The
-method tag records which route produced a number: ``exact``,
-``mod-p(p1,p2)`` or ``mod-p-confirmed-exact``.
+primes are fixed here and nowhere else: every modular route walks
+``DEFAULT_PRIMES`` and then ``EXTRA_PRIMES``.  The method tag records
+which route produced a number: ``exact``, ``mod-p(p1,p2)`` (naming the
+two primes used) or ``mod-p-confirmed-exact``.
 """
 from __future__ import annotations
 
@@ -43,6 +45,7 @@ MODES = ("auto", "exact", "modular")
 
 EXACT_UNKNOWN_CAP = 300       # mode 'auto' takes the certified modular route above this
 DEFAULT_UNKNOWN_CAP = 65536   # refuse plainly oversized systems
+CLOSURE_DIM_CAP = 4096        # refuse an algebra closure of larger dimension
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +442,14 @@ def kernel_modp_dense(mat: np.ndarray, p: int) -> np.ndarray:
     return acc.kernel_basis()
 
 
-def _agreeing_primes(primes: Sequence[int], run, count: int, key) -> list[tuple[int, object]]:
-    """Call ``run(p)`` for ``primes`` and then ``EXTRA_PRIMES`` and return
-    ``(p, run(p))`` for the first ``count`` primes whose results agree on
-    ``key(result)``.  ``run`` raises ZeroDivisionError when p divides a
-    denominator of its input; that prime is skipped, and so is a prime
-    whose result no later prime matches."""
+def _agreeing_primes(run, count: int, key) -> list[tuple[int, object]]:
+    """Call ``run(p)`` for ``DEFAULT_PRIMES`` and then ``EXTRA_PRIMES`` and
+    return ``(p, run(p))`` for the first ``count`` primes whose results
+    agree on ``key(result)``.  ``run`` raises ZeroDivisionError when p
+    divides a denominator of its input; that prime is skipped, and so is a
+    prime whose result no later prime matches."""
     seen: dict = {}
-    for p in list(primes) + [q for q in EXTRA_PRIMES if q not in primes]:
+    for p in DEFAULT_PRIMES + EXTRA_PRIMES:
         try:
             result = run(p)
         except ZeroDivisionError:
@@ -514,7 +517,6 @@ def solve_sparse_system(
     rows: list[dict[int, Fraction]],
     ncols: int,
     mode: str = "auto",
-    primes: Sequence[int] = DEFAULT_PRIMES,
     want_kernel: bool = True,
 ) -> SolveResult:
     """Rank and kernel of a sparse system of exact linear equations.
@@ -538,14 +540,13 @@ def solve_sparse_system(
         return acc
 
     if mode == "modular":
-        (p1, acc), (p2, _) = _agreeing_primes(primes, eliminate, 2,
-                                              lambda t: (t.rank, t.pivot_cols))
+        (p1, acc), (p2, _) = _agreeing_primes(eliminate, 2, lambda t: (t.rank, t.pivot_cols))
         return SolveResult(ncols - acc.rank, acc.rank, None, f"mod-p({p1},{p2})")
     if mode == "auto" and ncols > EXACT_UNKNOWN_CAP:
         # The lifted vectors are independent (one per free column) and
         # checked exactly, so the exact nullity is at least the modular
         # one, which is never below it: the two are equal.
-        ((p, acc),) = _agreeing_primes(primes, eliminate, 1, lambda t: None)
+        ((p, acc),) = _agreeing_primes(eliminate, 1, lambda t: None)
         kernel = [[rational_reconstruct(a, p) for a in vec]
                   for vec in acc.kernel_basis().T.tolist()]
         if not any(None in vec for vec in kernel) and _kernel_vanishes(rows, kernel):
@@ -574,10 +575,6 @@ class LinOp:
         if mat.shape[1] != mat.shape[0]:
             raise ValueError("operator must be square")
         return cls(mat.shape[0], rows_from_dense(mat))
-
-    @classmethod
-    def zero(cls, dim: int) -> "LinOp":
-        return cls(dim, [{} for _ in range(dim)])
 
     def cols(self) -> list[dict[int, Fraction]]:
         if self._cols is None:
@@ -616,7 +613,6 @@ def intertwiner_kernel(
     dim_w: int,
     dim_u: int,
     mode: str = "auto",
-    primes: Sequence[int] = DEFAULT_PRIMES,
     want_kernel: bool = True,
     unknown_cap: int = DEFAULT_UNKNOWN_CAP,
 ) -> tuple[SolveResult, list[tuple[int, int]]]:
@@ -670,8 +666,7 @@ def intertwiner_kernel(
 
     rows = [equations[key] for key in sorted(equations)]
     rows = [r for r in rows if r]
-    result = solve_sparse_system(rows, len(support), mode=mode, primes=primes,
-                                 want_kernel=want_kernel)
+    result = solve_sparse_system(rows, len(support), mode=mode, want_kernel=want_kernel)
     return result, support
 
 
@@ -706,7 +701,6 @@ def commutant(
     gens: Sequence,
     d: int,
     mode: str = "auto",
-    primes: Sequence[int] = DEFAULT_PRIMES,
     want_basis: bool = True,
     unknown_cap: int = DEFAULT_UNKNOWN_CAP,
 ) -> tuple[MatrixSpan | None, SolveResult]:
@@ -717,8 +711,7 @@ def commutant(
     mode returns dimensions only.
     """
     ops = [_as_linop(g, d) for g in gens]
-    result, support = intertwiner_kernel(ops, ops, d, d, mode=mode, primes=primes,
-                                         want_kernel=want_basis,
+    result, support = intertwiner_kernel(ops, ops, d, d, mode=mode, want_kernel=want_basis,
                                          unknown_cap=unknown_cap)
     span = None
     if want_basis and result.kernel is not None:
@@ -733,19 +726,6 @@ def commutant(
         if span.dim != result.nullity:
             raise ArithmeticError("kernel vectors were not independent")
     return span, result
-
-
-def invariant_vectors(
-    ops: Sequence,
-    d: int,
-    mode: str = "auto",
-    primes: Sequence[int] = DEFAULT_PRIMES,
-) -> tuple[SolveResult, list[int]]:
-    """Joint kernel of a family of operators on a d-dimensional space."""
-    lops = [_as_linop(o, d) for o in ops]
-    rops = [LinOp.zero(1) for _ in lops]
-    result, support = intertwiner_kernel(lops, rops, d, 1, mode=mode, primes=primes)
-    return result, [i for i, _ in support]
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +744,6 @@ def graded_commutant_dim(
     gens: Sequence[np.ndarray],
     weights: Sequence[tuple],
     mode: str = "modular",
-    primes: Sequence[int] = DEFAULT_PRIMES,
 ) -> tuple[int, str]:
     """Dimension of the commutant of weight-preserving dense generators.
 
@@ -798,7 +777,7 @@ def graded_commutant_dim(
         return _graded_total(gens_p, classes, lambda m: kernel_modp_dense(m, p).any(axis=1).sum(),
                              lambda m: np.mod(m, p, out=m))
 
-    (p1, total), (p2, _) = _agreeing_primes(primes, modular_total, 2, lambda t: t)
+    (p1, total), (p2, _) = _agreeing_primes(modular_total, 2, lambda t: t)
     return total, f"mod-p({p1},{p2})"
 
 
@@ -876,25 +855,18 @@ def saturate(start: Iterable, gens: Sequence, multiply, take) -> list:
 def algebra_closure(
     seed: Sequence[np.ndarray],
     d: int,
-    primes: Sequence[int] = DEFAULT_PRIMES,
-    dim_cap: int = 4096,
     bound: int | None = None,
 ) -> MatrixSpan:
     """Smallest unital matrix algebra containing the seed matrices.
 
     One saturation under left multiplication by the seed, which reaches
-    every word in the generators, forms each candidate product once.  A
-    candidate is screened modulo ``primes[0]`` and its membership is
-    settled by the exact echelon form of the returned span, so the
-    dimension does not rest on the screen.  A nonzero residue proves
-    exact independence; a screen-accepted candidate that is exactly
-    dependent raises ArithmeticError.  When ``primes[0]`` divides a seed
-    denominator the saturation runs without the screen.
+    every word in the generators, forms each candidate product once, and
+    the exact echelon form of the returned span decides its membership.
 
     ``bound``, if given, must be a proven upper bound on the dimension of
     the closure.  The saturation then runs first on int64 residues modulo
-    ``p = primes[0]`` alone, each kept residue recorded as a word (a
-    start element, or a seed matrix times an earlier kept word).  On
+    ``p = DEFAULT_PRIMES[0]`` alone, each kept residue recorded as a word
+    (a start element, or a seed matrix times an earlier kept word).  On
     p-integral matrices reduction mod p is a ring homomorphism, so words
     whose residues are independent mod p are independent over Q, and
     their count is a lower bound on the dimension.  Saturation stops
@@ -910,33 +882,24 @@ def algebra_closure(
             raise ValueError(f"expected {d}x{d} matrices, got {m.shape}")
     start = [identity_matrix(d)] + seed
     if bound is not None:
-        span = _bounded_closure(start, d, primes[0], bound, dim_cap)
+        span = _bounded_closure(start, d, DEFAULT_PRIMES[0], bound)
         if span is not None:
             return span
-    screen = ModRref(d * d, primes[0])
     span = MatrixSpan(d, [], ExactRref(d * d))
 
     def take(mat: np.ndarray) -> bool:
-        nonlocal screen
-        try:
-            screened = screen is not None and screen.insert(
-                mat_to_modp(mat, screen.p).reshape(-1))
-        except ZeroDivisionError:  # only a seed matrix can fail: drop the screen
-            screen, screened = None, False
         if not span.rref.insert(_nonzeros(mat)):
-            if screened:
-                raise ArithmeticError("modular screen accepted an exactly dependent matrix")
             return False
         span.basis.append(mat)
-        if span.dim > dim_cap:
-            raise CapExceededError(f"closure dimension exceeds cap {dim_cap}")
+        if span.dim > CLOSURE_DIM_CAP:
+            raise CapExceededError(f"closure dimension exceeds cap {CLOSURE_DIM_CAP}")
         return True
 
     saturate(start, seed, np.matmul, take)
     return span
 
 
-def _bounded_closure(start: list, d: int, p: int, bound: int, dim_cap: int) -> MatrixSpan | None:
+def _bounded_closure(start: list, d: int, p: int, bound: int) -> MatrixSpan | None:
     """The closure of ``start`` (the identity, then the seed) from a
     saturation on residues mod p, as ``algebra_closure`` describes, or
     None when the seed does not reduce mod p or fewer than ``bound``
@@ -958,8 +921,8 @@ def _bounded_closure(start: list, d: int, p: int, bound: int, dim_cap: int) -> M
         if len(words) == bound or not screen.insert(cand[0].reshape(-1)):
             return False
         words[cand[1]] = len(words)
-        if len(words) > dim_cap:
-            raise CapExceededError(f"closure dimension exceeds cap {dim_cap}")
+        if len(words) > CLOSURE_DIM_CAP:
+            raise CapExceededError(f"closure dimension exceeds cap {CLOSURE_DIM_CAP}")
         return True
 
     saturate([(r, (None, i)) for i, r in enumerate(residues)],

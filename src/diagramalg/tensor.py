@@ -433,7 +433,7 @@ def _ad_cols(x: np.ndarray, n: int) -> list[dict[int, object]]:
     return cols
 
 
-def _lift_entries(action_cols, dims, dim_cap, columns=None):
+def _lift_entries(action_cols, dims, columns=None):
     """Leibniz sum of per-position actions, each given by its sparse
     columns, returned as sparse rows of nonzeros.
 
@@ -443,8 +443,6 @@ def _lift_entries(action_cols, dims, dim_cap, columns=None):
     total = 1
     for d in dims:
         total *= d
-    if total > dim_cap:
-        raise CapExceededError(f"space dimension {total} exceeds cap {dim_cap}")
     rows: dict[int, dict[int, Fraction]] = {}
     strides = []
     acc = 1
@@ -496,8 +494,9 @@ def derivation_ops_sparse(x: np.ndarray, space) -> LinOp:
     Leibniz sum over tensor positions, acting by -x^T on dual positions
     and by [x, -] on adjoint positions, read from the sparse structure
     constants of sl_n without a dense matrix."""
+    check_dim(space)
     cols, dims = _position_actions(x, space)
-    rows, total = _lift_entries(cols, dims, DEFAULT_DIM_CAP)
+    rows, total = _lift_entries(cols, dims)
     return LinOp(total, rows)
 
 

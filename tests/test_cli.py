@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from diagramalg import cli
+from diagramalg import cli, combinatorics
 
 CMD = [sys.executable, "-m", "diagramalg.cli"]
 
@@ -157,12 +157,6 @@ class TestVerify:
         rc, _, _ = run_cli("verify", "--duality", "walled", "--n", "2", "--r", "1")
         assert rc == 2
 
-    def test_bad_primes_rejected(self):
-        rc, _, err = run_cli("verify", "--duality", "glA", "--n", "2", "--r", "2",
-                             "--primes", "33554393,33554394")
-        assert rc == 2
-        assert "prime" in err
-
     def test_solver_cap_exit_3(self):
         rc, _, err = run_cli("verify", "--duality", "glA", "--n", "3", "--r", "2",
                              "--solver-cap", "10")
@@ -232,6 +226,15 @@ class TestDerangementsCommand:
     def test_negative_rejected(self):
         rc, _, _ = run_cli("derangements", "--max", "-1")
         assert rc == 2
+
+    def test_table_past_cap_exit_3(self, monkeypatch, capsys):
+        # past the cap the table would not print on a default CPython build
+        monkeypatch.setattr(combinatorics, "TABLE_CAP", 5)
+        assert cli.main(["derangements", "--max", "6"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "cap" in err
+        assert cli.main(["derangements", "--max", "5"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 6
 
 
 class TestDeterminism:

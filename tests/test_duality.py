@@ -204,7 +204,7 @@ class TestModularTags:
         from diagramalg.linalg import MatrixSpan, identity_matrix
 
         monkeypatch.setattr(duality, "algebra_closure",
-                            lambda gens, d, primes, **_: MatrixSpan.from_matrices(
+                            lambda gens, d, **_: MatrixSpan.from_matrices(
                                 [identity_matrix(d)], d))
         rep = verify_duality("sp", 4, 2, mode="modular")
         assert rep.equal_a is False and rep.equal_b is True

@@ -135,7 +135,7 @@ class TestZeroWeightSupport:
         for x in lie_basis("sl", n):
             if any(x[a, b] for a in range(n) for b in range(n) if a != b):
                 lifted, _ = _lift_entries([rows_from_dense(dense_ad_action(x, n).T)] * r,
-                                          [n * n - 1] * r, space.dim, columns=support)
+                                          [n * n - 1] * r, columns=support)
                 want.extend(lifted)
         rows, got_support = _invariant_equations(n, r)
         assert got_support == support
