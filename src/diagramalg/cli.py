@@ -49,6 +49,9 @@ EXIT_USAGE = 2
 EXIT_CAPS = 3
 EXIT_INTERNAL = 4
 
+# CPython's default int-to-str limit; a longer formula is refused on every build
+FORMULA_DIGITS_CAP = 4300
+
 
 class UsageError(ValueError):
     pass
@@ -152,6 +155,8 @@ def cmd_dims(args) -> int:
             except CapExceededError:
                 capped = True
         obj = {"family": "deranged", "r": args.r, "s": None, "n": args.n}
+    if formula >= 10 ** FORMULA_DIGITS_CAP:
+        raise CapExceededError(f"formula has more than {FORMULA_DIGITS_CAP} digits")
     obj["formula"] = formula
     obj["enumerated"] = enumerated
     obj["match"] = None if enumerated is None else enumerated == formula

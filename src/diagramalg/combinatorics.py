@@ -10,6 +10,7 @@ orchestrates the multiplicity computations; the heavy lifting happens in
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -38,8 +39,8 @@ def derangements_by_enumeration(k: int) -> int:
     """Count fixed-point-free permutations directly (independent oracle)."""
     if k > ENUMERATION_CAP:
         raise ValueError(f"enumeration for k={k} exceeds cap {ENUMERATION_CAP}")
-    return sum(1 for p in itertools.permutations(range(k))
-               if all(p[i] != i for i in range(k)))
+    ident = range(k)
+    return sum(1 for p in itertools.permutations(ident) if all(map(operator.ne, p, ident)))
 
 
 def nearest_integer_to_k_factorial_over_e(k: int) -> int:
@@ -84,17 +85,17 @@ class DerangementTable:
 def derangement_table(kmax: int) -> DerangementTable:
     if kmax > TABLE_CAP:
         raise CapExceededError(f"derangement table up to {kmax} exceeds cap {TABLE_CAP}")
-    values = []
-    methods = []
-    for k in range(kmax + 1):
-        formula = derangements(k)
-        if k <= ENUMERATION_CAP:
-            if derangements_by_enumeration(k) != formula:
-                raise ArithmeticError(f"formula and enumeration disagree at k={k}")
-            methods.append("enumeration")
-        else:
-            methods.append("formula")
-        values.append(formula)
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    # one pass of N(k) = k N(k-1) + (-1)^k; the first entries are checked
+    # against the inclusion-exclusion formula and the enumeration
+    values = [1]
+    for k in range(1, kmax + 1):
+        values.append(k * values[-1] + (-1 if k % 2 else 1))
+    for k in range(min(kmax, ENUMERATION_CAP) + 1):
+        if not values[k] == derangements(k) == derangements_by_enumeration(k):
+            raise ArithmeticError(f"recurrence, formula and enumeration disagree at k={k}")
+    methods = ["enumeration" if k <= ENUMERATION_CAP else "formula" for k in range(kmax + 1)]
     return DerangementTable(tuple(values), tuple(methods))
 
 

@@ -1,6 +1,6 @@
 """Exact linear algebra over Q with a certified modular fast path.
 
-Small systems are solved directly with exact int/Fraction arithmetic
+Small systems are solved directly by fraction-free integer elimination
 over sparse rows.  Larger systems are eliminated modulo one word-sized
 prime, and the modular answer is certified exactly:
 
@@ -161,68 +161,75 @@ def sparse_scale_add(acc: list[dict[int, Fraction]], c: Fraction,
                 arow.pop(j, None)
 
 
+def _int_scaled(row: dict) -> tuple[int, dict[int, int]]:
+    """``(s, s * row)`` for a ``{col: value}`` row of ints and Fractions, s
+    the lcm of their denominators; a row of plain ints comes back as is."""
+    if {*map(type, row.values())} <= {int}:
+        return 1, row
+    scale = lcm(*(q.denominator for q in row.values()))
+    return scale, {j: int(q.numerator) * (scale // q.denominator) for j, q in row.items()}
+
+
 # ---------------------------------------------------------------------------
 # exact reduced row echelon form
 
 class ExactRref:
-    """Incremental reduced row echelon form over Q, on sparse rows.
+    """Incremental reduced row echelon form over Q, kept over Z.
 
-    Rows (sequences or ``{col: value}`` dicts) are inserted one at a time;
-    the structure keeps a fully reduced set of pivot rows (leading
-    coefficient 1, pivot columns cleared in all other rows) with
-    deterministic leftmost pivoting, ``rows`` sorted by pivot column.
-    Each pivot row is a ``{col: value}`` dict of its nonzeros, values plain
-    ``int`` wherever the denominator is 1, and ``_row_of`` maps a pivot
-    column to its row.  A row is reduced by subtracting ``v[pc] * row``
-    once for each pivot column ``pc`` it touches, over that pivot row's
-    nonzeros only: the pivot rows are fully reduced, so no subtraction
-    touches another pivot column and the order of the hits is free.
+    Rows (sequences or ``{col: value}`` dicts of ints and Fractions) are
+    inserted one at a time, with deterministic leftmost pivoting.  Each is
+    scaled once to integers, and elimination is fraction-free (Bareiss):
+    ``_row_of`` maps each pivot column to a primitive ``{col: int}`` row
+    with a positive leading entry, zero in every other pivot column, so
+    one pass clears a row (``_clear``).  ``rows`` gives the usual
+    leading-1 form, sorted by pivot column.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[dict[int, int | Fraction]] = []
         self.pivot_cols: list[int] = []
-        self._row_of: dict[int, dict] = {}
+        self._row_of: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivot_cols)
 
-    def _reduced(self, row) -> dict:
+    @property
+    def rows(self) -> list[dict[int, int | Fraction]]:
+        """Pivot rows with leading coefficient 1, ints where possible."""
+        return [{j: exactify(Fraction(x, row[pc])) for j, x in row.items()}
+                for pc, row in sorted(self._row_of.items())]
+
+    def _reduced(self, row) -> tuple[dict[int, int], int]:
+        """``(v, scale)``, v integer: ``row`` with its pivot columns cleared is v / scale."""
         items = row.items() if isinstance(row, dict) else enumerate(row)
-        v = {j: exactify(x) for j, x in items if x}
+        scale, v = _int_scaled({j: x for j, x in items if x})
         row_of = self._row_of
-        for pc in [j for j in v if j in row_of]:
-            _sub_multiple(v, v[pc], row_of[pc])
-        return v
+        scale *= _clear(v, [(v[pc], row_of[pc], pc) for pc in v if pc in row_of])
+        return v, scale
 
     def reduce(self, row) -> list:
         """Residue of ``row`` after clearing every pivot column (dense)."""
-        return dense_from_rows([self._reduced(row)], self.ncols)[0].tolist()
+        v, scale = self._reduced(row)
+        return [exactify(Fraction(v.get(j, 0), scale)) for j in range(self.ncols)]
 
     def insert(self, row) -> bool:
         """Reduce and keep ``row``; True if it added a new pivot."""
-        v = self._reduced(row)
+        v, _ = self._reduced(row)
         if not v:
             return False
         pc = min(v)
-        lead = v[pc]
-        if lead != 1:
-            inv = Fraction(1) / lead
-            v = {j: exactify(x * inv) for j, x in v.items()}
-        for prow in self.rows:
-            c = prow.get(pc)
-            if c:
-                _sub_multiple(prow, c, v)
-        at = bisect.bisect(self.pivot_cols, pc)
-        self.rows.insert(at, v)
-        self.pivot_cols.insert(at, pc)
+        _make_primitive(v, v[pc] < 0)
+        for prow in self._row_of.values():
+            if c := prow.get(pc):
+                _clear(prow, [(c, v, pc)])
+                _make_primitive(prow)
+        bisect.insort(self.pivot_cols, pc)
         self._row_of[pc] = v
         return True
 
     def contains(self, row) -> bool:
-        return not self._reduced(row)
+        return not self._reduced(row)[0]
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Kernel of the row span seen as a matrix, one vector per free
@@ -230,21 +237,43 @@ class ExactRref:
         out = {f: [0] * self.ncols for f in range(self.ncols) if f not in self._row_of}
         for f, vec in out.items():
             vec[f] = 1
-        for pc, prow in zip(self.pivot_cols, self.rows):
+        for pc, prow in self._row_of.items():
             for j, x in prow.items():
                 if j != pc:
-                    out[j][pc] = -x
+                    out[j][pc] = exactify(Fraction(-x, prow[pc]))
         return list(out.values())
 
 
-def _sub_multiple(v: dict, c, row: dict) -> None:
-    """``v -= c * row`` in place, dropping zeros; integers stay ints."""
-    for j, x in row.items():
-        s = v.get(j, 0) - c * x
-        if s:
-            v[j] = s if type(s) is int else exactify(s)
-        else:
-            del v[j]
+def _clear(v: dict[int, int], hits) -> int:
+    """Clear in place the pivot columns of the integer row ``v`` named by
+    ``hits``, ``(v[pc], row, pc)`` for the pivot row of column pc: v becomes
+    ``m v - sum (m v[pc] / row[pc]) row`` for the least m > 0 keeping it
+    integral, and m is returned.  Pivot rows vanish in each other's pivot
+    columns, so each term clears its own column only."""
+    m = 1
+    for c, row, pc in hits:
+        if c % row[pc]:
+            m = lcm(m, row[pc] // gcd(row[pc], c))
+    if m != 1:
+        for j in v:
+            v[j] *= m
+    for c, row, pc in hits:
+        f = m * c // row[pc]
+        for j, x in row.items():
+            s = v.get(j, 0) - f * x
+            if s:
+                v[j] = s
+            else:
+                del v[j]
+    return m
+
+
+def _make_primitive(v: dict[int, int], negate: bool = False) -> None:
+    """Divide the integer row ``v`` in place by its content (negated if asked)."""
+    g = -gcd(*v.values()) if negate else gcd(*v.values())
+    if g != 1:
+        for j in v:
+            v[j] //= g
 
 
 def rref(mat) -> tuple[int, np.ndarray, tuple[int, ...]]:
@@ -486,12 +515,6 @@ class SolveResult:
     method: str
 
 
-def _int_scaled(values) -> list[int]:
-    """``values`` (ints and Fractions) times the lcm of their denominators."""
-    scale = lcm(*(q.denominator for q in values))
-    return [q.numerator * (scale // q.denominator) for q in values]
-
-
 def _kernel_vanishes(rows: list[dict[int, Fraction]], kernel: list[list]) -> bool:
     """Exact test of ``A K == 0`` for sparse equation rows and kernel
     vectors.  Each row and each vector is scaled once to integers by the
@@ -500,12 +523,12 @@ def _kernel_vanishes(rows: list[dict[int, Fraction]], kernel: list[list]) -> boo
     arithmetic over the nonzeros of K's rows."""
     k_rows: dict[int, list[tuple[int, int]]] = {}
     for k, vec in enumerate(kernel):
-        for j, x in enumerate(_int_scaled(vec)):
+        for j, x in _int_scaled(dict(enumerate(vec)))[1].items():
             if x:
                 k_rows.setdefault(j, []).append((k, x))
     for row in rows:
         acc: dict[int, int] = {}
-        for j, c in zip(row, _int_scaled(row.values())):
+        for j, c in _int_scaled(row)[1].items():
             for k, x in k_rows.get(j, ()):
                 acc[k] = acc.get(k, 0) + c * x
         if any(acc.values()):

@@ -101,6 +101,25 @@ class TestDims:
         assert obj["formula"] == 34459425
         assert obj["enumerated"] is None and obj["match"] is None
 
+    @pytest.mark.parametrize("family,fits,past", [
+        ("brauer", ("--r", "3"), ("--r", "4")),
+        ("walled", ("--r", "3", "--s", "1"), ("--r", "4", "--s", "1")),
+        ("deranged", ("--r", "2", "--n", "4"), ("--r", "4", "--n", "8")),
+    ])
+    def test_formula_past_digits_cap_exit_3(self, monkeypatch, capsys, family, fits, past):
+        monkeypatch.setattr(cli, "FORMULA_DIGITS_CAP", 2)
+        assert cli.main(["dims", "--family", family, *past]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "cap" in err
+        assert cli.main(["dims", "--family", family, *fits]) == 0
+        assert json.loads(capsys.readouterr().out)["match"]
+
+    def test_formula_too_long_to_print_exit_3_at_default_cap(self, capsys):
+        # (3999)!! has 6336 digits, past CPython's default int-to-str limit
+        assert cli.main(["dims", "--family", "brauer", "--r", "2000"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "cap" in err
+
     def test_walled_needs_s(self):
         rc, _, err = run_cli("dims", "--family", "walled", "--r", "2")
         assert rc == 2

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from diagramalg import linalg
 from diagramalg.algebra import deranged_basis
+from diagramalg.combinatorics import _invariant_equations
 from diagramalg.diagrams import Wall, enumerate_diagrams, is_walled
 from diagramalg.ring import exactify
 from diagramalg.linalg import (
@@ -518,6 +520,18 @@ def rank_deficient(rng, nrows, ncols, rank, fractions):
             for row in left]
 
 
+def nullspace_from_rref(pivots, reduced, ncols):
+    """One kernel vector per free column, read off a reduced echelon form."""
+    out = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for pc, prow in zip(pivots, reduced):
+            vec[pc] = -prow[f]
+        out.append(vec)
+    return out
+
+
 def row_forms(row):
     obj = np.empty(len(row), dtype=object)
     obj[:] = row
@@ -541,15 +555,7 @@ class TestSparseExactRref:
         assert (rank, pivot_tuple) == (len(pivots), tuple(pivots))
         padded = reduced + [[0] * ncols] * (nrows - rank)
         assert matrices_equal(mat, frac_matrix(padded))
-        free = [j for j in range(ncols) if j not in pivots]
-        expected = []
-        for f in free:
-            vec = [Fraction(0)] * ncols
-            vec[f] = Fraction(1)
-            for pc, prow in zip(pivots, reduced):
-                vec[pc] = -prow[f]
-            expected.append(vec)
-        assert acc.kernel_basis() == expected
+        assert acc.kernel_basis() == nullspace_from_rref(pivots, reduced, ncols)
         coeffs = [rng.randint(-2, 2) for _ in rows]
         member = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
         assert acc.contains(row_forms(member)[form])
@@ -567,6 +573,69 @@ class TestSparseExactRref:
         for row in acc.rows:
             assert all(type(x) is int or x.denominator != 1 for x in row.values())
             assert all(x != 0 for x in row.values())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_large_and_rational_entries_match_gauss_jordan(self, seed):
+        rng = random.Random(1000 + seed)
+        nrows, ncols = rng.randint(2, 14), rng.randint(2, 14)
+
+        def entry():
+            x = rng.randint(-10 ** 6, 10 ** 6) if rng.random() < 0.35 else 0
+            return Fraction(x, rng.randint(1, 10 ** 6)) if seed % 2 else x
+
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        rows += [[a - 3 * b for a, b in zip(*rng.sample(rows, 2))]]  # a dependent row
+        rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        pivots, reduced = gauss_jordan(dense, ncols)
+        acc = ExactRref(ncols)
+        for row in rows:
+            acc.insert(row)
+        assert acc.rank == len(pivots) and acc.pivot_cols == pivots
+        assert acc.rows == [{j: x for j, x in enumerate(r) if x} for r in reduced]
+        assert acc.kernel_basis() == nullspace_from_rref(pivots, reduced, ncols)
+        probe = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                 for _ in range(ncols)]
+        residue = acc.reduce(probe)
+        expected = probe
+        for pc, r in zip(pivots, reduced):
+            expected = [a - probe[pc] * b for a, b in zip(expected, r)]
+        assert residue == expected
+        assert acc.contains(dense[-1])
+        assert acc.contains(probe) == (len(gauss_jordan(dense + [probe], ncols)[0]) == len(pivots))
+
+    def test_pivot_rows_are_primitive_integer_rows(self):
+        acc = ExactRref(10)
+        for row in rank_deficient(random.Random(5), 8, 10, 4, fractions=True):
+            acc.insert(row)
+        assert acc.rank == 4
+        for pc in acc.pivot_cols:
+            row = acc._row_of[pc]
+            assert all(type(x) is int and x for x in row.values())
+            assert min(row) == pc and row[pc] > 0
+            assert math.gcd(*row.values()) == 1
+            assert all(q == pc or q not in row for q in acc.pivot_cols)
+
+    def test_integer_rows_create_no_fraction(self, monkeypatch):
+        rng = random.Random(6)
+        rows = [{j: rng.randint(-9, 9) or 1 for j in rng.sample(range(12), 5)} for _ in range(20)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        acc = ExactRref(12)
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        for row in rows:
+            acc.insert(row)
+            assert acc.contains(row)
+        monkeypatch.undo()
+        assert acc.rank == len(gauss_jordan(
+            [[row.get(j, 0) for j in range(12)] for row in rows], 12)[0])
+
+    def test_exact_solve_of_invariant_equations(self):
+        rows, support = _invariant_equations(4, 3)
+        result = solve_sparse_system(rows, len(support), mode="exact", want_kernel=False)
+        assert (result.nullity, result.method) == (2, "exact")
 
     def test_exactify_keeps_ints(self):
         assert type(exactify(5)) is int and exactify(5) == 5
@@ -597,9 +666,7 @@ class TestOnePassClosure:
     """The closure forms each product once and settles membership exactly,
     with no reduction modulo a prime."""
 
-    def test_blind_screen_keeps_exact_dimension(self, monkeypatch):
-        monkeypatch.setattr(linalg, "mat_to_modp",
-                            lambda mat, p: np.zeros(mat.shape, dtype=np.int64))
+    def test_unbounded_closure_is_exact_and_closed(self):
         closure = algebra_closure(gl2_closure_seed(), 4)
         assert closure.dim == 10
         for a, b in itertools.product(closure.basis, repeat=2):
