@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import lgamma, log
 
 from .algebra import (
     AlgebraElement,
@@ -118,7 +119,25 @@ def cmd_multiply(args) -> int:
     return EXIT_OK
 
 
+def _formula_log10_floor(family: str, r: int, s: int) -> float:
+    """A lower bound on log10 of the ``dims`` formula, from lgamma:
+    (2r-1)!! = (2r)! / (2^r r!), (r+s)!, and N(2r) >= (2r)!/e (the
+    alternating series for N(k)/k! ends above 1/e when k is even)."""
+    if min(r, s) < 0:
+        return 0.0  # the counting functions refuse negative sizes
+    ln = {"brauer": lgamma(2 * r + 1) - lgamma(r + 1) - r * log(2),
+          "walled": lgamma(r + s + 1), "deranged": lgamma(2 * r + 1) - 1}[family]
+    return ln / log(10)
+
+
 def cmd_dims(args) -> int:
+    if args.family == "walled" and args.s is None:
+        raise UsageError("--family walled needs --s")
+    if args.family == "deranged" and args.n is None:
+        raise UsageError("--family deranged needs --n")
+    # refuse up front only a digit past the cap; the exact check below settles the rest
+    if _formula_log10_floor(args.family, args.r, args.s or 0) >= FORMULA_DIGITS_CAP + 1:
+        raise CapExceededError(f"formula has more than {FORMULA_DIGITS_CAP} digits")
     capped = False
     enumerated = None
     if args.family == "brauer":
@@ -131,8 +150,6 @@ def cmd_dims(args) -> int:
             capped = True
         obj = {"family": "brauer", "r": args.r, "s": None, "n": args.n}
     elif args.family == "walled":
-        if args.s is None:
-            raise UsageError("--family walled needs --s")
         formula = walled_count(args.r, args.s)
         if args.r + args.s == 0:
             enumerated = 1
@@ -144,8 +161,6 @@ def cmd_dims(args) -> int:
             capped = True
         obj = {"family": "walled", "r": args.r, "s": args.s, "n": args.n}
     else:
-        if args.n is None:
-            raise UsageError("--family deranged needs --n")
         formula = derangements(2 * args.r)
         if args.r == 0:
             enumerated = 1

@@ -12,6 +12,9 @@ prime, and the modular answer is certified exactly:
 
 The verified kernel dimension and the modular rank then add up to the
 number of unknowns, so both bounds are tight and the result is exact.
+Both echelon engines keep sparse ``{col: value}`` pivot rows, for the
+few nonzeros per row of the systems they see; only the batched modular
+form of the graded solve keeps dense int64 tables.
 When the lift or its check fails (an unlucky prime or a large entry),
 the exact engine answers instead.  Uncertified modular counts use two
 primes that agree on the result; a prime that disagrees is skipped.  The
@@ -299,70 +302,81 @@ def nullspace_exact(rows: Iterable[Sequence], ncols: int) -> list[list[Fraction]
 
 
 # ---------------------------------------------------------------------------
-# modular echelon form (int64 numpy, single prime)
+# modular echelon form (one prime: sparse dict rows, or a batch of int64 tables)
 
 class ModRref:
     """Streaming reduced row echelon form over GF(p), single or batched.
 
-    Pivot rows are kept in insertion order in one preallocated int64
-    table, so a new pivot never moves an older row: incoming rows reduce
-    with a single mat-vec, and a new pivot only rewrites the rows that
-    have a nonzero in its column.  Every pivot row has leading entry 1 and
-    is zero in every other pivot column (a reduced echelon form up to the
-    order of its rows).
+    ``batch=None`` keeps one form the way ``ExactRref`` does over Z:
+    ``_row_of`` maps each pivot column to a ``{col: residue}`` dict of the
+    nonzeros of its row, which has leading entry 1 and is zero in every
+    other pivot column.  The rows fed to it (invariant equations, closure
+    residues) are sparse, so its storage grows with the rank and the fill
+    of the rows, not with ncols**2.  An incoming row is cleared in one
+    pass over the pivot columns it touches, and a new pivot rewrites only
+    the rows that are nonzero in its column.  Entries are Python ints,
+    which cannot wrap.
 
-    ``batch=None`` keeps one form and ``insert`` takes one row.  With
-    ``batch=B`` the object keeps B independent forms over the same columns:
-    ``insert`` takes a (B, ncols) array, one row per form, and reduces all
-    B forms in one vectorized step; ``rank`` is then a length-B array.
+    With ``batch=B`` the object keeps B independent forms over the same
+    columns in one preallocated (B, ncols, ncols) int64 table, pivot rows
+    in insertion order: ``insert`` takes a (B, ncols) array, one row per
+    form, and reduces all B forms in one vectorized mat-vec; ``rank`` is
+    then a length-B array.  The graded solve feeds it stacks of small
+    dense blocks, where that step beats one sparse form per block.
     """
 
     def __init__(self, ncols: int, p: int, *, batch: int | None = None):
         self.ncols = ncols
         self.p = p
-        self._step = _sum_terms(p)
         self.batch = batch
-        lead = () if batch is None else (batch,)
-        self._rows = np.zeros(lead + (ncols, ncols), dtype=np.int64)
-        self._pivots = np.zeros(lead + (ncols,), dtype=np.int64)
-        self._pivot_row: dict[int, int] = {}  # single form: column -> row
-        self._form_ix = () if batch is None else (np.arange(batch)[:, None],)
-        self._top = 0  # the highest rank of any form
-        self.rank = 0 if batch is None else np.zeros(batch, dtype=np.int64)
+        if batch is None:
+            self.rank = 0
+            self._row_of: dict[int, dict[int, int]] = {}
+        else:
+            self._rows = np.zeros((batch, ncols, ncols), dtype=np.int64)
+            self._pivots = np.zeros((batch, ncols), dtype=np.int64)
+            self._top = 0  # the highest rank of any form
+            self.rank = np.zeros(batch, dtype=np.int64)
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
+    def _install(self, items) -> bool:
+        """Single form: clear the row given by (column, value) pairs and
+        keep what is left, if anything, as a new pivot row."""
+        p, row_of = self.p, self._row_of
+        v = {j: x % p for j, x in items if x % p}
+        # each hit clears its own pivot column and no other
+        for pc in [j for j in v if j in row_of]:
+            c = v[pc]
+            for j, x in row_of[pc].items():
+                v[j] = v.get(j, 0) - c * x
+        v = {j: x % p for j, x in v.items() if x % p}
+        if not v:
+            return False
+        pc = min(v)
+        inv = pow(v[pc], -1, p)
+        v = {j: x * inv % p for j, x in v.items()}
+        for prow in row_of.values():
+            if c := prow.get(pc):
+                for j, x in v.items():
+                    if s := (prow.get(j, 0) - c * x) % p:
+                        prow[j] = s
+                    else:
+                        del prow[j]
+        row_of[pc] = v
+        self.rank += 1
+        return True
+
+    def _reduce_batch(self, v: np.ndarray) -> np.ndarray:
         """Residue of ``v`` (one row per form) after clearing every pivot
         column.  A form of lower rank than the others has zero rows past
         its rank, so they contribute nothing."""
         v = np.mod(v, self.p)
         top = self._top
         if top:
-            coeffs = v[self._form_ix + (self._pivots[..., :top],)]
+            coeffs = np.take_along_axis(v, self._pivots[:, :top], axis=1)
             if coeffs.any():
-                v -= _matmul_mod(coeffs[..., None, :], self._rows[..., :top, :],
-                                 self.p)[..., 0, :]
+                v -= _matmul_mod(coeffs[:, None, :], self._rows[:, :top, :], self.p)[:, 0, :]
                 np.mod(v, self.p, out=v)
         return v
-
-    def _install(self, v: np.ndarray) -> bool:
-        if self.batch is not None:
-            return self._install_batch(v)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        pc = int(nz[0])
-        p, r = self.p, self.rank
-        v = v * pow(int(v[pc]), p - 2, p) % p
-        hit = np.flatnonzero(self._rows[:r, pc])
-        if hit.size:
-            rows = self._rows[hit]
-            rows -= rows[:, pc, None] * v
-            self._rows[hit] = np.mod(rows, p, out=rows)
-        self._rows[r] = v
-        self._pivots[r] = pc
-        self._pivot_row[pc] = r
-        self.rank = self._top = r + 1
-        return True
 
     def _install_batch(self, v: np.ndarray) -> bool:
         nz = v != 0
@@ -394,40 +408,23 @@ class ModRref:
         return True
 
     def insert(self, v: np.ndarray) -> bool:
-        """Reduce and keep ``v``; True if some form gained a pivot."""
-        return self._install(self.reduce(v))
+        """Reduce and keep the dense row ``v`` (one row per form when
+        batched); True if some form gained a pivot."""
+        if self.batch is not None:
+            return self._install_batch(self._reduce_batch(v))
+        nz = np.flatnonzero(v)
+        return self._install(zip(nz.tolist(), v[nz].tolist()))
 
     def insert_sparse(self, items) -> bool:
-        """Insert a row given as (column, residue) pairs (single form).
-
-        Because the pivot rows are fully reduced, the only pivot rows
-        that can interact with a sparse row are those whose pivot column
-        the row actually touches; one pass over the nonzero entries
-        reduces it completely.  The subtractions are reduced mod p in
-        chunks of ``_sum_terms(p)`` hits, so no int64 entry wraps.
-        """
-        v = np.zeros(self.ncols, dtype=np.int64)
-        hits = []
-        for col, val in items:
-            val %= self.p
-            v[col] = val
-            if val:
-                row = self._pivot_row.get(col)
-                if row is not None:
-                    hits.append((row, val))
-        step = self._step
-        for start in range(0, len(hits), step):
-            for row, val in hits[start:start + step]:
-                v = v - val * self._rows[row]
-            v = np.mod(v, self.p)
-        return self._install(v)
+        """Insert a row given as (column, residue) pairs (single form)."""
+        return self._install(items)
 
     @property
     def pivot_cols(self):
         """Pivot columns in increasing order; one tuple per form when
         batched."""
         if self.batch is None:
-            return tuple(sorted(self._pivots[: self.rank].tolist()))
+            return tuple(sorted(self._row_of))
         return [tuple(sorted(piv[:r].tolist()))
                 for piv, r in zip(self._pivots, self.rank.tolist())]
 
@@ -443,11 +440,13 @@ class ModRref:
         """
         p, n = self.p, self.ncols
         if self.batch is None:
-            pivs = self._pivots[: self.rank]
-            free = np.setdiff1d(np.arange(n), pivs)
-            out = np.zeros((n, free.size), dtype=np.int64)
-            out[free, np.arange(free.size)] = 1
-            out[pivs] = np.mod(-self._rows[: self.rank][:, free], p)
+            free = {f: k for k, f in enumerate(f for f in range(n) if f not in self._row_of)}
+            out = np.zeros((n, len(free)), dtype=np.int64)
+            out[list(free), list(free.values())] = 1
+            for pc, row in self._row_of.items():
+                for j, x in row.items():
+                    if j != pc:
+                        out[pc, free[j]] = p - x
             return out
         forms, rows = np.nonzero(np.arange(n) < self.rank[:, None])
         pivs = self._pivots[forms, rows]

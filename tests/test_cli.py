@@ -120,6 +120,22 @@ class TestDims:
         out, err = capsys.readouterr()
         assert out == "" and "cap" in err
 
+    @pytest.mark.parametrize("family,sizes,counter", [
+        ("brauer", ("--r", "100000"), "diagram_count"),
+        ("walled", ("--r", "50000", "--s", "50000"), "walled_count"),
+        ("deranged", ("--r", "5000", "--n", "10000"), "derangements"),
+    ])
+    def test_formula_far_past_digits_cap_refused_before_counting(
+            self, monkeypatch, capsys, family, sizes, counter):
+        def refuse(*args):
+            raise AssertionError(f"{counter} was called")
+
+        monkeypatch.setattr(cli, counter, refuse)
+        monkeypatch.setattr(cli, "deranged_basis", refuse)
+        assert cli.main(["dims", "--family", family, *sizes]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "cap" in err
+
     def test_walled_needs_s(self):
         rc, _, err = run_cli("dims", "--family", "walled", "--r", "2")
         assert rc == 2

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -437,6 +438,39 @@ class TestBatchedModRref:
             assert np.array_equal(kernel_columns(kern[b]), acc.kernel_basis())
             assert not (stack[b] @ kern[b] % p).any()
 
+    @pytest.mark.parametrize("nrows,ncols", [(8, 6), (4, 7), (6, 6)])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_sparse_single_forms_match_dense_batch_row_by_row(self, nrows, ncols, sparse):
+        p = DEFAULT_PRIMES[0]
+        rng = np.random.default_rng(nrows * 10 + ncols + 1)
+        stack = mixed_rank_stack(rng, p, 7, nrows, ncols)
+        # the rows again, shuffled: every one arrives after its form saturated
+        stack = np.concatenate([stack, stack[:, rng.permutation(nrows)]], axis=1)
+        batched = ModRref(ncols, p, batch=7)
+        singles = [ModRref(ncols, p) for _ in range(7)]
+        for i in range(2 * nrows):
+            before = batched.rank.copy()
+            batched.insert(stack[:, i])
+            for b, acc in enumerate(singles):
+                row = stack[b, i]
+                grew = (acc.insert_sparse((j, int(x)) for j, x in enumerate(row) if x)
+                        if sparse else acc.insert(row))
+                assert grew == bool(batched.rank[b] > before[b])
+                assert acc.rank == batched.rank[b]
+                assert not (grew and i >= nrows)
+        assert batched.pivot_cols == [acc.pivot_cols for acc in singles]
+        kern = batched.kernel_basis()
+        for b, acc in enumerate(singles):
+            assert np.array_equal(kernel_columns(kern[b]), acc.kernel_basis())
+
+    def test_lifted_kernel_of_invariant_equations_is_the_exact_one(self):
+        rows, support = _invariant_equations(5, 3)
+        lifted = solve_sparse_system(rows, len(support), mode="auto")
+        exact = solve_sparse_system(rows, len(support), mode="exact")
+        assert (lifted.method, exact.method) == ("mod-p-confirmed-exact", "exact")
+        assert (lifted.rank, lifted.nullity) == (exact.rank, exact.nullity)
+        assert lifted.kernel == exact.kernel
+
     def test_kernel_modp_dense_on_a_stack(self):
         p = DEFAULT_PRIMES[0]
         stack = mixed_rank_stack(np.random.default_rng(7), p, 5, 9, 5)
@@ -837,3 +871,26 @@ class TestModRrefWideSums:
                 for i in range(3)]
         got = linalg._matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), self.P)
         assert got.tolist() == want
+
+
+class TestSparseModRrefMemory:
+    """The single form stores its pivot rows sparsely: at the width of the
+    deranged(4,2) matrix space (50625 unknowns) a dense ncols x ncols
+    int64 table would take 19.1 GiB."""
+
+    def test_wide_form_grows_with_its_rank(self):
+        ncols = 15 ** 4
+        rng = random.Random(4)
+        rows = [[(j, rng.randrange(1, DEFAULT_PRIMES[0])) for j in rng.sample(range(ncols), 3)]
+                for _ in range(100)]
+        # a chain x_k = x_(k+1) on the first columns makes the pivots interact
+        rows += [[(k, 1), (k + 1, -1)] for k in range(20)]
+        tracemalloc.start()
+        try:
+            acc = ModRref(ncols, DEFAULT_PRIMES[0])
+            grew = [acc.insert_sparse(row) for row in rows]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert acc.rank == sum(grew) == len(acc.pivot_cols) >= 100
+        assert peak < 2 ** 20
