@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Four subcommands: ``multiply`` (diagram arithmetic on JSON input),
-``dims`` (dimension formulas cross-checked by enumeration), ``verify``
+``dims`` (dimension formulas cross-checked by enumeration; a family
+given a flag it does not use is a usage error), ``verify``
 (double-centralizer verification) and ``derangements`` (derangement
 table).  Output goes to stdout as canonical JSON (or a plain-text
 rendering of the same object); diagnostics go to stderr.
@@ -33,7 +34,6 @@ from .algebra import (
 from .combinatorics import derangement_table, derangements, diagram_count, walled_count
 from .diagrams import (
     CapExceededError,
-    DEFAULT_ENUM_CAP,
     DiagramError,
     Wall,
     diagram_from_json,
@@ -119,64 +119,49 @@ def cmd_multiply(args) -> int:
     return EXIT_OK
 
 
-def _formula_log10_floor(family: str, r: int, s: int) -> float:
-    """A lower bound on log10 of the ``dims`` formula, from lgamma:
-    (2r-1)!! = (2r)! / (2^r r!), (r+s)!, and N(2r) >= (2r)!/e (the
-    alternating series for N(k)/k! ends above 1/e when k is even)."""
-    if min(r, s) < 0:
-        return 0.0  # the counting functions refuse negative sizes
-    ln = {"brauer": lgamma(2 * r + 1) - lgamma(r + 1) - r * log(2),
-          "walled": lgamma(r + s + 1), "deranged": lgamma(2 * r + 1) - 1}[family]
-    return ln / log(10)
+def _count_walled(r: int, s: int) -> int:
+    wall = Wall(r, s)
+    return sum(1 for d in enumerate_diagrams(wall.m) if is_walled(d, wall))
+
+
+# family -> (the flag it takes besides --r, the exact formula, a lower bound
+# on the formula's natural log, the enumeration).  The bounds come from
+# lgamma: (2r-1)!! = (2r)! / (2^r r!), (r+s)!, and N(2r) >= (2r)!/e (the
+# alternating series for N(k)/k! ends above 1/e when k is even).  Names
+# resolve at call time, so a test may patch them on this module.
+_DIMS = {
+    "brauer": (None, lambda r, s, n: diagram_count(r),
+               lambda r, s: lgamma(2 * r + 1) - lgamma(r + 1) - r * log(2),
+               lambda r, s, n: sum(1 for _ in enumerate_diagrams(r))),
+    "walled": ("s", lambda r, s, n: walled_count(r, s), lambda r, s: lgamma(r + s + 1),
+               lambda r, s, n: _count_walled(r, s)),
+    "deranged": ("n", lambda r, s, n: derangements(2 * r), lambda r, s: lgamma(2 * r + 1) - 1,
+                 lambda r, s, n: len(deranged_basis(r, n))),
+}
 
 
 def cmd_dims(args) -> int:
-    if args.family == "walled" and args.s is None:
-        raise UsageError("--family walled needs --s")
-    if args.family == "deranged" and args.n is None:
-        raise UsageError("--family deranged needs --n")
-    # refuse up front only a digit past the cap; the exact check below settles the rest
-    if _formula_log10_floor(args.family, args.r, args.s or 0) >= FORMULA_DIGITS_CAP + 1:
+    takes, formula_of, ln_floor, enumerate_of = _DIMS[args.family]
+    for flag in ("s", "n"):
+        if (getattr(args, flag) is None) == (flag == takes):
+            verb = "needs" if flag == takes else "does not use"
+            raise UsageError(f"--family {args.family} {verb} --{flag}")
+    r, s, n = args.r, args.s or 0, args.n
+    # refuse up front only a digit past the cap; the exact check below settles
+    # the rest.  A negative size is left to the counting function's message.
+    if min(r, s) >= 0 and ln_floor(r, s) / log(10) >= FORMULA_DIGITS_CAP + 1:
         raise CapExceededError(f"formula has more than {FORMULA_DIGITS_CAP} digits")
-    capped = False
-    enumerated = None
-    if args.family == "brauer":
-        formula = diagram_count(args.r)
-        if args.r == 0:
-            enumerated = 1  # the empty matching, nothing to enumerate
-        elif args.r <= args.enum_cap:
-            enumerated = sum(1 for _ in enumerate_diagrams(args.r, cap=args.enum_cap))
-        else:
-            capped = True
-        obj = {"family": "brauer", "r": args.r, "s": None, "n": args.n}
-    elif args.family == "walled":
-        formula = walled_count(args.r, args.s)
-        if args.r + args.s == 0:
-            enumerated = 1
-        elif args.r + args.s <= args.enum_cap:
-            wall = Wall(args.r, args.s)
-            enumerated = sum(1 for d in enumerate_diagrams(wall.m, cap=args.enum_cap)
-                             if is_walled(d, wall))
-        else:
-            capped = True
-        obj = {"family": "walled", "r": args.r, "s": args.s, "n": args.n}
-    else:
-        formula = derangements(2 * args.r)
-        if args.r == 0:
-            enumerated = 1
-        else:
-            try:
-                enumerated = len(deranged_basis(args.r, args.n))
-            except CapExceededError:
-                capped = True
-        obj = {"family": "deranged", "r": args.r, "s": None, "n": args.n}
+    formula = formula_of(r, s, n)
+    try:  # zero columns hold only the empty diagram, nothing to enumerate
+        enumerated = 1 if r + s == 0 else enumerate_of(r, s, n)
+    except CapExceededError:
+        enumerated = None
     if formula >= 10 ** FORMULA_DIGITS_CAP:
         raise CapExceededError(f"formula has more than {FORMULA_DIGITS_CAP} digits")
-    obj["formula"] = formula
-    obj["enumerated"] = enumerated
-    obj["match"] = None if enumerated is None else enumerated == formula
-    _emit(obj, args.output)
-    return EXIT_CAPS if capped else EXIT_OK
+    _emit({"family": args.family, "r": args.r, "s": args.s, "n": args.n,
+           "formula": formula, "enumerated": enumerated,
+           "match": None if enumerated is None else enumerated == formula}, args.output)
+    return EXIT_CAPS if enumerated is None else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -220,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("verify", help="double-centralizer verification")

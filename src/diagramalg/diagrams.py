@@ -279,25 +279,15 @@ def compose(d1: BrauerDiagram, d2: BrauerDiagram) -> CompositionResult:
     return CompositionResult(BrauerDiagram(m, tuple(partner)), loops)
 
 
-def _column(v: int, m: int) -> int:
-    return v if v < m else v - m
-
-
 def is_walled(d: BrauerDiagram, wall: Wall) -> bool:
     """True if every horizontal edge crosses the wall and no vertical
-    edge does."""
+    edge does: an edge stays in one row exactly when its ends lie on
+    opposite sides of the wall (vertex v sits in column ``v % m``)."""
     if wall.m != d.m:
         raise SizeMismatchError(f"wall ({wall.r},{wall.s}) does not fit m={d.m}")
-    m = d.m
-    for v, w in d.edges:
-        left_v = _column(v, m) < wall.r
-        left_w = _column(w, m) < wall.r
-        horizontal = (v < m) == (w < m)
-        if horizontal and left_v == left_w:
-            return False
-        if not horizontal and left_v != left_w:
-            return False
-    return True
+    m, r = d.m, wall.r
+    return all(((v < m) == (w < m)) == ((v % m < r) != (w % m < r))
+               for v, w in enumerate(d.partner))
 
 
 def flip(d: BrauerDiagram, wall: Wall) -> BrauerDiagram:
@@ -311,9 +301,7 @@ def flip(d: BrauerDiagram, wall: Wall) -> BrauerDiagram:
     m = d.m
 
     def phi(v: int) -> int:
-        if _column(v, m) < wall.r:
-            return v
-        return v + m if v < m else v - m
+        return v if v % m < wall.r else (v + m) % (2 * m)
 
     partner = [-1] * (2 * m)
     for v in range(2 * m):
@@ -321,15 +309,15 @@ def flip(d: BrauerDiagram, wall: Wall) -> BrauerDiagram:
     return BrauerDiagram(m, tuple(partner))
 
 
-def enumerate_diagrams(m: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[BrauerDiagram]:
+def enumerate_diagrams(m: int) -> Iterator[BrauerDiagram]:
     """Yield every diagram on ``m`` columns once, in canonical order.
 
     Canonical order is lexicographic on the sorted edge lists; there are
-    (2m-1)!! diagrams in total.  ``m`` above ``cap`` raises
-    :class:`CapExceededError` so exhaustive sweeps stay bounded.
+    (2m-1)!! diagrams in total.  ``m`` above :data:`DEFAULT_ENUM_CAP`
+    raises :class:`CapExceededError` so exhaustive sweeps stay bounded.
     """
-    if m > cap:
-        raise CapExceededError(f"enumeration for m={m} exceeds cap {cap}")
+    if m > DEFAULT_ENUM_CAP:
+        raise CapExceededError(f"enumeration for m={m} exceeds cap {DEFAULT_ENUM_CAP}")
     if m <= 0:
         raise DiagramError(f"need at least one column, got m={m}")
 

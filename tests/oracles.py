@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: the twisted-strand
 composition is a literal graph chase on two stacked permutation
-diagrams, the orthogonal diagram action is the edge-by-edge delta
+diagrams, the walled predicate and the flip go edge by edge over the
+sorted edge list, the orthogonal diagram action is the edge-by-edge delta
 product rather than a permute-contract-permute factorization, and the
 adjoint action forms every commutator as a dense matrix product.
 """
@@ -89,6 +90,40 @@ def bizarre_compose(p1: BrauerDiagram, p2: BrauerDiagram, wall: Wall):
                 seen.add((tag, v))
                 tag, v = identified(tag, v)
     return BrauerDiagram(m, tuple(partner)), loops
+
+
+def _column(v: int, m: int) -> int:
+    return v if v < m else v - m
+
+
+def reference_is_walled(d: BrauerDiagram, wall: Wall) -> bool:
+    """Edge by edge: every horizontal edge crosses the wall and no
+    vertical edge does."""
+    m = d.m
+    for v, w in d.edges:
+        left_v = _column(v, m) < wall.r
+        left_w = _column(w, m) < wall.r
+        horizontal = (v < m) == (w < m)
+        if horizontal and left_v == left_w:
+            return False
+        if not horizontal and left_v != left_w:
+            return False
+    return True
+
+
+def reference_flip(d: BrauerDiagram, wall: Wall) -> BrauerDiagram:
+    """Swap top and bottom vertices to the right of the wall, edge by edge."""
+    m = d.m
+
+    def phi(v: int) -> int:
+        if _column(v, m) < wall.r:
+            return v
+        return v + m if v < m else v - m
+
+    partner = [-1] * (2 * m)
+    for v, w in d.edges:
+        partner[phi(v)], partner[phi(w)] = phi(w), phi(v)
+    return BrauerDiagram(m, tuple(partner))
 
 
 def orthogonal_diagram_matrix(d: BrauerDiagram, n: int) -> np.ndarray:

@@ -94,11 +94,16 @@ class TestDims:
         obj = json.loads(out)
         assert obj["formula"] == 9 and obj["enumerated"] == 9 and obj["match"]
 
-    def test_cap_exceeded_still_prints_formula(self):
-        rc, out, _ = run_cli("dims", "--family", "brauer", "--r", "9")
+    @pytest.mark.parametrize("family,sizes,formula", [
+        ("brauer", ("--r", "9"), 34459425),
+        ("walled", ("--r", "4", "--s", "3"), 5040),
+        ("deranged", ("--r", "4", "--n", "8"), 14833),  # past DERANGED_R_CAP
+    ], ids=["brauer", "walled", "deranged"])
+    def test_cap_exceeded_still_prints_formula(self, family, sizes, formula):
+        rc, out, _ = run_cli("dims", "--family", family, *sizes)
         assert rc == 3
         obj = json.loads(out)
-        assert obj["formula"] == 34459425
+        assert obj["formula"] == formula
         assert obj["enumerated"] is None and obj["match"] is None
 
     @pytest.mark.parametrize("family,fits,past", [
@@ -144,6 +149,22 @@ class TestDims:
     def test_deranged_needs_n(self):
         rc, _, _ = run_cli("dims", "--family", "deranged", "--r", "2")
         assert rc == 2
+
+    @pytest.mark.parametrize("family,extra", [
+        ("brauer", ("--s", "1")),
+        ("brauer", ("--n", "3")),
+        ("walled", ("--s", "1", "--n", "3")),
+        ("deranged", ("--n", "4", "--s", "2")),
+    ])
+    def test_unused_flag_refused(self, capsys, family, extra):
+        assert cli.main(["dims", "--family", family, "--r", "2", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"does not use {extra[-2]}" in err
+
+    def test_deranged_needs_n_at_least_2r(self, capsys):
+        assert cli.main(["dims", "--family", "deranged", "--r", "2", "--n", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "n >= 2r" in err
 
     @pytest.mark.parametrize("family,extra", [
         ("brauer", ()),

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from diagramalg import diagrams
 from diagramalg.diagrams import (
     BrauerDiagram,
     CapExceededError,
@@ -26,7 +27,7 @@ from diagramalg.diagrams import (
     wall_generator,
 )
 
-from oracles import bizarre_compose
+from oracles import bizarre_compose, reference_flip, reference_is_walled
 
 
 def test_identity_composes_to_identity():
@@ -123,10 +124,11 @@ def test_enumeration_counts_and_canonical_order(m):
     assert keys == sorted(keys)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         list(enumerate_diagrams(7))
-    assert sum(1 for _ in enumerate_diagrams(7, cap=7)) == double_factorial_odd(7)
+    monkeypatch.setattr(diagrams, "DEFAULT_ENUM_CAP", 7)
+    assert sum(1 for _ in enumerate_diagrams(7)) == double_factorial_odd(7)
 
 
 def test_walled_predicate_basics():
@@ -138,6 +140,18 @@ def test_walled_predicate_basics():
     assert not is_walled(c, Wall(2, 0))
     with pytest.raises(SizeMismatchError):
         is_walled(c, Wall(2, 1))
+
+
+def test_walled_rule_and_flip_match_the_edge_by_edge_reference():
+    cases = 0
+    for m in range(1, 6):
+        for d in enumerate_diagrams(m):
+            for r in range(m + 1):
+                wall = Wall(r, m - r)
+                assert is_walled(d, wall) == reference_is_walled(d, wall), (d, wall)
+                assert flip(d, wall) == reference_flip(d, wall), (d, wall)
+                cases += 1
+    assert cases == 6266
 
 
 @pytest.mark.parametrize("r,s", [(1, 1), (2, 1), (1, 2), (2, 2)])
