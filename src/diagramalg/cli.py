@@ -152,6 +152,8 @@ def cmd_dims(args) -> int:
     if min(r, s) >= 0 and ln_floor(r, s) / log(10) >= FORMULA_DIGITS_CAP + 1:
         raise CapExceededError(f"formula has more than {FORMULA_DIGITS_CAP} digits")
     formula = formula_of(r, s, n)
+    if args.family == "deranged" and n < 2 * r:  # deranged_basis's rule, at every r
+        raise UsageError(f"need n >= 2r (got n={n}, r={r})")
     try:  # zero columns hold only the empty diagram, nothing to enumerate
         enumerated = 1 if r + s == 0 else enumerate_of(r, s, n)
     except CapExceededError:

@@ -33,10 +33,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from math import factorial
 
-from .combinatorics import derangements, diagram_count, walled_count
-from .diagrams import CapExceededError, Wall, enumerate_diagrams, is_walled
+from .diagrams import CapExceededError, Wall, enumerate_diagrams, is_walled, permutation_to_diagram
 from .linalg import (
     DEFAULT_UNKNOWN_CAP,
     MODES,
@@ -46,23 +44,19 @@ from .linalg import (
     commutant,
     graded_commutant_dim,
     span_equal,
-    sparse_matmul,
 )
 from .tensor import (
+    DENSE_DIM_CAP,
     AdjointSpace,
     BilinearForm,
     MixedSpace,
     TensorSpace,
-    adjoint_transport,
+    _diagram_rows,
     check_dim,
-    deranged_matrix,
-    derivation_action,
+    deranged_ops,
     derivation_ops_sparse,
-    diagram_matrix,
     lie_basis,
-    mixed_diagram_matrix,
-    reflection_matrix,
-    sigma_perm,
+    reflection_op,
     weight_vectors,
 )
 
@@ -120,50 +114,44 @@ def _combine_methods(*labels: str) -> str:
     return mods[0] if mods else "mod-p"
 
 
-def _standard_sides(family: str, n: int, r: int, s: int | None):
-    """Space dimension, diagram matrices, group generator matrices and the
-    abstract diagram-algebra dimension for the span-based families."""
-    if family == "glA":
-        space = TensorSpace(n, r)
-        diagram_mats = [sigma_perm(w, space)
-                        for w in itertools.permutations(range(r))]
-        gens = [derivation_action(x, space) for x in lie_basis("gl", n)]
-        return space.dim, diagram_mats, gens, factorial(r)
-    if family in ("o", "sp"):
-        flavor = "symmetric" if family == "o" else "symplectic"
-        form = BilinearForm(flavor, n)
-        space = TensorSpace(n, r)
-        diagram_mats = [diagram_matrix(d, space, form)
-                        for d in enumerate_diagrams(r)]
-        gens = [derivation_action(x, space)
-                for x in lie_basis("so" if family == "o" else "sp", n)]
-        if family == "o":
-            gens.append(reflection_matrix(n, r))
-        return space.dim, diagram_mats, gens, diagram_count(r)
-    if family == "walled":
-        space = MixedSpace(n, r, s)
-        wall = Wall(r, s)
-        diagram_mats = [mixed_diagram_matrix(d, space)
-                        for d in enumerate_diagrams(wall.m)
-                        if is_walled(d, wall)]
-        gens = [derivation_action(x, space) for x in lie_basis("gl", n)]
-        return space.dim, diagram_mats, gens, walled_count(r, s)
-    raise ValueError(f"unknown standard family {family!r}")
+# family -> (its diagrams, a basis of the abstract diagram algebra; the
+# Lie algebra whose derived action generates the group side).  Walled
+# acts on mixed tensor space, the sp diagrams by the symplectic form, and
+# o adds the reflection to the rotations.  Names resolve at call time, so
+# a test may patch them on this module.
+_SIDES = {
+    "glA": (lambda r, s: map(permutation_to_diagram, itertools.permutations(range(r))), "gl"),
+    "o": (lambda r, s: enumerate_diagrams(r), "so"),
+    "sp": (lambda r, s: enumerate_diagrams(r), "sp"),
+    "walled": (lambda r, s: (d for d in enumerate_diagrams(r + s) if is_walled(d, Wall(r, s))),
+               "gl"),
+}
+
+
+def _generators(family: str, space) -> list[LinOp]:
+    """The group side of a family as sparse operators, on a space within
+    the dense builders' cap (``d * d`` unknowns in every solve)."""
+    check_dim(space, DENSE_DIM_CAP)
+    gens = [derivation_ops_sparse(x, space) for x in lie_basis(_SIDES[family][1], space.n)]
+    if family == "o":
+        gens.append(reflection_op(space.n, space.r))
+    return gens
 
 
 def _verify_span_family(family, n, r, s, mode, solver_cap):
-    d, diagram_mats, gens, abstract_dim = _standard_sides(family, n, r, s)
-    gen_ops = [LinOp.from_dense(g) for g in gens]
-    diagram_ops = [LinOp.from_dense(m) for m in diagram_mats]
+    space = TensorSpace(n, r) if s is None else MixedSpace(n, r, s)
+    d, gen_ops = space.dim, _generators(family, space)
+    form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
+    diagram_ops = [LinOp(d, _diagram_rows(x, n, form)) for x in _SIDES[family][0](r, s)]
     # both containments at once; each equality is then a dimension count
     if not _commute(gen_ops, diagram_ops):
         raise ArithmeticError("group and diagram actions fail to commute")
-    diagram_span = MatrixSpan.from_matrices(diagram_mats, d)
+    diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
     _, comm_diag = commutant(diagram_ops, d, mode=mode, want_basis=False,
                              unknown_cap=solver_cap)
     # The group image lies in the diagram commutant, whose exact dimension
     # is at most this nullity in every mode: a proven bound for the closure.
-    group_span = algebra_closure(gens, d, bound=comm_diag.nullity)
+    group_span = algebra_closure(gen_ops, d, bound=comm_diag.nullity)
     _, comm_group = commutant(gen_ops, d, mode=mode, want_basis=False,
                               unknown_cap=solver_cap)
     dims = {
@@ -179,7 +167,7 @@ def _verify_span_family(family, n, r, s, mode, solver_cap):
     methods = ["mod-p-confirmed-exact" if equal and res.method.startswith("mod-p(")
                else res.method for res, equal in ((comm_diag, equal_a), (comm_group, equal_b))]
     return DualityReport(family, n, r, s, dims, equal_a, equal_b,
-                         diagram_span.dim == abstract_dim,
+                         diagram_span.dim == len(diagram_ops),
                          _combine_methods("exact", *methods))
 
 
@@ -187,9 +175,8 @@ def _verify_so_direct(n, r, mode, solver_cap):
     """No diagram side here: only the strict containment of the full
     orthogonal commutant inside the rotation-only commutant is computed."""
     space = TensorSpace(n, r)
-    gens_so = [derivation_action(x, space) for x in lie_basis("so", n)]
-    gens_o = gens_so + [reflection_matrix(n, r)]
-    _, so_comm = commutant(gens_so, space.dim, mode=mode, want_basis=False,
+    gens_o = _generators("o", space)  # the rotations, then the reflection
+    _, so_comm = commutant(gens_o[:-1], space.dim, mode=mode, want_basis=False,
                            unknown_cap=solver_cap)
     _, o_comm = commutant(gens_o, space.dim, mode=mode, want_basis=False,
                           unknown_cap=solver_cap)
@@ -210,19 +197,16 @@ def _verify_so_direct(n, r, mode, solver_cap):
 
 
 def _commute(gens: list[LinOp], mats: list[LinOp]) -> bool:
-    """Exact check that every generator commutes with every matrix, on
-    sparse rows."""
-    return all(sparse_matmul(g.rows, m.rows) == sparse_matmul(m.rows, g.rows)
-               for g in gens for m in mats)
+    """Exact check that every generator commutes with every matrix."""
+    return all((g @ m).rows == (m @ g).rows for g in gens for m in mats)
 
 
 def _verify_deranged(n, r, mode, solver_cap):
     """GL_n on the r-th adjoint power against the deranged diagram image.
 
-    The gl_n generators are built as sparse ``LinOp`` rows
-    (``derivation_ops_sparse``, [x, -] from the structure constants of
-    sl_n) and go to the commutant solve, and to the exact commutation
-    check when ``equal_b`` fails, without a dense matrix in between."""
+    The gl_n generators ([x, -] from the structure constants of sl_n) and
+    the diagram actions (through one sparse transport pair) are ``LinOp``s
+    from builder to solver; only the graded solve takes a dense stack."""
     from .algebra import deranged_basis
 
     space = AdjointSpace(n, r)
@@ -231,11 +215,10 @@ def _verify_deranged(n, r, mode, solver_cap):
     if d * d > solver_cap:
         raise CapExceededError(
             f"{d * d} matrix-space unknowns exceed the solver cap {solver_cap}")
-    transport = adjoint_transport(n, r)
     elements = deranged_basis(r, n)
-    diagram_mats = [deranged_matrix(el.element, n, r, transport=transport)
-                    for el in elements]
-    diagram_span = MatrixSpan.from_matrices(diagram_mats, d)
+    check_dim(MixedSpace(n, r, r), DENSE_DIM_CAP)  # the graded solve takes a dense stack
+    diagram_ops = deranged_ops([el.element for el in elements], n, r)
+    diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
 
     gens = [derivation_ops_sparse(x, space) for x in lie_basis("gl", n)]
 
@@ -251,7 +234,7 @@ def _verify_deranged(n, r, mode, solver_cap):
     # it: every diagram matrix is then a combination of the commutant
     # basis, which was checked exactly against the generators.  Otherwise
     # check the products exactly.
-    if not equal_b and not _commute(gens, [LinOp.from_dense(m) for m in diagram_mats]):
+    if not equal_b and not _commute(gens, diagram_ops):
         raise ArithmeticError("group and diagram actions fail to commute")
 
     # The commutant of the diagram image lives in a 50625-unknown matrix
@@ -259,7 +242,7 @@ def _verify_deranged(n, r, mode, solver_cap):
     weights = weight_vectors(space)
     chunk_mode = "exact" if mode == "exact" else "modular"
     comm_diag_dim, chunk_method = graded_commutant_dim(
-        diagram_mats, weights, mode=chunk_mode)
+        [op.to_dense() for op in diagram_ops], weights, mode=chunk_mode)
 
     # The group image is the commutant of the group commutant (double
     # commutant theorem: semisimple, characteristic zero), and equal_b
@@ -275,7 +258,7 @@ def _verify_deranged(n, r, mode, solver_cap):
     }
     method = _combine_methods(comm_group.method, chunk_method)
     return DualityReport("deranged", n, r, r, dims, equal_a, equal_b,
-                         diagram_span.dim == derangements(2 * r), method,
+                         diagram_span.dim == len(diagram_ops), method,
                          extra={"group_image_via": "double commutant"})
 
 

@@ -22,6 +22,10 @@ primes are fixed here and nowhere else: every modular route walks
 ``DEFAULT_PRIMES`` and then ``EXTRA_PRIMES``.  The method tag records
 which route produced a number: ``exact``, ``mod-p(p1,p2)`` (naming the
 two primes used) or ``mod-p-confirmed-exact``.
+
+Operators are ``LinOp``s (sparse rows) in the commutant, span and closure
+code: a dense array enters only through ``_as_linop`` and leaves only
+through ``LinOp.to_dense``.
 """
 from __future__ import annotations
 
@@ -90,13 +94,13 @@ def _residue(q, p: int, cache: dict) -> int:
     return r
 
 
-def mat_to_modp(mat: np.ndarray, p: int) -> np.ndarray:
-    """Reduce an exact matrix mod p.  Denominators divisible by p are a
-    hard error; callers escalate to another prime."""
+def mat_to_modp(mat, p: int) -> np.ndarray:
+    """Reduce an exact matrix or ``LinOp`` mod p.  Denominators divisible
+    by p are a hard error; callers escalate to another prime."""
     out = np.zeros(mat.shape, dtype=np.int64)
     cache: dict = {}
     dst = out.reshape(-1)
-    for k, q in _nonzeros(mat).items():
+    for k, q in (mat.entries() if isinstance(mat, LinOp) else _nonzeros(mat)).items():
         dst[k] = _residue(q, p, cache)
     return out
 
@@ -589,6 +593,7 @@ class LinOp:
 
     def __init__(self, dim: int, rows: list[dict[int, Fraction]]):
         self.dim = dim
+        self.shape = (dim, dim)
         self.rows = rows
         self._cols: list[dict[int, Fraction]] | None = None
 
@@ -597,6 +602,14 @@ class LinOp:
         if mat.shape[1] != mat.shape[0]:
             raise ValueError("operator must be square")
         return cls(mat.shape[0], rows_from_dense(mat))
+
+    def __matmul__(self, other: "LinOp") -> "LinOp":
+        return LinOp(self.dim, sparse_matmul(self.rows, other.rows))
+
+    def entries(self) -> dict[int, Fraction]:
+        """The nonzero entries keyed by flat index ``i * dim + j``."""
+        d = self.dim
+        return {i * d + j: c for i, row in enumerate(self.rows) for j, c in row.items()}
 
     def cols(self) -> list[dict[int, Fraction]]:
         if self._cols is None:
@@ -622,11 +635,10 @@ class LinOp:
 
 
 def _as_linop(op, dim: int) -> LinOp:
-    if isinstance(op, LinOp):
-        if op.dim != dim:
-            raise ValueError(f"operator dimension {op.dim} != {dim}")
-        return op
-    return LinOp.from_dense(op)
+    """The one entry point of dense matrices into the operator layer."""
+    if op.shape != (dim, dim):
+        raise ValueError(f"expected {dim}x{dim} operators, got {op.shape}")
+    return op if isinstance(op, LinOp) else LinOp.from_dense(op)
 
 
 def intertwiner_kernel(
@@ -697,7 +709,7 @@ class MatrixSpan:
     """A subspace of d x d matrices with an exactly independent basis."""
 
     d: int
-    basis: list[np.ndarray]
+    basis: list[LinOp]
     rref: ExactRref
 
     @property
@@ -705,18 +717,17 @@ class MatrixSpan:
         return len(self.basis)
 
     @classmethod
-    def from_matrices(cls, mats: Iterable[np.ndarray], d: int) -> "MatrixSpan":
+    def from_matrices(cls, mats: Iterable, d: int) -> "MatrixSpan":
         acc = ExactRref(d * d)
         kept = []
         for m in mats:
-            if m.shape != (d, d):
-                raise ValueError(f"expected {d}x{d} matrices, got {m.shape}")
-            if acc.insert(_nonzeros(m)):
-                kept.append(m)
+            op = _as_linop(m, d)
+            if acc.insert(op.entries()):
+                kept.append(op)
         return cls(d, kept, acc)
 
-    def contains_matrix(self, m: np.ndarray) -> bool:
-        return self.rref.contains(_nonzeros(m))
+    def contains_matrix(self, m) -> bool:
+        return self.rref.contains(_as_linop(m, self.d).entries())
 
 
 def commutant(
@@ -737,14 +748,14 @@ def commutant(
                                          unknown_cap=unknown_cap)
     span = None
     if want_basis and result.kernel is not None:
-        mats = []
+        basis = []
         for vec in result.kernel:
-            m = zeros_matrix(d, d)
-            for k, (i, j) in enumerate(support):
-                if vec[k]:
-                    m[i, j] = vec[k]
-            mats.append(m)
-        span = MatrixSpan.from_matrices(mats, d)
+            rows: list[dict] = [{} for _ in range(d)]
+            for (i, j), x in zip(support, vec):
+                if x:
+                    rows[i][j] = x
+            basis.append(LinOp(d, rows))
+        span = MatrixSpan.from_matrices(basis, d)
         if span.dim != result.nullity:
             raise ArithmeticError("kernel vectors were not independent")
     return span, result
@@ -875,11 +886,11 @@ def saturate(start: Iterable, gens: Sequence, multiply, take) -> list:
 
 
 def algebra_closure(
-    seed: Sequence[np.ndarray],
+    seed: Sequence,
     d: int,
     bound: int | None = None,
 ) -> MatrixSpan:
-    """Smallest unital matrix algebra containing the seed matrices.
+    """Smallest unital matrix algebra containing the seed operators.
 
     One saturation under left multiplication by the seed, which reaches
     every word in the generators, forms each candidate product once, and
@@ -888,7 +899,7 @@ def algebra_closure(
     ``bound``, if given, must be a proven upper bound on the dimension of
     the closure.  The saturation then runs first on int64 residues modulo
     ``p = DEFAULT_PRIMES[0]`` alone, each kept residue recorded as a word
-    (a start element, or a seed matrix times an earlier kept word).  On
+    (a start element, or a seed operator times an earlier kept word).  On
     p-integral matrices reduction mod p is a ring homomorphism, so words
     whose residues are independent mod p are independent over Q, and
     their count is a lower bound on the dimension.  Saturation stops
@@ -898,30 +909,27 @@ def algebra_closure(
     residues are kept, or the seed does not reduce mod p, the exact
     saturation above runs.
     """
-    seed = list(seed)
-    for m in seed:
-        if m.shape != (d, d):
-            raise ValueError(f"expected {d}x{d} matrices, got {m.shape}")
-    start = [identity_matrix(d)] + seed
+    seed = [_as_linop(m, d) for m in seed]
+    start = [LinOp(d, [{i: 1} for i in range(d)])] + seed
     if bound is not None:
         span = _bounded_closure(start, d, DEFAULT_PRIMES[0], bound)
         if span is not None:
             return span
     span = MatrixSpan(d, [], ExactRref(d * d))
 
-    def take(mat: np.ndarray) -> bool:
-        if not span.rref.insert(_nonzeros(mat)):
+    def take(op: LinOp) -> bool:
+        if not span.rref.insert(op.entries()):
             return False
-        span.basis.append(mat)
+        span.basis.append(op)
         if span.dim > CLOSURE_DIM_CAP:
             raise CapExceededError(f"closure dimension exceeds cap {CLOSURE_DIM_CAP}")
         return True
 
-    saturate(start, seed, np.matmul, take)
+    saturate(start, seed, LinOp.__matmul__, take)
     return span
 
 
-def _bounded_closure(start: list, d: int, p: int, bound: int) -> MatrixSpan | None:
+def _bounded_closure(start: list[LinOp], d: int, p: int, bound: int) -> MatrixSpan | None:
     """The closure of ``start`` (the identity, then the seed) from a
     saturation on residues mod p, as ``algebra_closure`` describes, or
     None when the seed does not reduce mod p or fewer than ``bound``
@@ -932,7 +940,7 @@ def _bounded_closure(start: list, d: int, p: int, bound: int) -> MatrixSpan | No
         return None
     screen = ModRref(d * d, p)
     # kept words -> their position: (None, i) is start[i], (g, k) is the
-    # seed matrix start[g + 1] times the k-th kept word
+    # seed operator start[g + 1] times the k-th kept word
     words: dict[tuple, int] = {}
 
     def multiply(gen, cand):
@@ -951,11 +959,11 @@ def _bounded_closure(start: list, d: int, p: int, bound: int) -> MatrixSpan | No
              list(enumerate(residues[1:])), multiply, take)
     if len(words) < bound:
         return None
-    mats: list[np.ndarray] = []
+    ops: list[LinOp] = []
     for g, k in words:
-        mats.append(start[k] if g is None else start[g + 1] @ mats[k])
-    span = MatrixSpan.from_matrices(mats, d)
-    if span.dim < len(mats):
+        ops.append(start[k] if g is None else start[g + 1] @ ops[k])
+    span = MatrixSpan.from_matrices(ops, d)
+    if span.dim < len(ops):
         raise ArithmeticError("words independent modulo p are exactly dependent")
     return span
 

@@ -55,7 +55,6 @@ from .linalg import (
     dense_from_rows,
     frac_matrix,
     nullspace_exact,
-    rows_from_dense,
     sparse_matmul,
     sparse_scale_add,
     zeros_matrix,
@@ -162,13 +161,6 @@ class BilinearForm:
 
 # ---------------------------------------------------------------------------
 # index bookkeeping
-
-def _digits(flat: int, base: int, length: int) -> list[int]:
-    out = [0] * length
-    for k in range(length - 1, -1, -1):
-        flat, out[k] = divmod(flat, base)
-    return out
-
 
 def _flat(digits, base: int) -> int:
     out = 0
@@ -296,22 +288,18 @@ def sigma_element(el: AlgebraElement, space: TensorSpace, form: BilinearForm) ->
 # ---------------------------------------------------------------------------
 # mixed tensor space: the V / V* pairing is the identity form
 
-def mixed_diagram_rows(d: BrauerDiagram, space: MixedSpace) -> list[dict[int, int]]:
-    """Walled diagram on V^(x r) (x) (V*)^(x s) as sparse rows, all
-    entries 0/1: bottom horizontal edges pair a vector with a covector,
-    top horizontal edges emit the identity element of V (x) V*."""
-    check_dim(space)
+def mixed_diagram_matrix(d: BrauerDiagram, space: MixedSpace) -> np.ndarray:
+    """Walled diagram on V^(x r) (x) (V*)^(x s), all entries 0/1: bottom
+    horizontal edges pair a vector with a covector, top horizontal edges
+    emit the identity element of V (x) V*."""
+    check_dim(space, DENSE_DIM_CAP)
     wall = Wall(space.r, space.s)
     if d.m != wall.m:
         raise ValueError(f"diagram on {d.m} columns against r+s={wall.m}")
     if not is_walled(d, wall):
         raise ValueError("diagram does not respect the wall")
-    return _diagram_rows(d, space.n, BilinearForm("symmetric", space.n))
-
-
-def mixed_diagram_matrix(d: BrauerDiagram, space: MixedSpace) -> np.ndarray:
-    check_dim(space, DENSE_DIM_CAP)
-    return dense_from_rows(mixed_diagram_rows(d, space), space.dim)
+    return dense_from_rows(_diagram_rows(d, space.n, BilinearForm("symmetric", space.n)),
+                           space.dim)
 
 
 def sigma_mixed_rows(el: AlgebraElement, space: MixedSpace) -> list[dict[int, Fraction]]:
@@ -477,12 +465,17 @@ def ad_action(x: np.ndarray, n: int) -> np.ndarray:
     return dense_from_rows(_ad_cols(x, n), n * n - 1).T.copy()
 
 
+def _sparse_cols(x: np.ndarray) -> list[dict[int, object]]:
+    """Columns of a small dense matrix as sparse {row: value} dicts."""
+    return [{i: exactify(v) for i, v in enumerate(col) if v} for col in x.T.tolist()]
+
+
 def _position_actions(x: np.ndarray, space):
-    # the columns of x are the rows of x^T, those of -x^T the rows of -x
     if isinstance(space, TensorSpace):
-        return [rows_from_dense(x.T)] * space.r, [space.n] * space.r
+        return [_sparse_cols(x)] * space.r, [space.n] * space.r
     if isinstance(space, MixedSpace):
-        cols, dual = rows_from_dense(x.T), rows_from_dense(-x)
+        # dual positions act by -x^T
+        cols, dual = _sparse_cols(x), _sparse_cols(-x.T)
         return [cols] * space.r + [dual] * space.s, [space.n] * (space.r + space.s)
     if isinstance(space, AdjointSpace):
         return [_ad_cols(x, space.n)] * space.r, [space.n ** 2 - 1] * space.r
@@ -507,59 +500,69 @@ def derivation_action(x: np.ndarray, space) -> np.ndarray:
     return derivation_ops_sparse(x, space).to_dense()
 
 
-def reflection_matrix(n: int, r: int) -> np.ndarray:
-    """Tensor power of diag(-1, 1, ..., 1): the determinant -1 element
-    that extends the rotation group to the full orthogonal group."""
+def reflection_op(n: int, r: int) -> LinOp:
+    """Tensor power of diag(-1, 1, ..., 1), as a diagonal ``LinOp``: the
+    determinant -1 element that extends rotations to the full orthogonal group."""
     space = TensorSpace(n, r)
-    check_dim(space, DENSE_DIM_CAP)
-    out = zeros_matrix(space.dim, space.dim)
-    for flat in range(space.dim):
-        digs = _digits(flat, n, r)
-        out[flat, flat] = (-1) ** sum(1 for d in digs if d == 0)
-    return out
+    check_dim(space)
+    return LinOp(space.dim, [{i: (-1) ** digs.count(0)} for i, digs in
+                             enumerate(itertools.product(range(n), repeat=r))])
+
+
+def reflection_matrix(n: int, r: int) -> np.ndarray:
+    """Dense matrix of :func:`reflection_op`."""
+    check_dim(TensorSpace(n, r), DENSE_DIM_CAP)
+    return reflection_op(n, r).to_dense()
 
 
 # ---------------------------------------------------------------------------
 # the adjoint summand of mixed tensor space
 
-def gl_sl_transport(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(S, T): S embeds sl coordinates into gl = V (x) V* coordinates,
-    T projects a matrix to its trace-free part in sl coordinates.
-    T S is the identity on sl.  Both are read from the sparse structure
-    of the sl basis; the trace-free part of E_aa has h_c coordinate
-    [a <= c] - (c+1)/n."""
-    d = n * n - 1
-    s, t = zeros_matrix(n * n, d), zeros_matrix(d, n * n)
+def _gl_sl_cols(n: int) -> tuple[list[dict], list[dict]]:
+    """The columns of (S, T) as sparse {row: value} dicts: S embeds sl
+    coordinates into gl = V (x) V* coordinates, T projects a matrix to its
+    trace-free part in sl coordinates, and T S is the identity on sl.
+    Both are read from the sparse structure of the sl basis; the
+    trace-free part of E_aa has h_c coordinate [a <= c] - (c+1)/n."""
+    s_cols: list[dict] = [{} for _ in range(n * n - 1)]
+    t_cols: list[dict] = [{} for _ in range(n * n)]
     for a, b in itertools.permutations(range(n), 2):
-        s[a * n + b, _sl_off(n, a, b)] = t[_sl_off(n, a, b), a * n + b] = 1
+        s_cols[_sl_off(n, a, b)][a * n + b] = t_cols[a * n + b][_sl_off(n, a, b)] = 1
     for a in range(n):
         for j, _, w in _sl_line(n, a)[n - 1:]:
-            s[a * n + a, j] = w
+            s_cols[j][a * n + a] = w
         for c in range(n - 1):
-            t[n * n - n + c, a * n + a] = Fraction(n * (a <= c) - c - 1, n)
-    return s, t
+            t_cols[a * n + a][n * n - n + c] = Fraction(n * (a <= c) - c - 1, n)
+    return s_cols, t_cols
 
 
-def adjoint_transport(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+def adjoint_transport_rows(n: int, r: int) -> tuple[list[dict], list[dict]]:
     """(inclusion, coordinates) between the adjoint power and mixed
-    (r, r) tensor space, using the equivariant identification of
-    V (x) V* with n x n matrices: the r-th tensor powers of the pair of
-    :func:`gl_sl_transport`, with the V digits moved before the V* ones."""
+    (r, r) tensor space as sparse rows, using the equivariant
+    identification of V (x) V* with n x n matrices: the r-th tensor
+    powers of the pair (S, T) of :func:`_gl_sl_cols`, with the V digits
+    moved before the V* ones."""
     space, d = MixedSpace(n, r, r), n * n - 1
     check_dim(space)
-    s, t = gl_sl_transport(n)
-    s_cols, t_cols = rows_from_dense(s.T), rows_from_dense(t.T)
-    incl, coords = zeros_matrix(space.dim, d ** r), zeros_matrix(d ** r, space.dim)
+    s_cols, t_cols = _gl_sl_cols(n)
+    incl: list[dict] = [{} for _ in range(space.dim)]
+    coords: list[dict] = [{} for _ in range(d ** r)]
     for aflat, ks in enumerate(itertools.product(range(d), repeat=r)):
         for picks in itertools.product(*(s_cols[k].items() for k in ks)):
             gs = [g for g, _ in picks]
             row = _flat([g // n for g in gs] + [g % n for g in gs], n)
-            incl[row, aflat] = math.prod(c for _, c in picks)
+            incl[row][aflat] = math.prod(c for _, c in picks)
     for mflat, digs in enumerate(itertools.product(range(n), repeat=2 * r)):
         gls = [digs[j] * n + digs[r + j] for j in range(r)]
         for picks in itertools.product(*(t_cols[g].items() for g in gls)):
-            coords[_flat([k for k, _ in picks], d), mflat] = math.prod(c for _, c in picks)
+            coords[_flat([k for k, _ in picks], d)][mflat] = math.prod(c for _, c in picks)
     return incl, coords
+
+
+def adjoint_transport(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense matrices of :func:`adjoint_transport_rows`."""
+    incl, coords = adjoint_transport_rows(n, r)
+    return dense_from_rows(incl, len(coords)), dense_from_rows(coords, len(incl))
 
 
 def adjoint_projection(n: int, r: int) -> np.ndarray:
@@ -569,19 +572,19 @@ def adjoint_projection(n: int, r: int) -> np.ndarray:
     return sigma_mixed(idempotent_e(r, n), MixedSpace(n, r, r))
 
 
-def deranged_matrix(el: AlgebraElement, n: int, r: int,
-                    transport: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Action of a sandwiched walled element on the adjoint power,
-    transported from mixed tensor space.  The whole chain is multiplied
-    sparsely; pass a precomputed transport pair to amortize it."""
-    space = MixedSpace(n, r, r)
-    check_dim(space, DENSE_DIM_CAP)
-    incl, coords = adjoint_transport(n, r) if transport is None else transport
-    adj_dim = AdjointSpace(n, r).dim
-    rows = sparse_matmul(
-        sparse_matmul(rows_from_dense(coords), sigma_mixed_rows(el, space)),
-        rows_from_dense(incl))
-    return dense_from_rows(rows, adj_dim)
+def deranged_ops(els: list[AlgebraElement], n: int, r: int) -> list[LinOp]:
+    """Actions of sandwiched walled elements on the adjoint power,
+    transported from mixed tensor space through one transport pair and
+    multiplied sparsely."""
+    incl, coords = adjoint_transport_rows(n, r)
+    mixed = [sigma_mixed_rows(el, MixedSpace(n, r, r)) for el in els]
+    return [LinOp(len(coords), sparse_matmul(sparse_matmul(coords, m), incl)) for m in mixed]
+
+
+def deranged_matrix(el: AlgebraElement, n: int, r: int) -> np.ndarray:
+    """Dense matrix of one element's action, as :func:`deranged_ops`."""
+    check_dim(MixedSpace(n, r, r), DENSE_DIM_CAP)
+    return deranged_ops([el], n, r)[0].to_dense()
 
 
 # ---------------------------------------------------------------------------

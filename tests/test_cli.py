@@ -166,6 +166,12 @@ class TestDims:
         out, err = capsys.readouterr()
         assert out == "" and "n >= 2r" in err
 
+    @pytest.mark.parametrize("r,n", [(0, -5), (0, -1), (1, 1)])
+    def test_deranged_n_rule_at_every_r(self, capsys, r, n):
+        # zero columns never reach deranged_basis, which holds the rule too
+        assert cli.main(["dims", "--family", "deranged", "--r", str(r), "--n", str(n)]) == 2
+        assert capsys.readouterr() == ("", f"diagramalg: need n >= 2r (got n={n}, r={r})\n")
+
     @pytest.mark.parametrize("family,extra", [
         ("brauer", ()),
         ("walled", ("--s", "0")),

@@ -36,6 +36,13 @@ class TestSmallFamilies:
                             "commutant_of_diagram": 10, "commutant_of_group": 2}
         assert rep.faithful is True
 
+    def test_walled_on_covectors_only(self):
+        # r = 0: two dual factors only, the mirror image of V (x) V
+        rep = verify_duality("walled", 2, 0, 2)
+        assert rep.dims == {"group_image": 10, "diagram_image": 2,
+                            "commutant_of_diagram": 10, "commutant_of_group": 2}
+        assert rep.verified and rep.faithful
+
     def test_so_direct_strict_containment(self):
         rep = verify_duality("so-direct", 2, 1)
         assert rep.extra["so_commutant"] == 2
@@ -87,14 +94,12 @@ class TestDeranged:
     def _non_commuting(monkeypatch):
         # diag(1, 0, 0) on sl_2 keeps the torus weights but does not
         # commute with ad(e_01)
-        from diagramalg.linalg import zeros_matrix
+        from diagramalg.linalg import LinOp
 
         def fake(*args, **kwargs):
-            mat = zeros_matrix(3, 3)
-            mat[0, 0] = 1
-            return mat
+            return [LinOp(3, [{0: 1}, {}, {}])]
 
-        monkeypatch.setattr(duality, "deranged_matrix", fake)
+        monkeypatch.setattr(duality, "deranged_ops", fake)
 
     def test_commutation_checked_exactly_without_equal_b(self, monkeypatch):
         self._non_commuting(monkeypatch)
@@ -105,9 +110,11 @@ class TestDeranged:
     def test_equal_b_proves_commutation(self, monkeypatch):
         # equal_b puts every diagram matrix in the span of the exactly
         # checked commutant basis, so no product is formed
+        from diagramalg.linalg import LinOp
+
         self._non_commuting(monkeypatch)
         monkeypatch.setattr(duality, "span_equal", lambda a, b: True)
-        monkeypatch.setattr(duality, "sparse_matmul", None)
+        monkeypatch.setattr(LinOp, "__matmul__", None)
         rep = verify_duality("deranged", 2, 1)
         assert rep.equal_b is True and rep.equal_a is True
 
@@ -151,14 +158,10 @@ class TestOneEqualityRule:
     @staticmethod
     def _non_commuting(monkeypatch):
         # diag(1, 0, 0, 0) on (Q^2)^(x 2) does not commute with E_01
-        from diagramalg.linalg import zeros_matrix
-
         def fake(*args, **kwargs):
-            mat = zeros_matrix(4, 4)
-            mat[0, 0] = 1
-            return mat
+            return [{0: 1}, {}, {}, {}]
 
-        monkeypatch.setattr(duality, "sigma_perm", fake)
+        monkeypatch.setattr(duality, "_diagram_rows", fake)
 
     @pytest.mark.parametrize("mode", ["auto", "modular", "exact"])
     def test_non_commuting_actions_raise_in_every_mode(self, monkeypatch, mode):
@@ -275,7 +278,7 @@ class TestModeValidation:
         def refuse(*args, **kwargs):
             raise AssertionError("work started")
 
-        for name in ("sigma_perm", "derivation_action", "adjoint_transport",
+        for name in ("_diagram_rows", "derivation_ops_sparse", "deranged_ops",
                      "algebra_closure", "commutant"):
             monkeypatch.setattr(duality, name, refuse)
         for family, r in (("glA", 2), ("deranged", 1), ("so-direct", 1)):

@@ -40,7 +40,6 @@ from diagramalg.tensor import (
     AdjointSpace,
     MixedSpace,
     TensorSpace,
-    adjoint_transport,
     deranged_matrix,
     derivation_action,
     diagram_matrix,
@@ -486,9 +485,7 @@ class TestBatchedModRref:
 
 def graded_cases():
     adjoint = AdjointSpace(3, 1)
-    transport = adjoint_transport(3, 1)
-    yield ([deranged_matrix(el.element, 3, 1, transport=transport)
-            for el in deranged_basis(1, 3)], adjoint, 64)
+    yield [deranged_matrix(el.element, 3, 1) for el in deranged_basis(1, 3)], adjoint, 64
     tensor = TensorSpace(2, 3)
     yield ([sigma_perm(w, tensor) for w in itertools.permutations(range(3))],
            tensor, 20)
@@ -784,7 +781,7 @@ class TestBoundedClosure:
         saturate, to_modp = linalg.saturate, linalg.mat_to_modp
 
         def counted_saturate(start, gens, multiply, take):
-            counts["exact_saturations"].append(multiply is np.matmul)
+            counts["exact_saturations"].append(multiply is LinOp.__matmul__)
             return saturate(start, gens, multiply, take)
 
         def counted_to_modp(mat, p):
@@ -836,6 +833,54 @@ class TestBoundedClosure:
                             lambda mat, p: rng.integers(0, p, size=mat.shape))
         with pytest.raises(ArithmeticError, match="exactly dependent"):
             algebra_closure(gl2_closure_seed(), 4, bound=10)
+
+
+CLOSURE_SEEDS = pytest.mark.parametrize("make_seed,d,dim", [
+    (gl2_closure_seed, 4, 10), (sp42_closure_seed, 16, 126),
+], ids=["gl2", "sp4"])
+
+
+class TestDenseAndLinOpAgree:
+    """The operator layer converts a dense array to a LinOp on the way in
+    and works on LinOps only, so the same operators given either way give
+    the same dimensions and the same spans."""
+
+    @staticmethod
+    def ops(mats):
+        return [LinOp.from_dense(m) for m in mats]
+
+    @CLOSURE_SEEDS
+    def test_span_and_membership(self, make_seed, d, dim):
+        seed = make_seed()
+        dense, ops = MatrixSpan.from_matrices(seed, d), MatrixSpan.from_matrices(self.ops(seed), d)
+        assert dense.dim == ops.dim == len(seed)
+        assert span_equal(dense, ops) and span_equal(ops, dense)
+        # the seed lies in its span, products of two generators do not
+        for x, y in itertools.product(seed[:4], repeat=2):
+            for m, inside in ((x, True), (x @ y, False)):
+                for span in (dense, ops):
+                    assert span.contains_matrix(m) is inside
+                    assert span.contains_matrix(LinOp.from_dense(m)) is inside
+            assert not ops.contains_matrix(LinOp.from_dense(x) @ LinOp.from_dense(y))
+
+    @CLOSURE_SEEDS
+    def test_commutant(self, make_seed, d, dim):
+        seed = make_seed()
+        (dense, dense_res), (ops, ops_res) = commutant(seed, d), commutant(self.ops(seed), d)
+        assert (dense_res.nullity, dense_res.rank) == (ops_res.nullity, ops_res.rank)
+        assert dense.dim == ops.dim == dense_res.nullity
+        assert span_equal(dense, ops)
+
+    @CLOSURE_SEEDS
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_closure(self, make_seed, d, dim, bounded):
+        seed = make_seed()
+        bound = dim if bounded else None
+        dense = algebra_closure(seed, d, bound=bound)
+        ops = algebra_closure(self.ops(seed), d, bound=bound)
+        assert dense.dim == ops.dim == dim
+        assert [m.rows for m in dense.basis] == [m.rows for m in ops.basis]
+        assert span_equal(dense, ops)
 
 
 class TestModRrefWideSums:

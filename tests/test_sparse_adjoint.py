@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diagramalg import duality, tensor
+from diagramalg import duality, linalg, tensor
 from diagramalg.combinatorics import _invariant_equations
 from diagramalg.duality import verify_duality
 from diagramalg.linalg import (
@@ -21,9 +21,9 @@ from diagramalg.tensor import (
     _lift_entries,
     _zero_weight_support,
     ad_action,
+    adjoint_transport,
     derivation_action,
     derivation_ops_sparse,
-    gl_sl_transport,
     lie_basis,
     weight_vectors,
 )
@@ -101,7 +101,7 @@ class TestAdjointLift:
 class TestTransport:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_dense_coordinates(self, n):
-        s, t = gl_sl_transport(n)
+        s, t = adjoint_transport(n, 1)
         basis = lie_basis("sl", n)
         for k, b in enumerate(basis):
             assert [s[g, k] for g in range(n * n)] == list(b.reshape(-1))
@@ -145,20 +145,27 @@ class TestZeroWeightSupport:
 
 class TestSparseDerangedPath:
     def test_generators_never_dense(self, monkeypatch):
-        from_dense = LinOp.from_dense.__func__
+        # every family builds its operators sparse: no dense matrix is
+        # turned into rows anywhere in a verify, and no dense derivation
+        # is built, wherever a module binds those names
         dense_calls = []
 
-        def counting_from_dense(cls, mat):
-            dense_calls.append(mat.shape)
-            return from_dense(cls, mat)
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                dense_calls.append(name)
+                return original(*args, **kwargs)
+            return counted
 
-        def counting_derivation(*args, **kwargs):
-            dense_calls.append("derivation_action")
-            return derivation_action(*args, **kwargs)
-
-        monkeypatch.setattr(LinOp, "from_dense", classmethod(counting_from_dense))
-        monkeypatch.setattr(duality, "derivation_action", counting_derivation)
-        monkeypatch.setattr(tensor, "derivation_action", counting_derivation)
+        from_dense = LinOp.from_dense.__func__
+        monkeypatch.setattr(LinOp, "from_dense", classmethod(counting("from_dense", from_dense)))
+        for module in (linalg, tensor, duality):
+            for name in ("rows_from_dense", "derivation_action"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for family, n, r, s in [("glA", 2, 3, None), ("o", 3, 2, None), ("sp", 2, 2, None),
+                                ("so-direct", 2, 1, None), ("walled", 2, 1, 1)]:
+            rep = verify_duality(family, n, r, s)
+            assert rep.verified or rep.extra["proper_subalgebra"]
         rep = verify_duality("deranged", 3, 1)
         assert rep.verified
         assert rep.dims["commutant_of_group"] == 1
