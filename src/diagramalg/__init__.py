@@ -22,6 +22,7 @@ from .diagrams import (
     diagram_from_json,
     diagram_to_json,
     enumerate_diagrams,
+    enumerate_walled,
     flip,
     identity_diagram,
     is_walled,

@@ -22,6 +22,7 @@ from .diagrams import (
     diagram_to_json,
     double_factorial_odd,
     enumerate_diagrams,
+    enumerate_walled,
     identity_diagram,
     is_walled,
     wall_generator,
@@ -79,6 +80,16 @@ class AlgebraElement:
         raise AttributeError("AlgebraElement is immutable")
 
     @classmethod
+    def _reduced(cls, m: int, terms: dict, x0) -> "AlgebraElement":
+        # An internal result that needs no normalizing: every term is on m
+        # columns and holds a nonzero coefficient of the ring of x0.
+        el = object.__new__(cls)
+        object.__setattr__(el, "m", m)
+        object.__setattr__(el, "x0", x0)
+        object.__setattr__(el, "_terms", terms)
+        return el
+
+    @classmethod
     def zero(cls, m: int, x0=None) -> "AlgebraElement":
         return cls(m, {}, x0)
 
@@ -123,10 +134,10 @@ class AlgebraElement:
                 out[d] = acc
             else:
                 out.pop(d, None)
-        return AlgebraElement(self.m, out, self.x0)
+        return AlgebraElement._reduced(self.m, out, self.x0)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.m, {d: -c for d, c in self._terms.items()}, self.x0)
+        return AlgebraElement._reduced(self.m, {d: -c for d, c in self._terms.items()}, self.x0)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -135,7 +146,8 @@ class AlgebraElement:
 
     def scale(self, c) -> "AlgebraElement":
         c = _coerce_coeff(c, self.x0)
-        return AlgebraElement(self.m, {d: c * v for d, v in self._terms.items()}, self.x0)
+        terms = {d: c * v for d, v in self._terms.items()} if c else {}
+        return AlgebraElement._reduced(self.m, terms, self.x0)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):
@@ -143,21 +155,28 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[BrauerDiagram, object] = {}
+        if self.x0 is None:  # one coefficient list per composite, summed at offset loops
+            rows: dict[BrauerDiagram, list] = {}
+            for d1, c1 in self._terms.items():
+                for d2, c2 in other._terms.items():
+                    res = compose(d1, d2)
+                    coeffs = (c1 * c2).coeffs
+                    row = rows.setdefault(res.composite, [])
+                    row += [0] * (res.loops + len(coeffs) - len(row))
+                    for i, c in enumerate(coeffs, res.loops):
+                        row[i] = row[i] + c if row[i] else c
+            return AlgebraElement._reduced(
+                self.m, {d: p for d, row in rows.items() if (p := QPoly(row))}, None)
+        out: dict[BrauerDiagram, Fraction] = {}
         for d1, c1 in self._terms.items():
             for d2, c2 in other._terms.items():
                 res = compose(d1, d2)
-                c = c1 * c2
-                if self.x0 is None:
-                    c = c.shift(res.loops)
-                else:
-                    c = c * self.x0 ** res.loops
-                acc = out.get(res.composite, _zero_coeff(self.x0)) + c
+                acc = out.get(res.composite, Fraction(0)) + c1 * c2 * self.x0 ** res.loops
                 if acc:
                     out[res.composite] = acc
                 else:
                     out.pop(res.composite, None)
-        return AlgebraElement(self.m, out, self.x0)
+        return AlgebraElement._reduced(self.m, out, self.x0)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):
@@ -195,10 +214,8 @@ class AlgebraElement:
         """Image in the symmetric group algebra: drop every diagram with a
         horizontal edge.  Those diagrams span a two-sided ideal, so this is
         an algebra homomorphism."""
-        return AlgebraElement(
-            self.m,
-            {d: c for d, c in self._terms.items() if d.is_permutation()},
-            self.x0)
+        return AlgebraElement._reduced(
+            self.m, {d: c for d, c in self._terms.items() if d.is_permutation()}, self.x0)
 
     def is_supported_walled(self, wall: Wall) -> bool:
         return all(is_walled(d, wall) for d in self._terms)
@@ -263,8 +280,8 @@ def deranged_basis(r: int, n) -> list[DerangedElement]:
     wall = Wall(r, r)
     e = idempotent_e(r, n)
     out = []
-    for d in enumerate_diagrams(2 * r):
-        if is_walled(d, wall) and _avoids_straight_cross(d, r):
+    for d in enumerate_walled(wall):
+        if _avoids_straight_cross(d, r):
             v = e * AlgebraElement.from_diagram(d, 1, x0=n) * e
             out.append(DerangedElement(v, d, r, n))
 

@@ -38,7 +38,7 @@ from .diagrams import (
     Wall,
     diagram_from_json,
     enumerate_diagrams,
-    is_walled,
+    enumerate_walled,
 )
 from .duality import FAMILIES, verify_duality
 from .linalg import DEFAULT_UNKNOWN_CAP, MODES
@@ -119,11 +119,6 @@ def cmd_multiply(args) -> int:
     return EXIT_OK
 
 
-def _count_walled(r: int, s: int) -> int:
-    wall = Wall(r, s)
-    return sum(1 for d in enumerate_diagrams(wall.m) if is_walled(d, wall))
-
-
 # family -> (the flag it takes besides --r, the exact formula, a lower bound
 # on the formula's natural log, the enumeration).  The bounds come from
 # lgamma: (2r-1)!! = (2r)! / (2^r r!), (r+s)!, and N(2r) >= (2r)!/e (the
@@ -134,7 +129,7 @@ _DIMS = {
                lambda r, s: lgamma(2 * r + 1) - lgamma(r + 1) - r * log(2),
                lambda r, s, n: sum(1 for _ in enumerate_diagrams(r))),
     "walled": ("s", lambda r, s, n: walled_count(r, s), lambda r, s: lgamma(r + s + 1),
-               lambda r, s, n: _count_walled(r, s)),
+               lambda r, s, n: sum(1 for _ in enumerate_walled(Wall(r, s)))),
     "deranged": ("n", lambda r, s, n: derangements(2 * r), lambda r, s: lgamma(2 * r + 1) - 1,
                  lambda r, s, n: len(deranged_basis(r, n))),
 }
@@ -249,8 +244,14 @@ def main(argv=None) -> int:
         sys.stderr.write(f"diagramalg: {exc}\n")
         return EXIT_USAGE
     except (ArithmeticError, MemoryError) as exc:
-        detail = f": {exc}" if str(exc) else ""
-        sys.stderr.write(f"diagramalg: internal error: {type(exc).__name__}{detail}\n")
+        try:
+            detail = f": {exc}" if str(exc) else ""
+            sys.stderr.write(f"diagramalg: internal error: {type(exc).__name__}{detail}\n")
+        except MemoryError:  # too short of memory to format: a constant line, or none
+            try:
+                sys.stderr.write("diagramalg: internal error: MemoryError\n")
+            except MemoryError:
+                pass
         return EXIT_INTERNAL
 
 

@@ -279,15 +279,19 @@ def compose(d1: BrauerDiagram, d2: BrauerDiagram) -> CompositionResult:
     return CompositionResult(BrauerDiagram(m, tuple(partner)), loops)
 
 
+def _walled_pair(v: int, w: int, m: int, r: int) -> bool:
+    # An edge stays in one row exactly when its ends lie on opposite sides
+    # of the wall (vertex v sits in column v % m).
+    return ((v < m) == (w < m)) == ((v % m < r) != (w % m < r))
+
+
 def is_walled(d: BrauerDiagram, wall: Wall) -> bool:
     """True if every horizontal edge crosses the wall and no vertical
-    edge does: an edge stays in one row exactly when its ends lie on
-    opposite sides of the wall (vertex v sits in column ``v % m``)."""
+    edge does."""
     if wall.m != d.m:
         raise SizeMismatchError(f"wall ({wall.r},{wall.s}) does not fit m={d.m}")
     m, r = d.m, wall.r
-    return all(((v < m) == (w < m)) == ((v % m < r) != (w % m < r))
-               for v, w in enumerate(d.partner))
+    return all(_walled_pair(v, w, m, r) for v, w in enumerate(d.partner))
 
 
 def flip(d: BrauerDiagram, wall: Wall) -> BrauerDiagram:
@@ -309,13 +313,9 @@ def flip(d: BrauerDiagram, wall: Wall) -> BrauerDiagram:
     return BrauerDiagram(m, tuple(partner))
 
 
-def enumerate_diagrams(m: int) -> Iterator[BrauerDiagram]:
-    """Yield every diagram on ``m`` columns once, in canonical order.
-
-    Canonical order is lexicographic on the sorted edge lists; there are
-    (2m-1)!! diagrams in total.  ``m`` above :data:`DEFAULT_ENUM_CAP`
-    raises :class:`CapExceededError` so exhaustive sweeps stay bounded.
-    """
+def _matchings(m: int, allowed=None) -> Iterator[BrauerDiagram]:
+    # The smallest free vertex takes each free partner in turn (the
+    # canonical order), skipping a pair that ``allowed(v, w)`` refuses.
     if m > DEFAULT_ENUM_CAP:
         raise CapExceededError(f"enumeration for m={m} exceeds cap {DEFAULT_ENUM_CAP}")
     if m <= 0:
@@ -327,12 +327,34 @@ def enumerate_diagrams(m: int) -> Iterator[BrauerDiagram]:
             return
         a = verts[0]
         for k in range(1, len(verts)):
-            rest = verts[1:k] + verts[k + 1:]
-            for tail in matchings(rest):
-                yield [(a, verts[k])] + tail
+            if allowed is None or allowed(a, verts[k]):
+                for tail in matchings(verts[1:k] + verts[k + 1:]):
+                    yield [(a, verts[k])] + tail
 
     for pairs in matchings(tuple(range(2 * m))):
         yield _from_edges(m, pairs)
+
+
+def enumerate_diagrams(m: int) -> Iterator[BrauerDiagram]:
+    """Yield every diagram on ``m`` columns once, in canonical order.
+
+    Canonical order is lexicographic on the sorted edge lists; there are
+    (2m-1)!! diagrams in total.  ``m`` above :data:`DEFAULT_ENUM_CAP`
+    raises :class:`CapExceededError` so exhaustive sweeps stay bounded.
+    """
+    return _matchings(m)
+
+
+def enumerate_walled(wall: Wall) -> Iterator[BrauerDiagram]:
+    """Yield the walled diagrams on ``wall.m`` columns in canonical order,
+    building no other diagram; there are (r+s)! of them.  The column cap
+    of :func:`enumerate_diagrams` applies.
+
+    >>> sum(1 for _ in enumerate_walled(Wall(2, 1)))
+    6
+    """
+    m, r = wall.m, wall.r
+    return _matchings(m, lambda v, w: _walled_pair(v, w, m, r))
 
 
 def random_diagram(m: int, rng) -> BrauerDiagram:

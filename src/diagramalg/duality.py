@@ -34,7 +34,8 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from .diagrams import CapExceededError, Wall, enumerate_diagrams, is_walled, permutation_to_diagram
+from .diagrams import (CapExceededError, Wall, enumerate_diagrams, enumerate_walled,
+                       permutation_to_diagram)
 from .linalg import (
     DEFAULT_UNKNOWN_CAP,
     MODES,
@@ -123,8 +124,7 @@ _SIDES = {
     "glA": (lambda r, s: map(permutation_to_diagram, itertools.permutations(range(r))), "gl"),
     "o": (lambda r, s: enumerate_diagrams(r), "so"),
     "sp": (lambda r, s: enumerate_diagrams(r), "sp"),
-    "walled": (lambda r, s: (d for d in enumerate_diagrams(r + s) if is_walled(d, Wall(r, s))),
-               "gl"),
+    "walled": (lambda r, s: enumerate_walled(Wall(r, s)), "gl"),
 }
 
 

@@ -17,7 +17,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -42,14 +42,9 @@ class QPoly:
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by x**k."""
-        if self.is_zero() or k == 0:
-            return self if k >= 0 else self._shift_checked(k)
         if k < 0:
-            return self._shift_checked(k)
-        return QPoly((Fraction(0),) * k + self.coeffs)
-
-    def _shift_checked(self, k):
-        raise ValueError(f"negative shift {k} not supported")
+            raise ValueError(f"negative shift {k} not supported")
+        return QPoly((Fraction(0),) * k + self.coeffs) if self else self
 
     def evaluate(self, x0) -> Fraction:
         x0 = Fraction(x0)
@@ -90,11 +85,11 @@ class QPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+                for k, b in enumerate(other.coeffs, i):
+                    out[k] = out[k] + a * b if out[k] else a * b
         return QPoly(out)
 
     __rmul__ = __mul__

@@ -4,16 +4,18 @@ These deliberately avoid the code paths they check: the twisted-strand
 composition is a literal graph chase on two stacked permutation
 diagrams, the walled predicate and the flip go edge by edge over the
 sorted edge list, the orthogonal diagram action is the edge-by-edge delta
-product rather than a permute-contract-permute factorization, and the
-adjoint action forms every commutator as a dense matrix product.
+product rather than a permute-contract-permute factorization, the
+adjoint action forms every commutator as a dense matrix product, and the
+generic product adds one shifted polynomial per pair of terms.
 """
 from fractions import Fraction
 
 import numpy as np
 
-from diagramalg.diagrams import BrauerDiagram, Wall
+from diagramalg.algebra import AlgebraElement
+from diagramalg.diagrams import BrauerDiagram, Wall, compose
 from diagramalg.linalg import zeros_matrix
-from diagramalg.ring import exactify
+from diagramalg.ring import QPoly, exactify
 from diagramalg.tensor import lie_basis
 
 
@@ -186,3 +188,20 @@ def dense_ad_action(x: np.ndarray, n: int) -> np.ndarray:
             if c:
                 out[i, j] = c
     return out
+
+
+def reference_generic_product(a, b):
+    """The generic product one pair at a time: each term's coefficient
+    product is shifted by its loops and added into a fresh polynomial,
+    and the element constructor normalizes the sum again."""
+    assert a.x0 is None and b.x0 is None and a.m == b.m
+    out = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            res = compose(d1, d2)
+            acc = out.get(res.composite, QPoly()) + (c1 * c2).shift(res.loops)
+            if acc:
+                out[res.composite] = acc
+            else:
+                out.pop(res.composite, None)
+    return AlgebraElement(a.m, out)

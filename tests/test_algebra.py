@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ from diagramalg.diagrams import (
 )
 from diagramalg.linalg import ExactRref
 from diagramalg.ring import QPoly
+
+from oracles import reference_generic_product
 
 
 def elem(d, coeff=1, x0=None):
@@ -236,6 +239,43 @@ class TestGeneratedSubalgebra:
     def test_generic_ring_rejected(self):
         with pytest.raises(RingMismatchError):
             generated_subalgebra([AlgebraElement.unit(2)])
+
+
+class TestGenericProductMatchesReference:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_random_products_with_cancellation(self, m):
+        # u*e times e*v - x*v cancels term by term (e*e = x*e), across
+        # different loop counts; adding w leaves a nonzero rest.
+        rng = random.Random(40 + m)
+        e = elem(c_generator(m, 1, 2))
+        x = QPoly.x()
+        cases = zeros = 0
+        for _ in range(8):
+            u, v, w = (random_element(m, rng, nterms=rng.randint(1, 4)) for _ in range(3))
+            a = u * e
+            for b in (random_element(m, rng, nterms=5), e * v - v.scale(x),
+                      e * v - v.scale(x) + w):
+                got, want = a * b, reference_generic_product(a, b)
+                assert got == want
+                assert hash(got) == hash(want)
+                assert (json.dumps(element_to_json(got), sort_keys=True)
+                        == json.dumps(element_to_json(want), sort_keys=True))
+                assert all(type(q) is Fraction for _, c in got.items() for q in c.coeffs)
+                for x0 in (Fraction(-2), Fraction(0), Fraction(1, 3)):
+                    assert a.specialize(x0) * b.specialize(x0) == want.specialize(x0)
+                cases += 1
+                zeros += got.is_zero()
+        assert cases == 24 and zeros >= 8
+
+    def test_scale_by_zero_drops_every_term(self):
+        rng = random.Random(5)
+        for x0 in (None, Fraction(3)):
+            a = random_element(3, rng, x0, nterms=3)
+            zero = AlgebraElement.zero(3, x0)
+            assert not a.is_zero()
+            assert a.scale(0) == a * 0 == 0 * a == zero
+            assert a.scale(0).is_zero() and hash(a.scale(0)) == hash(zero)
+        assert random_element(3, rng).scale(QPoly()).is_zero()
 
 
 class TestWalledSupport:

@@ -265,6 +265,35 @@ class TestInternalErrors:
         assert err == line
         assert out == ""
 
+    @pytest.mark.parametrize("failures,lines", [
+        (1, ["diagramalg: internal error: MemoryError\n"]),
+        (2, []),
+    ], ids=["constant-line", "no-line"])
+    def test_memory_error_while_reporting_still_exit_4(
+            self, monkeypatch, capsys, failures, lines):
+        # A MemoryError report whose own write runs out of memory must not
+        # escape main, where it would exit 1 ("an equality is false").
+        class StarvedStderr:
+            def __init__(self):
+                self.failures, self.lines = failures, []
+
+            def write(self, text):
+                if self.failures:
+                    self.failures -= 1
+                    raise MemoryError()
+                self.lines.append(text)
+
+        def failing(*args, **kwargs):
+            raise MemoryError("equation dict of 82600000 rows")
+
+        stderr = StarvedStderr()
+        monkeypatch.setattr(cli, "verify_duality", failing)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        rc = cli.main(["verify", "--duality", "glA", "--n", "2", "--r", "7"])
+        assert rc == cli.EXIT_INTERNAL == 4
+        assert stderr.lines == lines
+        assert capsys.readouterr().out == ""
+
 
 class TestDerangementsCommand:
     def test_table(self):

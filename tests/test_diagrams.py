@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from diagramalg.diagrams import (
     diagram_to_json,
     double_factorial_odd,
     enumerate_diagrams,
+    enumerate_walled,
     flip,
     identity_diagram,
     inverse_word,
@@ -127,6 +129,9 @@ def test_enumeration_counts_and_canonical_order(m):
 def test_enumeration_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         list(enumerate_diagrams(7))
+    for r in range(8):  # before yielding anything, whatever the wall
+        with pytest.raises(CapExceededError):
+            next(enumerate_walled(Wall(r, 7 - r)))
     monkeypatch.setattr(diagrams, "DEFAULT_ENUM_CAP", 7)
     assert sum(1 for _ in enumerate_diagrams(7)) == double_factorial_odd(7)
 
@@ -152,6 +157,16 @@ def test_walled_rule_and_flip_match_the_edge_by_edge_reference():
                 assert flip(d, wall) == reference_flip(d, wall), (d, wall)
                 cases += 1
     assert cases == 6266
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_walled_enumeration_is_the_filtered_full_one_in_order(m):
+    full = list(enumerate_diagrams(m))
+    for r in range(m + 1):
+        wall = Wall(r, m - r)
+        walled = list(enumerate_walled(wall))
+        assert walled == [d for d in full if is_walled(d, wall)], wall
+        assert len(walled) == math.factorial(m)
 
 
 @pytest.mark.parametrize("r,s", [(1, 1), (2, 1), (1, 2), (2, 2)])
