@@ -26,7 +26,6 @@ from math import lgamma, log
 
 from .algebra import (
     AlgebraElement,
-    RingMismatchError,
     deranged_basis,
     element_from_json,
     element_to_json,
@@ -34,7 +33,6 @@ from .algebra import (
 from .combinatorics import derangement_table, derangements, diagram_count, walled_count
 from .diagrams import (
     CapExceededError,
-    DiagramError,
     Wall,
     diagram_from_json,
     enumerate_diagrams,
@@ -240,7 +238,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         sys.stderr.write(f"diagramalg: cap exceeded: {exc}\n")
         return EXIT_CAPS
-    except (UsageError, DiagramError, RingMismatchError, ValueError) as exc:
+    except ValueError as exc:  # UsageError, DiagramError and RingMismatchError among them
         sys.stderr.write(f"diagramalg: {exc}\n")
         return EXIT_USAGE
     except (ArithmeticError, MemoryError) as exc:

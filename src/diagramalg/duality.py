@@ -206,17 +206,16 @@ def _verify_deranged(n, r, mode, solver_cap):
 
     The gl_n generators ([x, -] from the structure constants of sl_n) and
     the diagram actions (through one sparse transport pair) are ``LinOp``s
-    from builder to solver; only the graded solve takes a dense stack."""
+    from builder to solver; the graded solve densifies each diagram operator."""
     from .algebra import deranged_basis
 
     space = AdjointSpace(n, r)
-    check_dim(space)
+    check_dim(MixedSpace(n, r, r), DENSE_DIM_CAP)  # n^(2r) > d: caps the adjoint power too
     d = space.dim
     if d * d > solver_cap:
         raise CapExceededError(
             f"{d * d} matrix-space unknowns exceed the solver cap {solver_cap}")
     elements = deranged_basis(r, n)
-    check_dim(MixedSpace(n, r, r), DENSE_DIM_CAP)  # the graded solve takes a dense stack
     diagram_ops = deranged_ops([el.element for el in elements], n, r)
     diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
 
@@ -241,8 +240,7 @@ def _verify_deranged(n, r, mode, solver_cap):
     # space at n=4, r=2; the torus grading splits it into small blocks.
     weights = weight_vectors(space)
     chunk_mode = "exact" if mode == "exact" else "modular"
-    comm_diag_dim, chunk_method = graded_commutant_dim(
-        [op.to_dense() for op in diagram_ops], weights, mode=chunk_mode)
+    comm_diag_dim, chunk_method = graded_commutant_dim(diagram_ops, weights, mode=chunk_mode)
 
     # The group image is the commutant of the group commutant (double
     # commutant theorem: semisimple, characteristic zero), and equal_b

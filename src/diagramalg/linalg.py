@@ -23,8 +23,8 @@ primes are fixed here and nowhere else: every modular route walks
 which route produced a number: ``exact``, ``mod-p(p1,p2)`` (naming the
 two primes used) or ``mod-p-confirmed-exact``.
 
-Operators are ``LinOp``s (sparse rows) in the commutant, span and closure
-code: a dense array enters only through ``_as_linop`` and leaves only
+Operators are ``LinOp``s (sparse rows) in the commutant, span, closure and
+graded code: a dense array enters only through ``_as_linop`` and leaves only
 through ``LinOp.to_dense``.
 """
 from __future__ import annotations
@@ -432,25 +432,32 @@ class ModRref:
         return [tuple(sorted(piv[:r].tolist()))
                 for piv, r in zip(self._pivots, self.rank.tolist())]
 
+    def kernel_vectors(self) -> list[dict[int, int]]:
+        """Single form: the kernel of the row span seen as a matrix, one
+        ``{col: residue}`` vector per free column, in free-column order."""
+        out = {f: {f: 1} for f in range(self.ncols) if f not in self._row_of}
+        for pc, row in self._row_of.items():
+            for j, x in row.items():
+                if j != pc:
+                    out[j][pc] = self.p - x
+        return list(out.values())
+
     def kernel_basis(self) -> np.ndarray:
         """The kernel of the row span seen as a matrix, one vector per free
         column.
 
-        Single form: the vectors are the columns of an (ncols x nullity)
-        array, in free-column order.  Batched: a (B, ncols, ncols) array
+        Single form: the vectors of ``kernel_vectors`` as the columns of an
+        (ncols x nullity) array.  Batched: a (B, ncols, ncols) array
         whose column f of form b is the kernel vector of free column f,
         and zero when f is a pivot column of b; the nonzero columns of a
         form, in order, are its kernel.
         """
         p, n = self.p, self.ncols
         if self.batch is None:
-            free = {f: k for k, f in enumerate(f for f in range(n) if f not in self._row_of)}
-            out = np.zeros((n, len(free)), dtype=np.int64)
-            out[list(free), list(free.values())] = 1
-            for pc, row in self._row_of.items():
-                for j, x in row.items():
-                    if j != pc:
-                        out[pc, free[j]] = p - x
+            vecs = self.kernel_vectors()
+            out = np.zeros((n, len(vecs)), dtype=np.int64)
+            for k, vec in enumerate(vecs):
+                out[list(vec), k] = list(vec.values())
             return out
         forms, rows = np.nonzero(np.arange(n) < self.rank[:, None])
         pivs = self._pivots[forms, rows]
@@ -518,17 +525,17 @@ class SolveResult:
     method: str
 
 
-def _kernel_vanishes(rows: list[dict[int, Fraction]], kernel: list[list]) -> bool:
+def _kernel_vanishes(rows: list[dict[int, Fraction]], kernel: list) -> bool:
     """Exact test of ``A K == 0`` for sparse equation rows and kernel
-    vectors.  Each row and each vector is scaled once to integers by the
-    lcm of its denominators; nonzero scales do not change which entries
-    of the product vanish, and the product itself is sparse int
-    arithmetic over the nonzeros of K's rows."""
+    vectors (lists or dicts).  Each row and each vector is scaled once to
+    integers by the lcm of its denominators; nonzero scales do not change
+    which entries of the product vanish, and the product itself is sparse
+    int arithmetic over the nonzeros of K's rows."""
     k_rows: dict[int, list[tuple[int, int]]] = {}
     for k, vec in enumerate(kernel):
-        for j, x in _int_scaled(dict(enumerate(vec)))[1].items():
-            if x:
-                k_rows.setdefault(j, []).append((k, x))
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        for j, x in _int_scaled({j: x for j, x in items if x})[1].items():
+            k_rows.setdefault(j, []).append((k, x))
     for row in rows:
         acc: dict[int, int] = {}
         for j, c in _int_scaled(row)[1].items():
@@ -573,11 +580,11 @@ def solve_sparse_system(
         # checked exactly, so the exact nullity is at least the modular
         # one, which is never below it: the two are equal.
         ((p, acc),) = _agreeing_primes(eliminate, 1, lambda t: None)
-        kernel = [[rational_reconstruct(a, p) for a in vec]
-                  for vec in acc.kernel_basis().T.tolist()]
-        if not any(None in vec for vec in kernel) and _kernel_vanishes(rows, kernel):
-            return SolveResult(ncols - acc.rank, acc.rank, kernel if want_kernel else None,
-                               "mod-p-confirmed-exact")
+        kernel = [{j: rational_reconstruct(a, p) for j, a in vec.items()}
+                  for vec in acc.kernel_vectors()]
+        if all(None not in vec.values() for vec in kernel) and _kernel_vanishes(rows, kernel):
+            dense = [[v.get(j, 0) for j in range(ncols)] for v in kernel] if want_kernel else None
+            return SolveResult(ncols - acc.rank, acc.rank, dense, "mod-p-confirmed-exact")
     acc = ExactRref(ncols)
     for row in rows:
         acc.insert(row)
@@ -762,23 +769,17 @@ def commutant(
 
 
 # ---------------------------------------------------------------------------
-# chunked modular commutant for torus-graded dense generator families
+# chunked modular commutant for torus-graded generator families
 
 _STACK_ENTRIES = 1 << 20  # entries of one stack of block equations (at least one block)
 
 
-def _check_weight_zero(gens: Sequence[np.ndarray], labels: np.ndarray):
-    _, i, j = np.nonzero(np.stack(gens) != 0)
-    if (labels[i] != labels[j]).any():
-        raise ValueError("generator is not weight-homogeneous of weight zero")
-
-
 def graded_commutant_dim(
-    gens: Sequence[np.ndarray],
+    gens: Sequence,
     weights: Sequence[tuple],
     mode: str = "modular",
 ) -> tuple[int, str]:
-    """Dimension of the commutant of weight-preserving dense generators.
+    """Dimension of the commutant of weight-preserving generators (``LinOp``s or arrays).
 
     ``weights[i]`` grades the i-th basis vector; because every generator
     preserves the grading, the commutant equations split into independent
@@ -794,27 +795,26 @@ def graded_commutant_dim(
         raise ValueError(f"unknown graded mode {mode!r}; choose 'exact' or 'modular'")
     if not gens:
         raise ValueError("need at least one generator")
-    d = gens[0].shape[0]
-    if len(weights) != d:
-        raise ValueError("need one weight per basis vector")
+    ops = [_as_linop(g, len(weights)) for g in gens]
+    if any(weights[i] != weights[j] for op in ops for i, row in enumerate(op.rows) for j in row):
+        raise ValueError("generator is not weight-homogeneous of weight zero")
     keys = sorted(set(weights))
     label_of = {w: c for c, w in enumerate(keys)}
     labels = np.array([label_of[w] for w in weights])
-    _check_weight_zero(gens, labels)
     classes = [np.flatnonzero(labels == c) for c in range(len(keys))]
     if mode == "exact":
-        return _graded_total(np.stack(gens), classes, _nullity_exact, lambda m: m), "exact"
+        return _graded_total(np.stack([op.to_dense() for op in ops]), classes,
+                             _nullity_exact), "exact"
 
     def modular_total(p: int) -> int:
-        gens_p = np.stack([mat_to_modp(g, p) for g in gens])
-        return _graded_total(gens_p, classes, lambda m: kernel_modp_dense(m, p).any(axis=1).sum(),
-                             lambda m: np.mod(m, p, out=m))
+        return _graded_total(np.stack([mat_to_modp(op, p) for op in ops]), classes,
+                             lambda m: kernel_modp_dense(m, p).any(axis=1).sum())
 
     (p1, total), (p2, _) = _agreeing_primes(modular_total, 2, lambda t: t)
     return total, f"mod-p({p1},{p2})"
 
 
-def _graded_total(gens: np.ndarray, classes, nullity, reduce) -> int:
+def _graded_total(gens: np.ndarray, classes, nullity) -> int:
     """Sum over pairs of weight classes (I, J) of the dimension of
     { X in Hom(J, I) : g X == X g for every generator }.
 
@@ -822,8 +822,8 @@ def _graded_total(gens: np.ndarray, classes, nullity, reduce) -> int:
     the equations of all blocks of that shape are built at once as a
     (blocks, k*a*b, a*b) stack, generators stacked by rows.
     ``nullity(stack)`` returns the summed nullity of the blocks of a
-    stack and ``reduce`` brings an array to normal form, so one loop
-    serves both the exact and the modular arithmetic.
+    stack, so one loop serves both the exact and the modular arithmetic
+    (``ModRref.insert`` reduces each row mod p itself).
     """
     k = gens.shape[0]
     diag = {}  # diag[a][c, g] is generator g restricted to the c-th class of size a
@@ -844,7 +844,7 @@ def _graded_total(gens: np.ndarray, classes, nullity, reduce) -> int:
                 eqs[:, :, :, j, :, j] = g_left
             for i in range(a):
                 eqs[:, :, i, :, i, :] -= g_right
-            total += int(nullity(reduce(eqs.reshape(left.size, k * a * b, a * b))))
+            total += int(nullity(eqs.reshape(left.size, k * a * b, a * b)))
     return total
 
 

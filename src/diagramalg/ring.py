@@ -149,7 +149,7 @@ def exactify(v):
 
 def fraction_to_str(q) -> str:
     """Render a rational as 'p' or 'p/q' in lowest terms."""
-    q = Fraction(q)
+    q = q if type(q) is Fraction else Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

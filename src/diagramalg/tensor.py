@@ -232,12 +232,10 @@ def _element_rows(el: AlgebraElement, n: int, form: BilinearForm) -> list[dict[i
 def sigma_perm(word, space: TensorSpace) -> np.ndarray:
     """Permutation matrix of the place permutation of ``word``: the
     matrix of the permutation diagram of the inverse word."""
-    check_dim(space, DENSE_DIM_CAP)
     if sorted(word) != list(range(space.r)):
         raise ValueError(f"not a permutation word of length {space.r}: {word!r}")
-    d = permutation_to_diagram(inverse_word(word))
-    return dense_from_rows(_diagram_rows(d, space.n, BilinearForm("symmetric", space.n)),
-                           space.dim)
+    return diagram_matrix(permutation_to_diagram(inverse_word(word)), space,
+                          BilinearForm("symmetric", space.n))
 
 
 def sigma_contraction(i: int, j: int, space: TensorSpace, form: BilinearForm) -> np.ndarray:
@@ -248,12 +246,7 @@ def sigma_contraction(i: int, j: int, space: TensorSpace, form: BilinearForm) ->
     Satisfies C*C = (eps n) C: the trace of the form against its inverse
     is n for the symmetric flavour and -n for the symplectic one.
     """
-    check_dim(space, DENSE_DIM_CAP)
-    r = space.r
-    if not (1 <= i <= r and 1 <= j <= r) or i == j:
-        raise ValueError(f"bad contraction positions ({i}, {j}) for r={r}")
-    d = c_generator(r, i, j)
-    return dense_from_rows(_diagram_rows(d, space.n, form), space.dim)
+    return diagram_matrix(c_generator(space.r, i, j), space, form)
 
 
 def diagram_matrix(d: BrauerDiagram, space: TensorSpace, form: BilinearForm) -> np.ndarray:
@@ -267,20 +260,23 @@ def diagram_matrix(d: BrauerDiagram, space: TensorSpace, form: BilinearForm) -> 
     return dense_from_rows(_diagram_rows(d, space.n, form), space.dim)
 
 
+def _check_specialized(el: AlgebraElement, m: int, x0, action: str, n: int) -> None:
+    """An element acting on m tensor factors of Q^n: m columns, specialized at x0."""
+    if el.m != m:
+        raise ValueError(f"element on {el.m} columns against {m} tensor factors")
+    if el.x0 is None:
+        raise RingMismatchError("specialize the element before representing it")
+    if el.x0 != x0:
+        raise SpecializationError(f"x0={el.x0} but the {action} action on n={n} needs x0={x0}")
+
+
 def sigma_element(el: AlgebraElement, space: TensorSpace, form: BilinearForm) -> np.ndarray:
     """Representing matrix of a specialized element on tensor space.
 
     The specialization must match the form: x0 = n for the symmetric
     flavour, x0 = -n for the symplectic one.
     """
-    if el.m != space.r:
-        raise ValueError(f"element on {el.m} columns against r={space.r}")
-    if el.x0 is None:
-        raise RingMismatchError("specialize the element before representing it")
-    expected = Fraction(form.eps * space.n)
-    if el.x0 != expected:
-        raise SpecializationError(
-            f"x0={el.x0} but the {form.flavor} action on n={space.n} needs x0={expected}")
+    _check_specialized(el, space.r, form.eps * space.n, form.flavor, space.n)
     check_dim(space, DENSE_DIM_CAP)
     return dense_from_rows(_element_rows(el, space.n, form), space.dim)
 
@@ -305,13 +301,7 @@ def mixed_diagram_matrix(d: BrauerDiagram, space: MixedSpace) -> np.ndarray:
 def sigma_mixed_rows(el: AlgebraElement, space: MixedSpace) -> list[dict[int, Fraction]]:
     """Sparse rows of the representing matrix of a walled element."""
     wall = Wall(space.r, space.s)
-    if el.m != wall.m:
-        raise ValueError(f"element on {el.m} columns against r+s={wall.m}")
-    if el.x0 is None:
-        raise RingMismatchError("specialize the element before representing it")
-    if el.x0 != space.n:
-        raise SpecializationError(
-            f"x0={el.x0} but the mixed action on n={space.n} needs x0={space.n}")
+    _check_specialized(el, wall.m, space.n, "mixed", space.n)
     if not el.is_supported_walled(wall):
         raise ValueError("element is not supported on walled diagrams")
     check_dim(space)

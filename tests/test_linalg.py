@@ -503,6 +503,17 @@ class TestBatchedGradedCommutant:
         got, _ = graded_commutant_dim(mats, weight_vectors(space), mode=mode)
         assert got == res.nullity == dim
 
+    @pytest.mark.parametrize("mats,space,dim", list(graded_cases()),
+                             ids=["adjoint-3-1", "tensor-2-3", "mixed-2-1-1"])
+    @pytest.mark.parametrize("mode", ["modular", "exact"])
+    def test_linop_inputs_give_the_dense_totals(self, mats, space, dim, mode):
+        # the deranged verify passes its diagram operators as LinOps
+        weights = weight_vectors(space)
+        ops = [LinOp.from_dense(m) for m in mats]
+        got = graded_commutant_dim(ops, weights, mode=mode)
+        assert got == graded_commutant_dim(mats, weights, mode=mode)
+        assert got[0] == dim
+
     def test_one_kernel_call_per_block_shape_and_prime(self, monkeypatch):
         # AdjointSpace(3, 1): six root classes of size 1 and the zero
         # weight of size 2, so (1,1), (1,2), (2,1), (2,2) blocks: 4 shapes
@@ -939,3 +950,23 @@ class TestSparseModRrefMemory:
             tracemalloc.stop()
         assert acc.rank == sum(grew) == len(acc.pivot_cols) >= 100
         assert peak < 2 ** 20
+
+
+class TestSparseLift:
+    """Mode 'auto' lifts only the nonzeros of the modular kernel, one
+    ``{col: residue}`` vector per free column, and builds a dense kernel
+    only when one is asked for."""
+
+    def test_counting_lift_builds_no_dense_kernel(self):
+        # x_i = x_(i+600): a dense 1200 x 600 kernel would lift 720000
+        # entries, all but 1200 of them zero
+        rows = [{i: 1, i + 600: -1} for i in range(600)]
+        tracemalloc.start()
+        try:
+            res = solve_sparse_system(rows, 1200, mode="auto", want_kernel=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.nullity, res.rank, res.kernel) == (600, 600, None)
+        assert res.method == "mod-p-confirmed-exact"
+        assert peak < 4 * 2 ** 20
