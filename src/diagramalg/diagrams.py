@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 DEFAULT_ENUM_CAP = 6
@@ -67,12 +68,12 @@ class BrauerDiagram:
                 raise DiagramInvariantError(
                     f"not an involution: partner[{v}]={w} but partner[{w}]={self.partner[w]}")
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as sorted vertex pairs, sorted lexicographically.
 
-        This is the canonical form used for ordering, hashing and
-        serialization.
+        This is the canonical form used for ordering and serialization,
+        built once per diagram; ``==`` and ``hash`` read only the fields.
         """
         return tuple(sorted((v, w) if v < w else (w, v)
                             for v, w in enumerate(self.partner) if v < w))

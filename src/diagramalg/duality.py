@@ -206,7 +206,8 @@ def _verify_deranged(n, r, mode, solver_cap):
 
     The gl_n generators ([x, -] from the structure constants of sl_n) and
     the diagram actions (through one sparse transport pair) are ``LinOp``s
-    from builder to solver; the graded solve densifies each diagram operator."""
+    from builder to solver.  The graded solve reduces each diagram operator
+    to residues mod p; only its exact route densifies the exact entries."""
     from .algebra import deranged_basis
 
     space = AdjointSpace(n, r)
@@ -239,8 +240,8 @@ def _verify_deranged(n, r, mode, solver_cap):
     # The commutant of the diagram image lives in a 50625-unknown matrix
     # space at n=4, r=2; the torus grading splits it into small blocks.
     weights = weight_vectors(space)
-    chunk_mode = "exact" if mode == "exact" else "modular"
-    comm_diag_dim, chunk_method = graded_commutant_dim(diagram_ops, weights, mode=chunk_mode)
+    graded_mode = "exact" if mode == "exact" else "modular"
+    comm_diag_dim, graded_method = graded_commutant_dim(diagram_ops, weights, mode=graded_mode)
 
     # The group image is the commutant of the group commutant (double
     # commutant theorem: semisimple, characteristic zero), and equal_b
@@ -254,7 +255,7 @@ def _verify_deranged(n, r, mode, solver_cap):
         "commutant_of_diagram": comm_diag_dim,
         "commutant_of_group": comm_group.nullity,
     }
-    method = _combine_methods(comm_group.method, chunk_method)
+    method = _combine_methods(comm_group.method, graded_method)
     return DualityReport("deranged", n, r, r, dims, equal_a, equal_b,
                          diagram_span.dim == len(diagram_ops), method,
                          extra={"group_image_via": "double commutant"})

@@ -12,9 +12,9 @@ prime, and the modular answer is certified exactly:
 
 The verified kernel dimension and the modular rank then add up to the
 number of unknowns, so both bounds are tight and the result is exact.
-Both echelon engines keep sparse ``{col: value}`` pivot rows, for the
-few nonzeros per row of the systems they see; only the batched modular
-form of the graded solve keeps dense int64 tables.
+There is one echelon form per field, ``ExactRref`` over Q and ``ModRref``
+over GF(p), and both keep sparse ``{col: value}`` pivot rows, for the
+few nonzeros per row of the systems they see.
 When the lift or its check fails (an unlucky prime or a large entry),
 the exact engine answers instead.  Uncertified modular counts use two
 primes that agree on the result; a prime that disagrees is skipped.  The
@@ -306,45 +306,31 @@ def nullspace_exact(rows: Iterable[Sequence], ncols: int) -> list[list[Fraction]
 
 
 # ---------------------------------------------------------------------------
-# modular echelon form (one prime: sparse dict rows, or a batch of int64 tables)
+# modular echelon form (one prime, sparse dict rows)
 
 class ModRref:
-    """Streaming reduced row echelon form over GF(p), single or batched.
+    """Streaming reduced row echelon form over GF(p).
 
-    ``batch=None`` keeps one form the way ``ExactRref`` does over Z:
-    ``_row_of`` maps each pivot column to a ``{col: residue}`` dict of the
-    nonzeros of its row, which has leading entry 1 and is zero in every
-    other pivot column.  The rows fed to it (invariant equations, closure
-    residues) are sparse, so its storage grows with the rank and the fill
-    of the rows, not with ncols**2.  An incoming row is cleared in one
-    pass over the pivot columns it touches, and a new pivot rewrites only
-    the rows that are nonzero in its column.  Entries are Python ints,
-    which cannot wrap.
-
-    With ``batch=B`` the object keeps B independent forms over the same
-    columns in one preallocated (B, ncols, ncols) int64 table, pivot rows
-    in insertion order: ``insert`` takes a (B, ncols) array, one row per
-    form, and reduces all B forms in one vectorized mat-vec; ``rank`` is
-    then a length-B array.  The graded solve feeds it stacks of small
-    dense blocks, where that step beats one sparse form per block.
+    It keeps its form the way ``ExactRref`` does over Z: ``_row_of`` maps
+    each pivot column to a ``{col: residue}`` dict of the nonzeros of its
+    row, which has leading entry 1 and is zero in every other pivot
+    column.  The rows fed to it (invariant equations, closure residues,
+    graded blocks) are sparse or small, so its storage grows with the rank
+    and the fill of the rows, not with ncols**2.  An incoming row is
+    cleared in one pass over the pivot columns it touches, and a new pivot
+    rewrites only the rows that are nonzero in its column.  Entries are
+    Python ints, which cannot wrap.
     """
 
-    def __init__(self, ncols: int, p: int, *, batch: int | None = None):
+    def __init__(self, ncols: int, p: int):
         self.ncols = ncols
         self.p = p
-        self.batch = batch
-        if batch is None:
-            self.rank = 0
-            self._row_of: dict[int, dict[int, int]] = {}
-        else:
-            self._rows = np.zeros((batch, ncols, ncols), dtype=np.int64)
-            self._pivots = np.zeros((batch, ncols), dtype=np.int64)
-            self._top = 0  # the highest rank of any form
-            self.rank = np.zeros(batch, dtype=np.int64)
+        self.rank = 0
+        self._row_of: dict[int, dict[int, int]] = {}
 
     def _install(self, items) -> bool:
-        """Single form: clear the row given by (column, value) pairs and
-        keep what is left, if anything, as a new pivot row."""
+        """Clear the row given by (column, value) pairs and keep what is
+        left, if anything, as a new pivot row."""
         p, row_of = self.p, self._row_of
         v = {j: x % p for j, x in items if x % p}
         # each hit clears its own pivot column and no other
@@ -369,72 +355,23 @@ class ModRref:
         self.rank += 1
         return True
 
-    def _reduce_batch(self, v: np.ndarray) -> np.ndarray:
-        """Residue of ``v`` (one row per form) after clearing every pivot
-        column.  A form of lower rank than the others has zero rows past
-        its rank, so they contribute nothing."""
-        v = np.mod(v, self.p)
-        top = self._top
-        if top:
-            coeffs = np.take_along_axis(v, self._pivots[:, :top], axis=1)
-            if coeffs.any():
-                v -= _matmul_mod(coeffs[:, None, :], self._rows[:, :top, :], self.p)[:, 0, :]
-                np.mod(v, self.p, out=v)
-        return v
-
-    def _install_batch(self, v: np.ndarray) -> bool:
-        nz = v != 0
-        grows = nz.any(axis=1)
-        if not grows.any():
-            return False
-        p, top = self.p, self._top
-        pcs = nz.argmax(axis=1)
-        every = np.arange(self.batch)
-        lead = v[every, pcs].tolist()
-        inv = np.array([pow(x, p - 2, p) if x else 0 for x in lead], dtype=np.int64)
-        # A form that gains no pivot has v == 0, so these updates leave it alone.
-        v = v * inv[:, None] % p
-        if top:
-            rows = self._rows[:, :top]
-            rows -= rows[every, :, pcs][:, :, None] * v[:, None, :]
-            np.mod(rows, p, out=rows)
-        if grows.all() and self.rank.min() == top:
-            # every form grows from the same rank: basic slices suffice
-            self._rows[:, top] = v
-            self._pivots[:, top] = pcs
-        else:
-            forms = np.flatnonzero(grows)
-            at = self.rank[forms]
-            self._rows[forms, at] = v[forms]
-            self._pivots[forms, at] = pcs[forms]
-        self.rank += grows
-        self._top = int(self.rank.max())
-        return True
-
     def insert(self, v: np.ndarray) -> bool:
-        """Reduce and keep the dense row ``v`` (one row per form when
-        batched); True if some form gained a pivot."""
-        if self.batch is not None:
-            return self._install_batch(self._reduce_batch(v))
+        """Reduce and keep the dense row ``v``; True if it added a pivot."""
         nz = np.flatnonzero(v)
         return self._install(zip(nz.tolist(), v[nz].tolist()))
 
     def insert_sparse(self, items) -> bool:
-        """Insert a row given as (column, residue) pairs (single form)."""
+        """Insert a row given as (column, residue) pairs."""
         return self._install(items)
 
     @property
-    def pivot_cols(self):
-        """Pivot columns in increasing order; one tuple per form when
-        batched."""
-        if self.batch is None:
-            return tuple(sorted(self._row_of))
-        return [tuple(sorted(piv[:r].tolist()))
-                for piv, r in zip(self._pivots, self.rank.tolist())]
+    def pivot_cols(self) -> tuple[int, ...]:
+        """Pivot columns in increasing order."""
+        return tuple(sorted(self._row_of))
 
     def kernel_vectors(self) -> list[dict[int, int]]:
-        """Single form: the kernel of the row span seen as a matrix, one
-        ``{col: residue}`` vector per free column, in free-column order."""
+        """The kernel of the row span seen as a matrix, one ``{col:
+        residue}`` vector per free column, in free-column order."""
         out = {f: {f: 1} for f in range(self.ncols) if f not in self._row_of}
         for pc, row in self._row_of.items():
             for j, x in row.items():
@@ -443,41 +380,23 @@ class ModRref:
         return list(out.values())
 
     def kernel_basis(self) -> np.ndarray:
-        """The kernel of the row span seen as a matrix, one vector per free
-        column.
-
-        Single form: the vectors of ``kernel_vectors`` as the columns of an
-        (ncols x nullity) array.  Batched: a (B, ncols, ncols) array
-        whose column f of form b is the kernel vector of free column f,
-        and zero when f is a pivot column of b; the nonzero columns of a
-        form, in order, are its kernel.
-        """
-        p, n = self.p, self.ncols
-        if self.batch is None:
-            vecs = self.kernel_vectors()
-            out = np.zeros((n, len(vecs)), dtype=np.int64)
-            for k, vec in enumerate(vecs):
-                out[list(vec), k] = list(vec.values())
-            return out
-        forms, rows = np.nonzero(np.arange(n) < self.rank[:, None])
-        pivs = self._pivots[forms, rows]
-        free = np.ones((self.batch, n), dtype=bool)
-        free[forms, pivs] = False
-        out = np.zeros((self.batch, n, n), dtype=np.int64)
-        out[:, np.arange(n), np.arange(n)] = free
-        out[forms, pivs] = np.mod(-self._rows[forms, rows] * free[forms], p)
+        """The vectors of ``kernel_vectors`` as the columns of an
+        (ncols x nullity) array."""
+        vecs = self.kernel_vectors()
+        out = np.zeros((self.ncols, len(vecs)), dtype=np.int64)
+        for k, vec in enumerate(vecs):
+            out[list(vec), k] = list(vec.values())
         return out
 
 
 def kernel_modp_dense(mat: np.ndarray, p: int) -> np.ndarray:
-    """Kernel of a dense int64 matrix over GF(p), or of each matrix of a
-    (B, m, n) stack at once; the result is laid out as
-    ``ModRref.kernel_basis`` describes for the single and batched form."""
-    acc = ModRref(mat.shape[-1], p, batch=None if mat.ndim == 2 else mat.shape[0])
-    for i in range(mat.shape[-2]):
-        if np.all(acc.rank == acc.ncols):
+    """Kernel of a dense 2-D int64 matrix over GF(p), laid out as
+    ``ModRref.kernel_basis``; rows after the form saturates are skipped."""
+    acc = ModRref(mat.shape[1], p)
+    for row in mat:
+        if acc.rank == acc.ncols:
             break
-        acc.insert(mat[..., i, :])
+        acc.insert(row)
     return acc.kernel_basis()
 
 
@@ -769,10 +688,7 @@ def commutant(
 
 
 # ---------------------------------------------------------------------------
-# chunked modular commutant for torus-graded generator families
-
-_STACK_ENTRIES = 1 << 20  # entries of one stack of block equations (at least one block)
-
+# commutant of torus-graded generator families, one solve per distinct block
 
 def graded_commutant_dim(
     gens: Sequence,
@@ -785,11 +701,11 @@ def graded_commutant_dim(
     preserves the grading, the commutant equations split into independent
     blocks indexed by pairs of weight classes, each of which stays small
     even when the ambient matrix space is far too large to eliminate
-    directly.  Blocks of the same shape are solved together: their
-    equations form one stack, eliminated by one batched kernel call per
-    chunk of the stack (``kernel_modp_dense``) under ``mode='modular'``;
-    under ``mode='exact'`` each block's nullity is counted from its exact
-    rank.
+    directly.  A block's nullity depends only on the generators restricted
+    to its two classes, so each distinct pair of restrictions is solved
+    once (``_graded_total``): under ``mode='modular'`` on residues by
+    ``kernel_modp_dense``, modulo two primes that agree; under
+    ``mode='exact'`` from its exact rank.
     """
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown graded mode {mode!r}; choose 'exact' or 'modular'")
@@ -808,7 +724,7 @@ def graded_commutant_dim(
 
     def modular_total(p: int) -> int:
         return _graded_total(np.stack([mat_to_modp(op, p) for op in ops]), classes,
-                             lambda m: kernel_modp_dense(m, p).any(axis=1).sum())
+                             lambda m: kernel_modp_dense(m, p).shape[1])
 
     (p1, total), (p2, _) = _agreeing_primes(modular_total, 2, lambda t: t)
     return total, f"mod-p({p1},{p2})"
@@ -818,48 +734,41 @@ def _graded_total(gens: np.ndarray, classes, nullity) -> int:
     """Sum over pairs of weight classes (I, J) of the dimension of
     { X in Hom(J, I) : g X == X g for every generator }.
 
-    ``gens`` is a (k, d, d) stack.  For every pair of class sizes (a, b)
-    the equations of all blocks of that shape are built at once as a
-    (blocks, k*a*b, a*b) stack, generators stacked by rows.
-    ``nullity(stack)`` returns the summed nullity of the blocks of a
-    stack, so one loop serves both the exact and the modular arithmetic
-    (``ModRref.insert`` reduces each row mod p itself).
+    ``gens`` is a (k, d, d) stack of residues or of exact entries.  Classes
+    are keyed on their size and the entries of the generators restricted
+    to them, compared in the stack's own field, and counted per key; the
+    blocks of two classes depend only on their keys.  Each distinct pair
+    of keys is solved once, its equations (generators stacked by rows)
+    forming one (k*a*b, a*b) matrix, and ``nullity(matrix)`` counts once
+    per pair of classes it stands for, so one loop serves both the exact
+    and the modular arithmetic.
     """
-    k = gens.shape[0]
-    diag = {}  # diag[a][c, g] is generator g restricted to the c-th class of size a
-    for a in sorted({c.size for c in classes}):
-        ix = np.stack([c for c in classes if c.size == a])
-        diag[a] = gens[:, ix[:, :, None], ix[:, None, :]].swapaxes(0, 1)
-    total = 0
-    for a, b in itertools.product(diag, repeat=2):
-        ga, gb = diag[a], diag[b].swapaxes(-1, -2)
-        nblocks = len(ga) * len(gb)
-        chunk = max(1, _STACK_ENTRIES // (k * (a * b) ** 2))
-        for start in range(0, nblocks, chunk):
-            left, right = np.divmod(np.arange(start, min(nblocks, start + chunk)), len(gb))
-            g_left, g_right = ga[left], gb[right]
-            # row (g, i, j), column (i', j'): g[i, i'] [j == j'] - [i == i'] g[j', j]
-            eqs = np.zeros((left.size, k, a, b, a, b), dtype=gens.dtype)
-            for j in range(b):
-                eqs[:, :, :, j, :, j] = g_left
-            for i in range(a):
-                eqs[:, :, i, :, i, :] -= g_right
-            total += int(nullity(eqs.reshape(left.size, k * a * b, a * b)))
+    kinds: dict[tuple, list] = {}  # key -> [classes with this key, restricted generators]
+    for c in classes:
+        g = gens[:, c[:, None], c]
+        kinds.setdefault((c.size, *g.ravel().tolist()), [0, g])[0] += 1
+    k, total = gens.shape[0], 0
+    for (count_i, g_i), (count_j, g_j) in itertools.product(kinds.values(), repeat=2):
+        a, b = g_i.shape[-1], g_j.shape[-1]
+        # row (g, i, j), column (i', j'): g_I[i, i'] [j == j'] - [i == i'] g_J[j', j]
+        eqs = np.zeros((k, a, b, a, b), dtype=gens.dtype)
+        for j in range(b):
+            eqs[:, :, j, :, j] = g_i
+        for i in range(a):
+            eqs[:, i, :, i, :] -= g_j.swapaxes(1, 2)
+        total += count_i * count_j * nullity(eqs.reshape(k * a * b, a * b))
     return total
 
 
-def _nullity_exact(stack: np.ndarray) -> int:
-    """Summed exact nullity of the matrices of a (B, m, n) stack."""
-    total = 0
-    for mat in stack:
-        acc = ExactRref(stack.shape[-1])
-        # repeated equations (common with permutation generators) add nothing
-        for row in dict.fromkeys(map(tuple, mat.tolist())):
-            if acc.rank == acc.ncols:
-                break
-            acc.insert(row)
-        total += acc.ncols - acc.rank
-    return total
+def _nullity_exact(mat: np.ndarray) -> int:
+    """Exact nullity of a 2-D matrix of ints and Fractions."""
+    acc = ExactRref(mat.shape[1])
+    # repeated equations (common with permutation generators) add nothing
+    for row in dict.fromkeys(map(tuple, mat.tolist())):
+        if acc.rank == acc.ncols:
+            break
+        acc.insert(row)
+    return acc.ncols - acc.rank
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ composition is a literal graph chase on two stacked permutation
 diagrams, the walled predicate and the flip go edge by edge over the
 sorted edge list, the orthogonal diagram action is the edge-by-edge delta
 product rather than a permute-contract-permute factorization, the
-adjoint action forms every commutator as a dense matrix product, and the
-generic product adds one shifted polynomial per pair of terms.
+adjoint action forms every commutator as a dense matrix product, the
+generic product adds one shifted polynomial per pair of terms, and the
+modular echelon form is a whole-matrix Gauss-Jordan over GF(p) on lists.
 """
 from fractions import Fraction
 
@@ -205,3 +206,33 @@ def reference_generic_product(a, b):
             else:
                 out.pop(res.composite, None)
     return AlgebraElement(a.m, out)
+
+
+def gauss_jordan_modp(rows, ncols: int, p: int):
+    """Plain dense Gauss-Jordan over GF(p) on the whole matrix at once.
+
+    Returns (pivot columns, kernel): the kernel is an (ncols x nullity)
+    int64 array with one column per free column f, in order, holding 1 at
+    f and minus the reduced row's entry at each pivot column.
+    """
+    m = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [(a - m[i][c] * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    free = [f for f in range(ncols) if f not in pivots]
+    kernel = np.zeros((ncols, len(free)), dtype=np.int64)
+    for k, f in enumerate(free):
+        kernel[f, k] = 1
+        for r, pc in enumerate(pivots):
+            kernel[pc, k] = -m[r][f] % p
+    return pivots, kernel

@@ -51,6 +51,8 @@ from diagramalg.tensor import (
     BilinearForm,
 )
 
+from oracles import gauss_jordan_modp
+
 
 def random_rational_matrix(rng, rows, cols, den=5):
     return frac_matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, den))
@@ -411,31 +413,26 @@ def mixed_rank_stack(rng, p, batch, nrows, ncols):
     return stack
 
 
-def kernel_columns(batched: np.ndarray) -> np.ndarray:
-    """One member of a batched kernel, reduced to its kernel columns."""
-    return batched[:, (batched != 0).any(axis=0)]
-
-
 class TestBatchedModRref:
+    """Single forms on each member of a mixed-rank stack, checked against
+    the plain modular Gauss-Jordan of ``oracles.gauss_jordan_modp``."""
+
     @pytest.mark.parametrize("nrows,ncols", [(8, 6), (4, 7), (6, 6)])
     def test_agrees_with_separate_forms(self, nrows, ncols):
         p = DEFAULT_PRIMES[1]
         rng = np.random.default_rng(nrows * 10 + ncols)
         stack = mixed_rank_stack(rng, p, 7, nrows, ncols)
-        batched = ModRref(ncols, p, batch=7)
-        singles = [ModRref(ncols, p) for _ in range(7)]
-        for i in range(nrows):
-            grew = batched.insert(stack[:, i])
-            assert type(grew) is bool
-            assert grew == any([acc.insert(stack[b, i]) for b, acc in enumerate(singles)])
-        assert batched.rank.tolist() == [acc.rank for acc in singles]
-        assert batched.rank[0] == 0 and batched.rank[-1] == min(nrows, ncols)
-        assert batched.pivot_cols == [acc.pivot_cols for acc in singles]
-        kern = batched.kernel_basis()
-        assert kern.shape == (7, ncols, ncols)
-        for b, acc in enumerate(singles):
-            assert np.array_equal(kernel_columns(kern[b]), acc.kernel_basis())
-            assert not (stack[b] @ kern[b] % p).any()
+        ranks = []
+        for mat in stack:
+            acc = ModRref(ncols, p)
+            for row in mat:
+                assert type(acc.insert(row)) is bool
+            pivots, kern = gauss_jordan_modp(mat, ncols, p)
+            assert (acc.rank, acc.pivot_cols) == (len(pivots), tuple(pivots))
+            assert np.array_equal(acc.kernel_basis(), kern)
+            assert not (mat @ kern % p).any()
+            ranks.append(acc.rank)
+        assert ranks[0] == 0 and ranks[-1] == min(nrows, ncols)
 
     @pytest.mark.parametrize("nrows,ncols", [(8, 6), (4, 7), (6, 6)])
     @pytest.mark.parametrize("sparse", [False, True])
@@ -445,22 +442,18 @@ class TestBatchedModRref:
         stack = mixed_rank_stack(rng, p, 7, nrows, ncols)
         # the rows again, shuffled: every one arrives after its form saturated
         stack = np.concatenate([stack, stack[:, rng.permutation(nrows)]], axis=1)
-        batched = ModRref(ncols, p, batch=7)
-        singles = [ModRref(ncols, p) for _ in range(7)]
-        for i in range(2 * nrows):
-            before = batched.rank.copy()
-            batched.insert(stack[:, i])
-            for b, acc in enumerate(singles):
-                row = stack[b, i]
+        for mat in stack:
+            acc, rank = ModRref(ncols, p), 0
+            for i, row in enumerate(mat):
                 grew = (acc.insert_sparse((j, int(x)) for j, x in enumerate(row) if x)
                         if sparse else acc.insert(row))
-                assert grew == bool(batched.rank[b] > before[b])
-                assert acc.rank == batched.rank[b]
+                before, rank = rank, len(gauss_jordan_modp(mat[:i + 1], ncols, p)[0])
+                assert grew == (rank > before)
+                assert acc.rank == rank
                 assert not (grew and i >= nrows)
-        assert batched.pivot_cols == [acc.pivot_cols for acc in singles]
-        kern = batched.kernel_basis()
-        for b, acc in enumerate(singles):
-            assert np.array_equal(kernel_columns(kern[b]), acc.kernel_basis())
+            pivots, kern = gauss_jordan_modp(mat, ncols, p)
+            assert acc.pivot_cols == tuple(pivots)
+            assert np.array_equal(acc.kernel_basis(), kern)
 
     def test_lifted_kernel_of_invariant_equations_is_the_exact_one(self):
         rows, support = _invariant_equations(5, 3)
@@ -469,13 +462,6 @@ class TestBatchedModRref:
         assert (lifted.method, exact.method) == ("mod-p-confirmed-exact", "exact")
         assert (lifted.rank, lifted.nullity) == (exact.rank, exact.nullity)
         assert lifted.kernel == exact.kernel
-
-    def test_kernel_modp_dense_on_a_stack(self):
-        p = DEFAULT_PRIMES[0]
-        stack = mixed_rank_stack(np.random.default_rng(7), p, 5, 9, 5)
-        kern = kernel_modp_dense(stack, p)
-        for b in range(5):
-            assert np.array_equal(kernel_columns(kern[b]), kernel_modp_dense(stack[b], p))
 
     def test_two_dimensional_kernel_layout(self):
         p = DEFAULT_PRIMES[0]
@@ -515,9 +501,10 @@ class TestBatchedGradedCommutant:
         assert got[0] == dim
 
     def test_one_kernel_call_per_block_shape_and_prime(self, monkeypatch):
-        # AdjointSpace(3, 1): six root classes of size 1 and the zero
-        # weight of size 2, so (1,1), (1,2), (2,1), (2,2) blocks: 4 shapes
-        # x 2 primes, where one call per block would make 7 * 7 * 2 = 98.
+        # AdjointSpace(3, 1): six root classes of size 1, on which the one
+        # generator restricts to the same scalar, and the zero weight of
+        # size 2: two class keys, so 4 pairs x 2 primes, where one call
+        # per block would make 7 * 7 * 2 = 98.
         mats, space, dim = next(graded_cases())
         calls = []
         original = linalg.kernel_modp_dense
@@ -528,9 +515,14 @@ class TestBatchedGradedCommutant:
 
         monkeypatch.setattr(linalg, "kernel_modp_dense", counting)
         assert graded_commutant_dim(mats, weight_vectors(space))[0] == dim
-        assert len(calls) == 8
-        assert sorted(shape[1:] for shape in calls) == sorted(
-            [(1, 1), (2, 2), (2, 2), (4, 4)] * 2)
+        assert sorted(calls) == sorted([(1, 1), (2, 2), (2, 2), (4, 4)] * 2)
+
+    @pytest.mark.parametrize("mode", ["modular", "exact"])
+    @pytest.mark.parametrize("diag,dim", [((1, 2), 2), ((1, 1), 4)])
+    def test_same_size_classes_merge_only_on_equal_restrictions(self, mode, diag, dim):
+        # two classes of size 1; merging them by size alone would give 4
+        gen = frac_matrix([[diag[0], 0], [0, diag[1]]])
+        assert graded_commutant_dim([gen], [(0,), (1,)], mode=mode)[0] == dim
 
 
 def gauss_jordan(rows, ncols):
