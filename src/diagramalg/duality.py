@@ -206,9 +206,9 @@ def _verify_deranged(n, r, mode, solver_cap):
 
     The gl_n generators ([x, -] from the structure constants of sl_n) and
     the diagram actions (through one sparse transport pair) are ``LinOp``s
-    from builder to solver.  The graded solve reduces each diagram operator
-    to residues mod p; only its exact route densifies the exact entries."""
-    from .algebra import deranged_basis
+    from builder to solver; the graded solve reads its weight blocks from
+    the sparse rows in both arithmetics."""
+    from .algebra import AlgebraElement, deranged_basis
 
     space = AdjointSpace(n, r)
     check_dim(MixedSpace(n, r, r), DENSE_DIM_CAP)  # n^(2r) > d: caps the adjoint power too
@@ -217,7 +217,10 @@ def _verify_deranged(n, r, mode, solver_cap):
         raise CapExceededError(
             f"{d * d} matrix-space unknowns exceed the solver cap {solver_cap}")
     elements = deranged_basis(r, n)
-    diagram_ops = deranged_ops([el.element for el in elements], n, r)
+    # sigma(e) fixes the image of the inclusion and the coordinate map
+    # vanishes on its kernel, so the bare diagram D acts as e*D*e does.
+    diagram_ops = deranged_ops([AlgebraElement.from_diagram(el.diagram, 1, n)
+                                for el in elements], n, r)
     diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
 
     gens = [derivation_ops_sparse(x, space) for x in lie_basis("gl", n)]

@@ -25,7 +25,7 @@ two primes used) or ``mod-p-confirmed-exact``.
 
 Operators are ``LinOp``s (sparse rows) in the commutant, span, closure and
 graded code: a dense array enters only through ``_as_linop`` and leaves only
-through ``LinOp.to_dense``.
+through ``LinOp.to_dense``; the graded solve reads its small blocks off the rows.
 """
 from __future__ import annotations
 
@@ -702,10 +702,12 @@ def graded_commutant_dim(
     blocks indexed by pairs of weight classes, each of which stays small
     even when the ambient matrix space is far too large to eliminate
     directly.  A block's nullity depends only on the generators restricted
-    to its two classes, so each distinct pair of restrictions is solved
-    once (``_graded_total``): under ``mode='modular'`` on residues by
-    ``kernel_modp_dense``, modulo two primes that agree; under
-    ``mode='exact'`` from its exact rank.
+    to its two classes, read from the sparse rows into (k, a, a) arrays
+    and keyed once over Q; each distinct pair of keys is solved once
+    (``_graded_total``): under ``mode='modular'`` on the residues of those
+    small blocks by ``kernel_modp_dense``, modulo two primes that agree;
+    under ``mode='exact'`` from its exact rank.  Each block is solved in
+    its own field, so keys finer over Q than mod p change no total.
     """
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown graded mode {mode!r}; choose 'exact' or 'modular'")
@@ -714,44 +716,41 @@ def graded_commutant_dim(
     ops = [_as_linop(g, len(weights)) for g in gens]
     if any(weights[i] != weights[j] for op in ops for i, row in enumerate(op.rows) for j in row):
         raise ValueError("generator is not weight-homogeneous of weight zero")
-    keys = sorted(set(weights))
-    label_of = {w: c for c, w in enumerate(keys)}
-    labels = np.array([label_of[w] for w in weights])
-    classes = [np.flatnonzero(labels == c) for c in range(len(keys))]
+    classes: dict[tuple, list[int]] = {}
+    for i, w in enumerate(weights):
+        classes.setdefault(w, []).append(i)
+    kinds: dict[tuple, list] = {}  # key -> [classes with this key, restricted generators]
+    for c in classes.values():
+        g = np.array([[[op.rows[i].get(j, 0) for j in c] for i in c] for op in ops], dtype=object)
+        kinds.setdefault((len(c), *g.ravel().tolist()), [0, g])[0] += 1
     if mode == "exact":
-        return _graded_total(np.stack([op.to_dense() for op in ops]), classes,
-                             _nullity_exact), "exact"
+        return _graded_total(kinds.values(), _nullity_exact), "exact"
 
     def modular_total(p: int) -> int:
-        return _graded_total(np.stack([mat_to_modp(op, p) for op in ops]), classes,
+        return _graded_total([(count, mat_to_modp(g, p)) for count, g in kinds.values()],
                              lambda m: kernel_modp_dense(m, p).shape[1])
 
     (p1, total), (p2, _) = _agreeing_primes(modular_total, 2, lambda t: t)
     return total, f"mod-p({p1},{p2})"
 
 
-def _graded_total(gens: np.ndarray, classes, nullity) -> int:
+def _graded_total(blocks, nullity) -> int:
     """Sum over pairs of weight classes (I, J) of the dimension of
     { X in Hom(J, I) : g X == X g for every generator }.
 
-    ``gens`` is a (k, d, d) stack of residues or of exact entries.  Classes
-    are keyed on their size and the entries of the generators restricted
-    to them, compared in the stack's own field, and counted per key; the
-    blocks of two classes depend only on their keys.  Each distinct pair
-    of keys is solved once, its equations (generators stacked by rows)
-    forming one (k*a*b, a*b) matrix, and ``nullity(matrix)`` counts once
-    per pair of classes it stands for, so one loop serves both the exact
-    and the modular arithmetic.
+    ``blocks`` holds one ``(count, g)`` per class key: how many classes
+    have that key, and the (k, a, a) generators restricted to one of them,
+    as residues or exact entries.  The block of two classes depends only
+    on their keys, so each pair of keys is solved once, its equations
+    (generators stacked by rows) forming one (k*a*b, a*b) matrix, and
+    ``nullity(matrix)`` counts once per pair of classes it stands for; one
+    loop serves both the exact and the modular arithmetic.
     """
-    kinds: dict[tuple, list] = {}  # key -> [classes with this key, restricted generators]
-    for c in classes:
-        g = gens[:, c[:, None], c]
-        kinds.setdefault((c.size, *g.ravel().tolist()), [0, g])[0] += 1
-    k, total = gens.shape[0], 0
-    for (count_i, g_i), (count_j, g_j) in itertools.product(kinds.values(), repeat=2):
-        a, b = g_i.shape[-1], g_j.shape[-1]
+    total = 0
+    for (count_i, g_i), (count_j, g_j) in itertools.product(blocks, repeat=2):
+        k, a, b = *g_i.shape[:2], g_j.shape[-1]
         # row (g, i, j), column (i', j'): g_I[i, i'] [j == j'] - [i == i'] g_J[j', j]
-        eqs = np.zeros((k, a, b, a, b), dtype=gens.dtype)
+        eqs = np.zeros((k, a, b, a, b), dtype=g_i.dtype)
         for j in range(b):
             eqs[:, :, j, :, j] = g_i
         for i in range(a):

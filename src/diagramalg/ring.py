@@ -26,10 +26,6 @@ class QPoly:
         raise AttributeError("QPoly is immutable")
 
     @classmethod
-    def const(cls, c) -> "QPoly":
-        return cls([Fraction(c)])
-
-    @classmethod
     def x(cls) -> "QPoly":
         return cls([0, 1])
 

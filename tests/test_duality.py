@@ -119,6 +119,32 @@ class TestDeranged:
         assert rep.equal_b is True and rep.equal_a is True
 
 
+class TestBareDiagramTransport:
+    @pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (4, 2)])
+    def test_bare_diagram_acts_as_its_sandwich(self, n, r):
+        # coords . sigma(e) = coords and sigma(e) . incl = incl
+        from diagramalg.algebra import AlgebraElement, deranged_basis
+        from diagramalg.tensor import deranged_ops
+
+        elements = deranged_basis(r, n)
+        sandwiched = deranged_ops([el.element for el in elements], n, r)
+        bare = deranged_ops([AlgebraElement.from_diagram(el.diagram, 1, n)
+                             for el in elements], n, r)
+        assert [op.rows for op in bare] == [op.rows for op in sandwiched]
+
+    def test_verify_transports_one_term_elements(self, monkeypatch):
+        seen = []
+        original = duality.deranged_ops
+
+        def spy(els, n, r):
+            seen.extend(len(el.terms) for el in els)
+            return original(els, n, r)
+
+        monkeypatch.setattr(duality, "deranged_ops", spy)
+        assert verify_duality("deranged", 3, 1).verified
+        assert seen == [1]
+
+
 class TestReportShape:
     def test_json_keys(self):
         obj = verify_duality("glA", 2, 2).to_json_dict()

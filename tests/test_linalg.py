@@ -41,6 +41,7 @@ from diagramalg.tensor import (
     MixedSpace,
     TensorSpace,
     deranged_matrix,
+    deranged_ops,
     derivation_action,
     diagram_matrix,
     lie_basis,
@@ -766,6 +767,30 @@ class TestExactGradedCountsNullity:
         monkeypatch.setattr(ExactRref, "kernel_basis", refuse)
         for mats, space, dim in graded_cases():
             assert graded_commutant_dim(mats, weight_vectors(space), mode="exact") == (dim, "exact")
+
+
+class TestGradedReadsSparseBlocks:
+    @pytest.mark.parametrize("mode", ["modular", "exact"])
+    def test_no_array_of_side_d(self, monkeypatch, mode):
+        # AdjointSpace(3, 1): d = 8 (commutant dimension 64), weight classes
+        # of size 1 and 2; only the restricted (k, a, a) blocks are formed
+        ops = deranged_ops([el.element for el in deranged_basis(1, 3)], 3, 1)
+        shapes = []
+        original = linalg.mat_to_modp
+
+        def recording(mat, p):
+            shapes.append(mat.shape)
+            return original(mat, p)
+
+        def refuse(self):
+            raise AssertionError("d x d operator densified")
+
+        monkeypatch.setattr(LinOp, "to_dense", refuse)
+        monkeypatch.setattr(linalg, "mat_to_modp", recording)
+        assert graded_commutant_dim(ops, weight_vectors(AdjointSpace(3, 1)), mode=mode)[0] == 64
+        assert all(len(shape) == 3 and shape[0] == len(ops) and shape[1] == shape[2] <= 2
+                   for shape in shapes)
+        assert bool(shapes) == (mode == "modular")
 
 
 def sp42_closure_seed():
