@@ -298,13 +298,6 @@ def rref(mat) -> tuple[int, np.ndarray, tuple[int, ...]]:
     return acc.rank, dense_from_rows(rows, ncols), tuple(acc.pivot_cols)
 
 
-def nullspace_exact(rows: Iterable[Sequence], ncols: int) -> list[list[Fraction]]:
-    acc = ExactRref(ncols)
-    for row in rows:
-        acc.insert(row)
-    return acc.kernel_basis()
-
-
 # ---------------------------------------------------------------------------
 # modular echelon form (one prime, sparse dict rows)
 
@@ -473,7 +466,9 @@ def solve_sparse_system(
 ) -> SolveResult:
     """Rank and kernel of a sparse system of exact linear equations.
 
-    Mode 'exact' eliminates in exact arithmetic at every size.  Mode
+    Mode 'exact' eliminates in exact arithmetic at every size; its rows
+    may also be dense sequences, which ``ExactRref`` takes as they are,
+    and it stops reading rows once the rank reaches ``ncols``.  Mode
     'auto' does so up to ``EXACT_UNKNOWN_CAP`` unknowns; above it, it
     eliminates modulo one prime and certifies the result by an exactly
     checked lift of the kernel (see the module docstring), falling back
@@ -506,6 +501,8 @@ def solve_sparse_system(
             return SolveResult(ncols - acc.rank, acc.rank, dense, "mod-p-confirmed-exact")
     acc = ExactRref(ncols)
     for row in rows:
+        if acc.rank == ncols:
+            break
         acc.insert(row)
     kernel = acc.kernel_basis() if want_kernel else None
     return SolveResult(ncols - acc.rank, acc.rank, kernel, "exact")
@@ -702,29 +699,33 @@ def graded_commutant_dim(
     blocks indexed by pairs of weight classes, each of which stays small
     even when the ambient matrix space is far too large to eliminate
     directly.  A block's nullity depends only on the generators restricted
-    to its two classes, read from the sparse rows into (k, a, a) arrays
-    and keyed once over Q; each distinct pair of keys is solved once
+    to its two classes, read from the sparse rows into integer (k, a, a)
+    arrays and keyed once; each distinct pair of keys is solved once
     (``_graded_total``): under ``mode='modular'`` on the residues of those
     small blocks by ``kernel_modp_dense``, modulo two primes that agree;
-    under ``mode='exact'`` from its exact rank.  Each block is solved in
-    its own field, so keys finer over Q than mod p change no total.
+    under ``mode='exact'`` by ``solve_sparse_system``.  Each block is
+    solved in its own field, so keys finer over Z than mod p change no total.
     """
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown graded mode {mode!r}; choose 'exact' or 'modular'")
     if not gens:
         raise ValueError("need at least one generator")
-    ops = [_as_linop(g, len(weights)) for g in gens]
+    d = len(weights)
+    ops = [_as_linop(g, d) for g in gens]
     if any(weights[i] != weights[j] for op in ops for i, row in enumerate(op.rows) for j in row):
         raise ValueError("generator is not weight-homogeneous of weight zero")
+    # each generator scaled once to integers: the same commutant
+    ints = [_int_scaled(op.entries())[1] for op in ops]
     classes: dict[tuple, list[int]] = {}
     for i, w in enumerate(weights):
         classes.setdefault(w, []).append(i)
     kinds: dict[tuple, list] = {}  # key -> [classes with this key, restricted generators]
     for c in classes.values():
-        g = np.array([[[op.rows[i].get(j, 0) for j in c] for i in c] for op in ops], dtype=object)
+        g = np.array([[[e.get(i * d + j, 0) for j in c] for i in c] for e in ints], dtype=object)
         kinds.setdefault((len(c), *g.ravel().tolist()), [0, g])[0] += 1
     if mode == "exact":
-        return _graded_total(kinds.values(), _nullity_exact), "exact"
+        return _graded_total(kinds.values(), lambda m: solve_sparse_system(
+            m.tolist(), m.shape[1], mode="exact", want_kernel=False).nullity), "exact"
 
     def modular_total(p: int) -> int:
         return _graded_total([(count, mat_to_modp(g, p)) for count, g in kinds.values()],
@@ -739,8 +740,8 @@ def _graded_total(blocks, nullity) -> int:
     { X in Hom(J, I) : g X == X g for every generator }.
 
     ``blocks`` holds one ``(count, g)`` per class key: how many classes
-    have that key, and the (k, a, a) generators restricted to one of them,
-    as residues or exact entries.  The block of two classes depends only
+    have that key, and the (k, a, a) integer generators restricted to one
+    of them, or their residues.  The block of two classes depends only
     on their keys, so each pair of keys is solved once, its equations
     (generators stacked by rows) forming one (k*a*b, a*b) matrix, and
     ``nullity(matrix)`` counts once per pair of classes it stands for; one
@@ -757,17 +758,6 @@ def _graded_total(blocks, nullity) -> int:
             eqs[:, i, :, i, :] -= g_j.swapaxes(1, 2)
         total += count_i * count_j * nullity(eqs.reshape(k * a * b, a * b))
     return total
-
-
-def _nullity_exact(mat: np.ndarray) -> int:
-    """Exact nullity of a 2-D matrix of ints and Fractions."""
-    acc = ExactRref(mat.shape[1])
-    # repeated equations (common with permutation generators) add nothing
-    for row in dict.fromkeys(map(tuple, mat.tolist())):
-        if acc.rank == acc.ncols:
-            break
-        acc.insert(row)
-    return acc.ncols - acc.rank
 
 
 # ---------------------------------------------------------------------------

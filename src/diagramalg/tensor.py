@@ -54,7 +54,7 @@ from .linalg import (
     _nonzeros,
     dense_from_rows,
     frac_matrix,
-    nullspace_exact,
+    solve_sparse_system,
     sparse_matmul,
     sparse_scale_add,
     zeros_matrix,
@@ -356,7 +356,7 @@ def lie_basis(family: str, n: int) -> list[np.ndarray]:
                     row[k * n + i] += gram[k, j]
                     row[k * n + j] += gram[i, k]
                 rows.append(row)
-        kernel = nullspace_exact(rows, n * n)
+        kernel = solve_sparse_system(rows, n * n, mode="exact").kernel
         return [frac_matrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in kernel]
     raise ValueError(f"unknown family {family!r}")
 
@@ -551,6 +551,7 @@ def adjoint_transport_rows(n: int, r: int) -> tuple[list[dict], list[dict]]:
 
 def adjoint_transport(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense matrices of :func:`adjoint_transport_rows`."""
+    check_dim(MixedSpace(n, r, r), DENSE_DIM_CAP)
     incl, coords = adjoint_transport_rows(n, r)
     return dense_from_rows(incl, len(coords)), dense_from_rows(coords, len(incl))
 

@@ -29,7 +29,6 @@ from diagramalg.linalg import (
     matrices_equal,
     matrix_from_json,
     matrix_to_json,
-    nullspace_exact,
     rational_reconstruct,
     rref,
     solve_sparse_system,
@@ -116,7 +115,7 @@ class TestExactRref:
     def test_nullspace_exact_roundtrip(self):
         rng = random.Random(8)
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(6)] for _ in range(3)]
-        for vec in nullspace_exact(rows, 6):
+        for vec in solve_sparse_system(rows, 6, mode="exact").kernel:
             for row in rows:
                 assert sum(c * v for c, v in zip(row, vec)) == 0
 
@@ -163,6 +162,15 @@ class TestSolveSparse:
         assert res.method == "mod-p-confirmed-exact"
         assert res.nullity == res_exact.nullity
         assert res.kernel == res_exact.kernel
+
+    def test_exact_stops_at_full_rank(self):
+        # once the rank reaches ncols the remaining rows lie in the span
+        class Sentinel:
+            def __iter__(self):
+                raise AssertionError("row read after full rank")
+
+        res = solve_sparse_system([{0: 1}, {1: 1}, Sentinel()], 2, mode="exact")
+        assert (res.rank, res.nullity) == (2, 0)
 
 
 class TestPrimeRule:
@@ -332,15 +340,16 @@ class TestGradedCommutant:
         assert method_exact == "exact"
 
     def test_prime_dividing_a_denominator_is_skipped(self):
-        # DEFAULT_PRIMES[0] divides a denominator, so both solvers walk on
-        # to the next default prime and then the first extra prime.
+        # DEFAULT_PRIMES[0] divides a denominator, so the solver walks on
+        # to the next default prime and then the first extra prime.  The
+        # graded solve scales its generator to integers first, so it meets
+        # no denominator and keeps the first two default primes.
         q = Fraction(1, DEFAULT_PRIMES[0])
-        label = "mod-p(33554383,33554371)"
         res = solve_sparse_system([{0: q}], 3, mode="modular")
-        assert (res.nullity, res.method) == (2, label)
+        assert (res.nullity, res.method) == (2, "mod-p(33554383,33554371)")
         gen = zeros_matrix(2, 2)
         gen[0, 0] = q
-        assert graded_commutant_dim([gen], [(0,), (1,)]) == (2, label)
+        assert graded_commutant_dim([gen], [(0,), (1,)]) == (2, "mod-p(33554393,33554383)")
 
     def test_rejects_non_graded_generators(self):
         mat = zeros_matrix(2, 2)
@@ -683,7 +692,7 @@ class TestKernelCertificate:
         rng = random.Random(3)
         rows = rank_deficient(rng, 6, 8, 4, fractions=True)
         sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        kernel = nullspace_exact(rows, 8)
+        kernel = solve_sparse_system(rows, 8, mode="exact").kernel
         assert kernel and linalg._kernel_vanishes(sparse, kernel)
         assert linalg._kernel_vanishes(sparse, [])
         col = next(j for j in range(8) if any(row[j] for row in rows))
@@ -767,6 +776,23 @@ class TestExactGradedCountsNullity:
         monkeypatch.setattr(ExactRref, "kernel_basis", refuse)
         for mats, space, dim in graded_cases():
             assert graded_commutant_dim(mats, weight_vectors(space), mode="exact") == (dim, "exact")
+
+    def test_blocks_reach_the_solver_as_integers(self, monkeypatch):
+        # the deranged(3, 1) operators carry Fractions; each is scaled once
+        # to integers, so every block row the solver sees is integral
+        ops = deranged_ops([el.element for el in deranged_basis(1, 3)], 3, 1)
+        assert any(type(x) is Fraction for op in ops for x in op.entries().values())
+        seen = []
+        original = linalg.solve_sparse_system
+
+        def spy(rows, ncols, **kwargs):
+            seen.extend({*map(type, row)} for row in rows)
+            return original(rows, ncols, **kwargs)
+
+        monkeypatch.setattr(linalg, "solve_sparse_system", spy)
+        assert graded_commutant_dim(ops, weight_vectors(AdjointSpace(3, 1)), mode="exact") == (
+            64, "exact")
+        assert seen and set().union(*seen) == {int}
 
 
 class TestGradedReadsSparseBlocks:

@@ -475,7 +475,7 @@ class TestSizeCapsAreConstants:
             raise AssertionError("allocated before the cap check")
 
         for name in ("zeros_matrix", "dense_from_rows", "_diagram_rows",
-                     "_position_actions"):
+                     "_position_actions", "adjoint_transport_rows"):
             monkeypatch.setattr(tensor, name, refuse)
 
     def test_dense_builders(self, no_allocation):
@@ -487,6 +487,7 @@ class TestSizeCapsAreConstants:
             lambda: diagram_matrix(identity_diagram(13), space, form),
             lambda: derivation_action(x, space),
             lambda: reflection_matrix(2, 13),
+            lambda: adjoint_transport(2, 7),  # mixed space 16384
         ]
         for build in builders:
             with pytest.raises(CapExceededError, match="exceeds cap 4096"):
