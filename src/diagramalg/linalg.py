@@ -711,11 +711,10 @@ def graded_commutant_dim(
     if not gens:
         raise ValueError("need at least one generator")
     d = len(weights)
-    ops = [_as_linop(g, d) for g in gens]
-    if any(weights[i] != weights[j] for op in ops for i, row in enumerate(op.rows) for j in row):
-        raise ValueError("generator is not weight-homogeneous of weight zero")
     # each generator scaled once to integers: the same commutant
-    ints = [_int_scaled(op.entries())[1] for op in ops]
+    ints = [_int_scaled(_as_linop(g, d).entries())[1] for g in gens]
+    if any(weights[k // d] != weights[k % d] for e in ints for k in e):
+        raise ValueError("generator is not weight-homogeneous of weight zero")
     classes: dict[tuple, list[int]] = {}
     for i, w in enumerate(weights):
         classes.setdefault(w, []).append(i)
