@@ -113,44 +113,45 @@ def walled_count(r: int, s: int) -> int:
     return factorial(r + s)
 
 
-def _invariant_equations(n: int, r: int) -> tuple[list[dict], list[int]]:
-    """Equation rows and unknowns (the zero-weight indices, ascending) of
-    :func:`multiplicity_trivial`."""
-    from .tensor import AdjointSpace, _ad_cols, _lift_entries, _zero_weight_support, matrix_unit
+def _highest_weight_equations(n: int, r: int, weight: tuple) -> tuple[list[dict], list[int]]:
+    """Equation rows and unknowns (the indices of that weight, ascending)
+    of the highest-weight vectors of a weight in the r-th tensor power of
+    sl_n: one Leibniz lift of each simple raising operator ad(E_(a,a+1))."""
+    from .tensor import AdjointSpace, _ad_cols, _lift_entries, _weight_support, matrix_unit
 
     AdjointSpace(n, r)  # refuses n < 2 and r < 1
-    support, rows = _zero_weight_support(n, r), []
-    for a, b in itertools.permutations(range(n), 2):
-        ad = _ad_cols(matrix_unit(n, a, b), n)
+    support, rows = _weight_support(n, r, weight), []
+    for a in range(n - 1):
+        ad = _ad_cols(matrix_unit(n, a, a + 1), n)
         rows += _lift_entries([ad] * r, [n * n - 1] * r, columns=support)[0]
     return rows, support
 
 
-def multiplicity_trivial(n: int, r: int, mode: str = "auto") -> int:
-    """Multiplicity of the trivial module in the r-th tensor power of the
-    trace-free matrices: the dimension of the joint kernel of the derived
-    sl_n action on that power.
-
-    Invariant vectors have torus weight zero, and the diagonal generators
-    act on weight-zero vectors by zero.  So the unknowns are the
-    zero-weight coordinates, and the equations are the nonzero rows of
-    the off-diagonal generators' derived actions restricted to those
-    columns, one Leibniz lift per generator.
-    """
+def _highest_weight_multiplicity(n: int, r: int, weight: tuple, mode: str) -> int:
+    """Multiplicity of V_weight (weight dominant): the number of its highest-weight vectors."""
     from .linalg import solve_sparse_system
 
-    rows, support = _invariant_equations(n, r)
+    rows, support = _highest_weight_equations(n, r, weight)
     return solve_sparse_system(rows, len(support), mode=mode, want_kernel=False).nullity
+
+
+def multiplicity_trivial(n: int, r: int, mode: str = "auto") -> int:
+    """Multiplicity of the trivial module in the r-th tensor power of the
+    trace-free matrices: the number of highest-weight vectors of weight
+    zero, which are exactly the invariants.  A weight space beyond the
+    solver cap is refused before any equation is built."""
+    return _highest_weight_multiplicity(n, r, (0,) * n, mode)
 
 
 @dataclass(frozen=True)
 class AdjointMultiplicityReport:
     """Multiplicity of the adjoint module in its own r-th tensor power.
 
-    ``computed`` comes from the space of equivariant maps, ``cross_check``
-    from the invariants of the (r+1)-st power via self-duality of the
-    adjoint module, and ``derangement_reference`` records N(r-1) for
-    comparison without asserting it."""
+    ``computed`` counts the highest-weight vectors of the highest root
+    e_1 - e_n (sl_n is irreducible of that weight), ``cross_check`` the
+    invariants of the (r+1)-st power via self-duality of the adjoint
+    module, and ``derangement_reference`` records N(r-1) for comparison
+    without asserting it."""
 
     n: int
     r: int
@@ -164,14 +165,8 @@ class AdjointMultiplicityReport:
 
 
 def multiplicity_adjoint(n: int, r: int, mode: str = "auto") -> AdjointMultiplicityReport:
-    from .tensor import AdjointSpace, derivation_ops_sparse, lie_basis
-    from .linalg import intertwiner_kernel
-
-    space = AdjointSpace(n, r)
-    basis = lie_basis("sl", n)
-    left = [derivation_ops_sparse(x, space) for x in basis]
-    right = [derivation_ops_sparse(x, AdjointSpace(n, 1)) for x in basis]
-    result, _ = intertwiner_kernel(left, right, space.dim, n * n - 1,
-                                   mode=mode, want_kernel=False)
-    cross = multiplicity_trivial(n, r + 1, mode=mode)
-    return AdjointMultiplicityReport(n, r, result.nullity, cross, derangements(r - 1))
+    """One highest-weight solve at e_1 - e_n, cross-checked by the
+    invariants of the (r+1)-st power."""
+    computed = _highest_weight_multiplicity(n, r, (1,) + (0,) * (n - 2) + (-1,), mode)
+    return AdjointMultiplicityReport(n, r, computed, multiplicity_trivial(n, r + 1, mode=mode),
+                                     derangements(r - 1))

@@ -50,6 +50,7 @@ from .diagrams import (
 )
 from .ring import exactify
 from .linalg import (
+    DEFAULT_UNKNOWN_CAP,
     LinOp,
     _nonzeros,
     dense_from_rows,
@@ -588,17 +589,21 @@ def _sl_weights(n: int) -> list[tuple[int, ...]]:
             for a, b in itertools.permutations(range(n), 2)] + [(0,) * n] * (n - 1)
 
 
-def _zero_weight_support(n: int, r: int) -> list[int]:
-    """Indices of the zero-weight basis vectors of AdjointSpace(n, r),
-    ascending, without listing every weight: the first r - 1 factors fix
-    a weight, and only the last factors of the opposite weight (one unit
-    E_ab, or the n - 1 diagonal elements for weight zero) complete it."""
+def _weight_support(n: int, r: int, weight: tuple[int, ...]) -> list[int]:
+    """Indices of the basis vectors of AdjointSpace(n, r) of the given
+    weight, ascending, without listing every weight: the first r - 1
+    factors fix a weight, and only the last factors of the missing weight
+    complete it.  Listing stops once the indices outnumber the solver cap."""
     d, weights = n * n - 1, _sl_weights(n)
-    cancel: dict[tuple[int, ...], list[int]] = {}
-    for k, w in enumerate(weights):
-        cancel.setdefault(tuple(-c for c in w), []).append(k)
-    return [p * d + k for p, ws in enumerate(itertools.product(weights, repeat=r - 1))
-            for k in cancel.get(tuple(map(sum, zip((0,) * n, *ws))), ())]
+    complete = {w: [k for k, v in enumerate(weights) if v == w] for w in set(weights)}
+    support: list[int] = []
+    for p, ws in enumerate(itertools.product(weights, repeat=r - 1)):
+        missing = tuple(t - sum(cs) for t, cs in zip(weight, zip((0,) * n, *ws)))
+        support += (p * d + k for k in complete.get(missing, ()))
+        if len(support) > DEFAULT_UNKNOWN_CAP:
+            raise CapExceededError(f"weight {weight} has more than {DEFAULT_UNKNOWN_CAP} "
+                                   f"unknowns, the solver cap")
+    return support
 
 
 def weight_vectors(space) -> list[tuple[int, ...]]:

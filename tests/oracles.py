@@ -8,6 +8,9 @@ product rather than a permute-contract-permute factorization, the
 adjoint action forms every commutator as a dense matrix product, the
 generic product adds one shifted polynomial per pair of terms, and the
 modular echelon form is a whole-matrix Gauss-Jordan over GF(p) on lists.
+The tensor multiplicities are solved against the whole sl_n basis, the
+route the highest-weight solve replaced, and the closed forms they are
+checked against are plain integer recurrences.
 """
 from fractions import Fraction
 
@@ -15,9 +18,20 @@ import numpy as np
 
 from diagramalg.algebra import AlgebraElement
 from diagramalg.diagrams import BrauerDiagram, Wall, compose
-from diagramalg.linalg import zeros_matrix
+from diagramalg.linalg import (
+    intertwiner_kernel,
+    rows_from_dense,
+    solve_sparse_system,
+    zeros_matrix,
+)
 from diagramalg.ring import QPoly, exactify
-from diagramalg.tensor import lie_basis
+from diagramalg.tensor import (
+    AdjointSpace,
+    _lift_entries,
+    derivation_ops_sparse,
+    lie_basis,
+    weight_vectors,
+)
 
 
 def bizarre_compose(p1: BrauerDiagram, p2: BrauerDiagram, wall: Wall):
@@ -236,3 +250,66 @@ def gauss_jordan_modp(rows, ncols: int, p: int):
         for r, pc in enumerate(pivots):
             kernel[pc, k] = -m[r][f] % p
     return pivots, kernel
+
+
+def full_basis_trivial_multiplicity(n: int, r: int, mode: str) -> int:
+    """Invariants of sl_n on its r-th tensor power from every
+    off-diagonal unit E_ab, each [E_ab, -] formed from dense commutators,
+    on the zero-weight coordinates that the weight filter picks."""
+    zero = (0,) * n
+    support = [i for i, w in enumerate(weight_vectors(AdjointSpace(n, r))) if w == zero]
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                x = zeros_matrix(n, n)
+                x[a, b] = 1
+                cols = rows_from_dense(dense_ad_action(x, n).T)
+                rows += _lift_entries([cols] * r, [n * n - 1] * r, columns=support)[0]
+    return solve_sparse_system(rows, len(support), mode=mode, want_kernel=False).nullity
+
+
+def full_basis_adjoint_multiplicity(n: int, r: int, mode: str) -> int:
+    """dim Hom_sl_n(sl_n^(x r), sl_n): the equivariant maps, solved
+    against every element of lie_basis('sl', n)."""
+    space = AdjointSpace(n, r)
+    basis = lie_basis("sl", n)
+    left = [derivation_ops_sparse(x, space) for x in basis]
+    right = [derivation_ops_sparse(x, AdjointSpace(n, 1)) for x in basis]
+    result, _ = intertwiner_kernel(left, right, space.dim, n * n - 1,
+                                   mode=mode, want_kernel=False)
+    return result.nullity
+
+
+def riordan(r: int) -> int:
+    """Riordan number R(r): R(0) = 1, R(1) = 0 and
+    R(r) = (r - 1)(2 R(r-1) + 3 R(r-2)) / (r + 1)."""
+    vals = [1, 0]
+    for k in range(2, r + 1):
+        vals.append((k - 1) * (2 * vals[k - 1] + 3 * vals[k - 2]) // (k + 1))
+    return vals[r]
+
+
+def derangement_number(k: int) -> int:
+    """N(k) from N(0) = 1, N(1) = 0 and N(k) = (k - 1)(N(k-1) + N(k-2))."""
+    a, b = 1, 0
+    for j in range(2, k + 1):
+        a, b = b, (j - 1) * (a + b)
+    return a if k == 0 else b
+
+
+def closed_form_multiplicity(n: int, r: int, adjoint: bool):
+    """Multiplicity of the trivial module (of sl_n itself if ``adjoint``)
+    in sl_n^(x r) where a closed form gives it, else None.
+
+    For sl_2 the invariants of the r-th power are counted by the Riordan
+    number R(r).  In the stable range n >= r they are N(r): one product
+    of traces along the cycles of each fixed-point-free permutation.  The
+    adjoint multiplicity in the r-th power is the invariant count of the
+    (r+1)-st, by self-duality."""
+    k = r + 1 if adjoint else r
+    if n == 2:
+        return riordan(k)
+    if n >= k:
+        return derangement_number(k)
+    return None

@@ -1,11 +1,13 @@
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from diagramalg import tensor
 from diagramalg.combinatorics import (
     AdjointMultiplicityReport,
+    _highest_weight_multiplicity,
     DerangementTable,
     derangement_table,
     derangements,
@@ -16,7 +18,19 @@ from diagramalg.combinatorics import (
     nearest_integer_to_k_factorial_over_e,
     walled_count,
 )
-from diagramalg.diagrams import Wall, enumerate_diagrams, is_walled
+from diagramalg.diagrams import CapExceededError, Wall, enumerate_diagrams, is_walled
+from diagramalg.linalg import DEFAULT_UNKNOWN_CAP
+
+from oracles import (
+    closed_form_multiplicity,
+    full_basis_adjoint_multiplicity,
+    full_basis_trivial_multiplicity,
+    riordan,
+)
+
+
+def highest_root(n):
+    return (1,) + (0,) * (n - 2) + (-1,)
 
 
 class TestDerangements:
@@ -114,3 +128,49 @@ class TestAdjointMultiplicitySparse:
         report = multiplicity_adjoint(3, 2)
         assert report.consistent
         assert report.computed == 2
+
+
+class TestHighestWeightMultiplicities:
+    @pytest.mark.parametrize("n,r", [(2, 1), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)])
+    @pytest.mark.parametrize("mode", ["auto", "exact", "modular"])
+    def test_match_the_full_basis_route(self, n, r, mode):
+        assert multiplicity_trivial(n, r, mode=mode) == full_basis_trivial_multiplicity(n, r, mode)
+        report = multiplicity_adjoint(n, r, mode=mode)
+        assert report.computed == full_basis_adjoint_multiplicity(n, r, mode)
+        assert report.consistent
+
+    def test_riordan_numbers(self):
+        # the inverse binomial transform of the Catalan numbers
+        catalan = [comb(2 * k, k) // (k + 1) for k in range(7)]
+        want = [sum((-1) ** (r - k) * comb(r, k) * catalan[k] for k in range(r + 1))
+                for r in range(7)]
+        assert [riordan(r) for r in range(7)] == want == [1, 0, 1, 1, 3, 6, 15]
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_sl2_riordan(self, r):
+        assert multiplicity_trivial(2, r) == riordan(r) == closed_form_multiplicity(2, r, False)
+        assert (_highest_weight_multiplicity(2, r, (1, -1), "auto") == riordan(r + 1)
+                == closed_form_multiplicity(2, r, True))
+
+    @pytest.mark.parametrize("n,r,adjoint,want", [
+        (3, 3, False, 2), (4, 2, False, 1), (4, 4, False, 9), (5, 3, False, 2),
+        (3, 2, True, 2), (4, 3, True, 9), (5, 3, True, 9), (6, 3, True, 9)])
+    def test_stable_range_derangements(self, n, r, adjoint, want):
+        weight = highest_root(n) if adjoint else (0,) * n
+        k = r + 1 if adjoint else r
+        assert closed_form_multiplicity(n, r, adjoint) == want == derangements(k)
+        assert _highest_weight_multiplicity(n, r, weight, "auto") == want
+
+    def test_weight_space_beyond_the_cap_is_refused_before_any_row(self, monkeypatch):
+        # the zero-weight space of sl_2^(x 12) has the central trinomial
+        # coefficient of 12 vectors
+        central = sum(comb(12, 2 * k) * comb(2 * k, k) for k in range(7))
+        assert central == 73789 > DEFAULT_UNKNOWN_CAP
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an equation row was built")
+
+        monkeypatch.setattr(tensor, "_ad_cols", refuse)
+        monkeypatch.setattr(tensor, "_lift_entries", refuse)
+        with pytest.raises(CapExceededError):
+            multiplicity_trivial(2, 12)

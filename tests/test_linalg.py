@@ -9,7 +9,7 @@ import pytest
 
 from diagramalg import linalg
 from diagramalg.algebra import deranged_basis
-from diagramalg.combinatorics import _invariant_equations
+from diagramalg.combinatorics import _highest_weight_equations
 from diagramalg.diagrams import Wall, enumerate_diagrams, is_walled
 from diagramalg.ring import exactify
 from diagramalg.linalg import (
@@ -466,7 +466,7 @@ class TestBatchedModRref:
             assert np.array_equal(acc.kernel_basis(), kern)
 
     def test_lifted_kernel_of_invariant_equations_is_the_exact_one(self):
-        rows, support = _invariant_equations(5, 3)
+        rows, support = _highest_weight_equations(5, 3, (0,) * 5)
         lifted = solve_sparse_system(rows, len(support), mode="auto")
         exact = solve_sparse_system(rows, len(support), mode="exact")
         assert (lifted.method, exact.method) == ("mod-p-confirmed-exact", "exact")
@@ -677,7 +677,7 @@ class TestSparseExactRref:
             [[row.get(j, 0) for j in range(12)] for row in rows], 12)[0])
 
     def test_exact_solve_of_invariant_equations(self):
-        rows, support = _invariant_equations(4, 3)
+        rows, support = _highest_weight_equations(4, 3, (0,) * 4)
         result = solve_sparse_system(rows, len(support), mode="exact", want_kernel=False)
         assert (result.nullity, result.method) == (2, "exact")
 

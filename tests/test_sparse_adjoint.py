@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diagramalg import duality, linalg, tensor
-from diagramalg.combinatorics import _invariant_equations
+from diagramalg.combinatorics import _highest_weight_equations
 from diagramalg.duality import verify_duality
 from diagramalg.linalg import (
     LinOp,
@@ -19,7 +19,7 @@ from diagramalg.linalg import (
 from diagramalg.tensor import (
     AdjointSpace,
     _lift_entries,
-    _zero_weight_support,
+    _weight_support,
     ad_action,
     adjoint_transport,
     derivation_action,
@@ -117,30 +117,36 @@ class TestTransport:
                 assert [type(v) for v in got] == [type(v) for v in want]
 
 
+def zero_and_highest_root(n):
+    return [(0,) * n, (1,) + (0,) * (n - 2) + (-1,)]
+
+
 class TestZeroWeightSupport:
     @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
     def test_matches_weight_filter(self, n, r):
-        zero = (0,) * n
-        want = [i for i, w in enumerate(weight_vectors(AdjointSpace(n, r))) if w == zero]
-        assert _zero_weight_support(n, r) == want
+        weights = weight_vectors(AdjointSpace(n, r))
+        for mu in zero_and_highest_root(n):
+            assert _weight_support(n, r, mu) == [i for i, w in enumerate(weights) if w == mu]
 
     @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3), (4, 2)])
     def test_equation_rows_unchanged(self, n, r):
-        # the equations of multiplicity_trivial as the weight filter and
-        # the dense commutators give them, key order included
+        # the highest-weight equations as the weight filter and the dense
+        # commutators of the simple raising units E_(a,a+1) give them,
+        # key order included
         space = AdjointSpace(n, r)
-        zero = (0,) * n
-        support = [i for i, w in enumerate(weight_vectors(space)) if w == zero]
-        want = []
-        for x in lie_basis("sl", n):
-            if any(x[a, b] for a in range(n) for b in range(n) if a != b):
+        for mu in zero_and_highest_root(n):
+            support = [i for i, w in enumerate(weight_vectors(space)) if w == mu]
+            want = []
+            for a in range(n - 1):
+                x = zeros_matrix(n, n)
+                x[a, a + 1] = 1
                 lifted, _ = _lift_entries([rows_from_dense(dense_ad_action(x, n).T)] * r,
                                           [n * n - 1] * r, columns=support)
                 want.extend(lifted)
-        rows, got_support = _invariant_equations(n, r)
-        assert got_support == support
-        assert rows == want
-        assert [list(row.items()) for row in rows] == [list(row.items()) for row in want]
+            rows, got_support = _highest_weight_equations(n, r, mu)
+            assert got_support == support
+            assert rows == want
+            assert [list(row.items()) for row in rows] == [list(row.items()) for row in want]
 
 
 class TestSparseDerangedPath:
