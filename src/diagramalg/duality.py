@@ -1,14 +1,15 @@
 """Double-centralizer verification.
 
 For each family the engine builds the group side (the unital algebra
-generated by the derived Lie algebra action, plus one reflection for the
-full orthogonal group) and the diagram side (the span of the representing
-matrices of the diagram basis), and counts both commutants.  Each
-equality is one containment plus a dimension count.  Both containments
-hold exactly when the group generators commute with the diagram
-matrices, which is checked exactly, once, on sparse rows (a failure
-raises ArithmeticError); the report carries all four dimensions, and an
-equality that holds proves exact the modular commutant count it compares.
+generated by the derived action of root vectors, plus one reflection for
+the full orthogonal group) and the diagram side (the span of the matrices
+of every diagram).  A commutant depends only on the unital algebra its
+operators generate, so each is solved on generators.  Each equality is
+one containment plus a dimension count.  Both containments hold exactly
+when the group generators commute with every diagram matrix, which is
+checked exactly, once, on sparse rows (a failure raises ArithmeticError);
+the report carries all four dimensions, and an equality that holds proves
+exact the modular commutant count it compares.
 
 The diagram commutant is solved before the group image, because its
 nullity bounds the image: the checked containment puts the image inside
@@ -30,12 +31,13 @@ exact mode is requested, and the report carries its method tag.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
 
-from .diagrams import (CapExceededError, Wall, enumerate_diagrams, enumerate_walled,
-                       permutation_to_diagram)
+from .diagrams import (CapExceededError, Wall, c_generator, enumerate_diagrams,
+                       enumerate_walled, permutation_to_diagram, wall_generator)
 from .linalg import (
     DEFAULT_UNKNOWN_CAP,
     MODES,
@@ -56,7 +58,7 @@ from .tensor import (
     check_dim,
     deranged_ops,
     derivation_ops_sparse,
-    lie_basis,
+    matrix_unit,
     reflection_op,
     weight_vectors,
 )
@@ -115,11 +117,41 @@ def _combine_methods(*labels: str) -> str:
     return mods[0] if mods else "mod-p"
 
 
+def _generators(kind: str, space) -> tuple[list[LinOp], list[LinOp]]:
+    """Derived actions on ``space`` of (Cartan elements, root vectors) of
+    gl_n, sp_n (block Gram, m = n/2) or so_n (identity Gram: no Cartan,
+    adjacent rotations).  Commutants take both, keeping their torus
+    restriction; a closure takes the roots alone, whose words span H = EF - FE."""
+    n, m, e = space.n, space.n // 2, functools.partial(matrix_unit, space.n)
+    if kind == "sp":
+        cartan = [e(i, i) - e(m + i, m + i) for i in range(m)]
+        raising = [e(i, i + 1) - e(m + i + 1, m + i) for i in range(m - 1)] + [e(m - 1, n - 1)]
+    else:
+        cartan = [e(i, i) for i in range(n)] if kind == "gl" else []
+        raising = [e(i, i + 1) for i in range(n - 1)]
+    roots = [x - x.T for x in raising] if kind == "so" else raising + [x.T for x in raising]
+    return tuple([derivation_ops_sparse(x, space) for x in xs] for xs in (cartan, roots))
+
+
+def _diagram_generators(family: str, r: int, s: int | None) -> list:
+    """Diagrams generating a span family's diagram algebra: adjacent
+    transpositions (not across the wall), and one contraction for o and sp
+    (Brauer 1937), or one crossing the wall (Benkart et al. 1994)."""
+    w = list(range(r + (s or 0)))
+    gens = [permutation_to_diagram(w[:j] + [j + 1, j] + w[j + 2:])
+            for j in range(len(w) - 1) if s is None or j != r - 1]
+    if family in ("o", "sp") and r > 1:
+        gens.append(c_generator(r, 1, 2))
+    if family == "walled" and r and s:
+        gens.append(wall_generator(Wall(r, s), r, 1))
+    return gens
+
+
 # family -> (its diagrams, a basis of the abstract diagram algebra; the
-# Lie algebra whose derived action generates the group side).  Walled
-# acts on mixed tensor space, the sp diagrams by the symplectic form, and
-# o adds the reflection to the rotations.  Names resolve at call time, so
-# a test may patch them on this module.
+# Lie algebra of ``_generators`` for the group side).  Walled acts on
+# mixed tensor space, the sp diagrams by the symplectic form, and o adds
+# the reflection to the roots.  Names resolve at call time, so a test may
+# patch them on this module.
 _SIDES = {
     "glA": (lambda r, s: map(permutation_to_diagram, itertools.permutations(range(r))), "gl"),
     "o": (lambda r, s: enumerate_diagrams(r), "so"),
@@ -128,30 +160,27 @@ _SIDES = {
 }
 
 
-def _generators(family: str, space) -> list[LinOp]:
-    """The group side of a family as sparse operators, on a space within
-    the dense builders' cap (``d * d`` unknowns in every solve)."""
-    check_dim(space, DENSE_DIM_CAP)
-    gens = [derivation_ops_sparse(x, space) for x in lie_basis(_SIDES[family][1], space.n)]
-    if family == "o":
-        gens.append(reflection_op(space.n, space.r))
-    return gens
-
-
 def _verify_span_family(family, n, r, s, mode, solver_cap):
     space = TensorSpace(n, r) if s is None else MixedSpace(n, r, s)
-    d, gen_ops = space.dim, _generators(family, space)
+    check_dim(space, DENSE_DIM_CAP)  # d * d unknowns in every solve
+    diagrams, kind = _SIDES[family]
+    cartan, seed = _generators(kind, space)
+    if family == "o":
+        seed.append(reflection_op(n, r))
+    d, gen_ops = space.dim, cartan + seed
     form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
-    diagram_ops = [LinOp(d, _diagram_rows(x, n, form)) for x in _SIDES[family][0](r, s)]
+    diagram_ops, diagram_gens = ([LinOp(d, _diagram_rows(x, n, form)) for x in xs]
+                                 for xs in (diagrams(r, s), _diagram_generators(family, r, s)))
     # both containments at once; each equality is then a dimension count
     if not _commute(gen_ops, diagram_ops):
         raise ArithmeticError("group and diagram actions fail to commute")
     diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
-    _, comm_diag = commutant(diagram_ops, d, mode=mode, want_basis=False,
+    _, comm_diag = commutant(diagram_gens, d, mode=mode, want_basis=False,
                              unknown_cap=solver_cap)
-    # The group image lies in the diagram commutant, whose exact dimension
-    # is at most this nullity in every mode: a proven bound for the closure.
-    group_span = algebra_closure(gen_ops, d, bound=comm_diag.nullity)
+    # The group image lies in the commutant of every diagram, inside that
+    # of the generators, whose exact dimension is at most this nullity in
+    # every mode: a proven bound for the closure.
+    group_span = algebra_closure(seed, d, bound=comm_diag.nullity)
     _, comm_group = commutant(gen_ops, d, mode=mode, want_basis=False,
                               unknown_cap=solver_cap)
     dims = {
@@ -175,11 +204,12 @@ def _verify_so_direct(n, r, mode, solver_cap):
     """No diagram side here: only the strict containment of the full
     orthogonal commutant inside the rotation-only commutant is computed."""
     space = TensorSpace(n, r)
-    gens_o = _generators("o", space)  # the rotations, then the reflection
-    _, so_comm = commutant(gens_o[:-1], space.dim, mode=mode, want_basis=False,
+    check_dim(space, DENSE_DIM_CAP)
+    _, rotations = _generators("so", space)
+    _, so_comm = commutant(rotations, space.dim, mode=mode, want_basis=False,
                            unknown_cap=solver_cap)
-    _, o_comm = commutant(gens_o, space.dim, mode=mode, want_basis=False,
-                          unknown_cap=solver_cap)
+    _, o_comm = commutant(rotations + [reflection_op(n, r)], space.dim, mode=mode,
+                          want_basis=False, unknown_cap=solver_cap)
     dims = {
         "group_image": None,
         "diagram_image": None,
@@ -223,7 +253,7 @@ def _verify_deranged(n, r, mode, solver_cap):
                                 for el in elements], n, r)
     diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
 
-    gens = [derivation_ops_sparse(x, space) for x in lie_basis("gl", n)]
+    gens = sum(_generators("gl", space), [])  # Cartan elements, then roots
 
     # Commutant of the group side: sparse and torus-reduced.  Its basis
     # realizes End of the group action and the span check needs it

@@ -299,14 +299,19 @@ def mixed_diagram_matrix(d: BrauerDiagram, space: MixedSpace) -> np.ndarray:
                            space.dim)
 
 
-def sigma_mixed_rows(el: AlgebraElement, space: MixedSpace) -> list[dict[int, Fraction]]:
-    """Sparse rows of the representing matrix of a walled element."""
+def _walled_rows(el: AlgebraElement, space: MixedSpace) -> list[dict[int, Fraction]]:
+    """Sparse rows of a walled element on a space its caller has capped."""
     wall = Wall(space.r, space.s)
     _check_specialized(el, wall.m, space.n, "mixed", space.n)
     if not el.is_supported_walled(wall):
         raise ValueError("element is not supported on walled diagrams")
-    check_dim(space)
     return _element_rows(el, space.n, BilinearForm("symmetric", space.n))
+
+
+def sigma_mixed_rows(el: AlgebraElement, space: MixedSpace) -> list[dict[int, Fraction]]:
+    """Sparse rows of the representing matrix of a walled element."""
+    check_dim(space)
+    return _walled_rows(el, space)
 
 
 def sigma_mixed(el: AlgebraElement, space: MixedSpace) -> np.ndarray:
@@ -315,7 +320,7 @@ def sigma_mixed(el: AlgebraElement, space: MixedSpace) -> np.ndarray:
     Requires support on walled diagrams and specialization x0 = n.
     """
     check_dim(space, DENSE_DIM_CAP)
-    return dense_from_rows(sigma_mixed_rows(el, space), space.dim)
+    return dense_from_rows(_walled_rows(el, space), space.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +571,10 @@ def adjoint_projection(n: int, r: int) -> np.ndarray:
 
 def deranged_ops(els: list[AlgebraElement], n: int, r: int) -> list[LinOp]:
     """Actions of sandwiched walled elements on the adjoint power,
-    transported from mixed tensor space through one transport pair and
-    multiplied sparsely."""
+    transported from mixed tensor space through one transport pair, which
+    checks the mixed space once, and multiplied sparsely."""
     incl, coords = adjoint_transport_rows(n, r)
-    mixed = [sigma_mixed_rows(el, MixedSpace(n, r, r)) for el in els]
+    mixed = [_walled_rows(el, MixedSpace(n, r, r)) for el in els]
     return [LinOp(len(coords), sparse_matmul(sparse_matmul(coords, m), incl)) for m in mixed]
 
 

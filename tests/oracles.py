@@ -10,26 +10,43 @@ generic product adds one shifted polynomial per pair of terms, and the
 modular echelon form is a whole-matrix Gauss-Jordan over GF(p) on lists.
 The tensor multiplicities are solved against the whole sl_n basis, the
 route the highest-weight solve replaced, and the closed forms they are
-checked against are plain integer recurrences.
+checked against are plain integer recurrences.  The duality verify is
+solved on bases, the route the generator solves replaced: every element
+of ``lie_basis`` on the group side and every diagram on the diagram side.
 """
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from diagramalg.algebra import AlgebraElement
-from diagramalg.diagrams import BrauerDiagram, Wall, compose
+from diagramalg.algebra import AlgebraElement, deranged_basis
+from diagramalg.diagrams import (BrauerDiagram, Wall, compose, enumerate_diagrams,
+                                 enumerate_walled, permutation_to_diagram)
+from diagramalg.duality import DualityReport, _combine_methods, _commute
 from diagramalg.linalg import (
+    LinOp,
+    MatrixSpan,
+    algebra_closure,
+    commutant,
+    graded_commutant_dim,
     intertwiner_kernel,
     rows_from_dense,
     solve_sparse_system,
+    span_equal,
     zeros_matrix,
 )
 from diagramalg.ring import QPoly, exactify
 from diagramalg.tensor import (
     AdjointSpace,
+    BilinearForm,
+    MixedSpace,
+    TensorSpace,
+    _diagram_rows,
     _lift_entries,
+    deranged_ops,
     derivation_ops_sparse,
     lie_basis,
+    reflection_op,
     weight_vectors,
 )
 
@@ -313,3 +330,66 @@ def closed_form_multiplicity(n: int, r: int, adjoint: bool):
     if n >= k:
         return derangement_number(k)
     return None
+
+
+def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",
+                      solver_cap: int = 65536) -> DualityReport:
+    """``verify_duality`` solved on bases: the derived action of every
+    element of ``lie_basis`` on the group side (the commutant solves and
+    the closure seed alike) and every diagram in the diagram commutant."""
+    kind = {"glA": "gl", "walled": "gl", "deranged": "gl", "sp": "sp"}.get(family, "so")
+    space = (AdjointSpace(n, r) if family == "deranged" else
+             TensorSpace(n, r) if s is None else MixedSpace(n, r, s))
+    d = space.dim
+    gens = [derivation_ops_sparse(x, space) for x in lie_basis(kind, n)]
+    if family in ("o", "so-direct"):
+        gens.append(reflection_op(n, r))
+
+    def count(ops, solve_mode=mode, want_basis=False):
+        return commutant(ops, d, mode=solve_mode, want_basis=want_basis, unknown_cap=solver_cap)
+
+    if family == "so-direct":
+        (_, so_comm), (_, o_comm) = count(gens[:-1]), count(gens)
+        dims = {"group_image": None, "diagram_image": None,
+                "commutant_of_diagram": None, "commutant_of_group": so_comm.nullity}
+        extra = {"so_commutant": so_comm.nullity, "o_commutant": o_comm.nullity,
+                 "proper_subalgebra": o_comm.nullity < so_comm.nullity}
+        return DualityReport(family, n, r, None, dims, None, None, None,
+                             _combine_methods(so_comm.method, o_comm.method), extra=extra)
+    if family == "deranged":
+        diagram_ops = deranged_ops([AlgebraElement.from_diagram(el.diagram, 1, n)
+                                    for el in deranged_basis(r, n)], n, r)
+        diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
+        comm_span, comm_group = count(gens, "auto" if mode == "modular" else mode, True)
+        equal_b = span_equal(diagram_span, comm_span)
+        if not equal_b and not _commute(gens, diagram_ops):
+            raise ArithmeticError("group and diagram actions fail to commute")
+        comm_diag, graded_method = graded_commutant_dim(
+            diagram_ops, weight_vectors(space), mode="exact" if mode == "exact" else "modular")
+        dims = {"group_image": comm_diag if equal_b else None,
+                "diagram_image": diagram_span.dim, "commutant_of_diagram": comm_diag,
+                "commutant_of_group": comm_group.nullity}
+        return DualityReport(family, n, r, r, dims, True if equal_b else None, equal_b,
+                             diagram_span.dim == len(diagram_ops),
+                             _combine_methods(comm_group.method, graded_method),
+                             extra={"group_image_via": "double commutant"})
+    diagrams = {"glA": lambda: map(permutation_to_diagram, itertools.permutations(range(r))),
+                "walled": lambda: enumerate_walled(Wall(r, s))}.get(
+                    family, lambda: enumerate_diagrams(r))()
+    form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
+    diagram_ops = [LinOp(d, _diagram_rows(x, n, form)) for x in diagrams]
+    if not _commute(gens, diagram_ops):
+        raise ArithmeticError("group and diagram actions fail to commute")
+    diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
+    _, comm_diag = count(diagram_ops)
+    group_span = algebra_closure(gens, d, bound=comm_diag.nullity)
+    _, comm_group = count(gens)
+    equal_a = group_span.dim == comm_diag.nullity
+    equal_b = diagram_span.dim == comm_group.nullity
+    methods = ["mod-p-confirmed-exact" if equal and res.method.startswith("mod-p(")
+               else res.method for res, equal in ((comm_diag, equal_a), (comm_group, equal_b))]
+    dims = {"group_image": group_span.dim, "diagram_image": diagram_span.dim,
+            "commutant_of_diagram": comm_diag.nullity, "commutant_of_group": comm_group.nullity}
+    return DualityReport(family, n, r, s, dims, equal_a, equal_b,
+                         diagram_span.dim == len(diagram_ops),
+                         _combine_methods("exact", *methods))

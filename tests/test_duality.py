@@ -1,7 +1,14 @@
 import pytest
 
-from diagramalg import duality
+import oracles
+from diagramalg import duality, linalg
+from diagramalg.diagrams import CapExceededError
 from diagramalg.duality import DualityReport, verify_duality
+from diagramalg.linalg import DEFAULT_UNKNOWN_CAP, LinOp, MatrixSpan, algebra_closure, span_equal
+from diagramalg.tensor import (BilinearForm, MixedSpace, TensorSpace, _diagram_rows,
+                               lie_basis, reflection_op)
+from oracles import full_basis_verify
+from test_golden_stdout import COMMANDS
 
 
 class TestSmallFamilies:
@@ -318,3 +325,93 @@ class TestModeValidation:
             graded_commutant_dim([identity_matrix(2)], [(0,), (1,)], mode="exactt")
         with pytest.raises(ValueError, match="unknown graded mode"):
             graded_commutant_dim([identity_matrix(2)], [(0,), (1,)], mode="auto")
+
+
+def _verify_point(argv):
+    """(family, n, r, s, mode, solver_cap) of one golden ``verify`` argv."""
+    opts = dict(zip(*[iter(argv[argv.index("verify") + 1:])] * 2))
+    s = opts.get("--s")
+    return (opts["--duality"], int(opts["--n"]), int(opts["--r"]), s and int(s),
+            opts.get("--mode", "auto"), int(opts.get("--solver-cap", DEFAULT_UNKNOWN_CAP)))
+
+
+GOLDEN_POINTS = [_verify_point(argv) for argv in COMMANDS if "verify" in argv]
+# o at even n needs the reflection in the closure seed (o(4,2): image 118,
+# not 100); the rest reach past the golden sizes in every family.
+EXTRA_POINTS = [(family, n, r, s, "auto", DEFAULT_UNKNOWN_CAP) for family, n, r, s in [
+    ("o", 2, 2, None), ("o", 4, 2, None), ("o", 2, 3, None), ("sp", 6, 2, None),
+    ("sp", 4, 3, None), ("walled", 2, 2, 2), ("walled", 3, 2, 1), ("so-direct", 4, 2, None),
+    ("deranged", 3, 1, None), ("deranged", 4, 1, None), ("deranged", 6, 1, None)]]
+
+
+class TestGeneratorRoute:
+    """The verify solves on generators; ``oracles.full_basis_verify`` solves
+    on every Lie algebra basis element and every diagram."""
+
+    @pytest.mark.parametrize("point", GOLDEN_POINTS + EXTRA_POINTS,
+                             ids=lambda p: "-".join(map(str, p[:5])))
+    def test_reports_equal_the_full_basis_route(self, point):
+        family, n, r, s, mode, cap = point
+
+        def report(verify):
+            try:
+                return verify(family, n, r, s, mode=mode, solver_cap=cap).to_json_dict()
+            except CapExceededError as exc:
+                return str(exc)
+
+        assert report(verify_duality) == report(full_basis_verify)
+
+    @pytest.mark.parametrize("family,n,r,s", [
+        *[(family, n, r, None) for family, ns in (("glA", (2, 3)), ("o", (2, 3)), ("sp", (2, 4)))
+          for n in ns for r in (1, 2, 3)],
+        *[("walled", n, r, m - r) for n in (2, 3) for m in (1, 2, 3, 4) for r in range(m + 1)],
+    ])
+    def test_generator_images_generate_the_diagram_span(self, family, n, r, s):
+        d = (TensorSpace(n, r) if s is None else MixedSpace(n, r, s)).dim
+        form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
+
+        def ops(diagrams):
+            return [LinOp(d, _diagram_rows(x, n, form)) for x in diagrams]
+
+        closure = algebra_closure(ops(duality._diagram_generators(family, r, s)), d)
+        assert span_equal(closure, MatrixSpan.from_matrices(ops(duality._SIDES[family][0](r, s)), d))
+
+    @pytest.mark.parametrize("family,n,r,s", [
+        ("sp", 4, 2, None), ("glA", 3, 2, None), ("walled", 3, 1, 1), ("deranged", 8, 1, None),
+    ])
+    def test_solve_sizes_equal_the_full_basis_route(self, monkeypatch, family, n, r, s):
+        # the Cartan elements keep the torus restriction: same unknowns
+        # in every commutant solve (lie_basis's own solve is not one)
+        basis = lie_basis("sp" if family == "sp" else "gl", n)
+        monkeypatch.setattr(oracles, "lie_basis", lambda kind, n: basis)
+        sizes = []
+        original = linalg.solve_sparse_system
+
+        def spy(rows, ncols, *args, **kwargs):
+            sizes.append(ncols)
+            return original(rows, ncols, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "solve_sparse_system", spy)
+        assert verify_duality(family, n, r, s).verified
+        ours, sizes[:] = sizes[:], []
+        assert full_basis_verify(family, n, r, s).verified
+        assert ours == sizes and len(ours) == (1 if family == "deranged" else 2)
+
+    @pytest.mark.parametrize("family,n,r,s,roots", [
+        ("glA", 3, 2, None, 4), ("walled", 3, 1, 1, 4), ("sp", 4, 2, None, 4), ("o", 4, 2, None, 3),
+    ])
+    def test_closure_seed_is_the_roots_and_the_reflection(self, monkeypatch, family, n, r, s,
+                                                          roots):
+        seeds = []
+        original = duality.algebra_closure
+
+        def spy(seed, d, **kwargs):
+            seeds.append(list(seed))
+            return original(seed, d, **kwargs)
+
+        monkeypatch.setattr(duality, "algebra_closure", spy)
+        assert verify_duality(family, n, r, s).verified
+        (seed,) = seeds
+        diagonal = [op.rows for op in seed if op.diagonal_vector() is not None]
+        reflection = [reflection_op(n, r).rows] if family == "o" else []
+        assert diagonal == reflection and len(seed) == roots + len(reflection)

@@ -419,6 +419,24 @@ class TestAdjointSummand:
         pp = sparse_matmul(p_rows, p_rows)
         assert pp == p_rows
 
+    def test_deranged_ops_checks_the_mixed_space_once(self, monkeypatch):
+        # the transport pair checks MixedSpace(n, r, r) against the cap;
+        # each element keeps its specialization and walled-support checks
+        from diagramalg import tensor
+        from diagramalg.algebra import deranged_basis
+
+        spaces = []
+        original = tensor.check_dim
+        monkeypatch.setattr(tensor, "check_dim",
+                            lambda space, *cap: spaces.append(space) or original(space, *cap))
+        tensor.deranged_ops([el.element for el in deranged_basis(2, 4)], 4, 2)
+        assert spaces == [MixedSpace(4, 2, 2)]
+        across = AlgebraElement.from_diagram(permutation_to_diagram([1, 0]), 1, 3)
+        with pytest.raises(ValueError, match="walled"):
+            tensor.deranged_ops([across], 3, 1)
+        with pytest.raises(SpecializationError):
+            tensor.deranged_ops([AlgebraElement.unit(2, 4)], 3, 1)
+
     def test_deranged_identity(self):
         e = idempotent_e(1, 2)
         assert matrices_equal(deranged_matrix(e, 2, 1), identity_matrix(3))
