@@ -24,6 +24,7 @@ from diagramalg.diagrams import (BrauerDiagram, Wall, compose, enumerate_diagram
                                  enumerate_walled, permutation_to_diagram)
 from diagramalg.duality import DualityReport, _combine_methods, _commute
 from diagramalg.linalg import (
+    DEFAULT_UNKNOWN_CAP,
     LinOp,
     MatrixSpan,
     algebra_closure,
@@ -333,7 +334,7 @@ def closed_form_multiplicity(n: int, r: int, adjoint: bool):
 
 
 def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",
-                      solver_cap: int = 65536) -> DualityReport:
+                      solver_cap: int = DEFAULT_UNKNOWN_CAP) -> DualityReport:
     """``verify_duality`` solved on bases: the derived action of every
     element of ``lie_basis`` on the group side (the commutant solves and
     the closure seed alike) and every diagram in the diagram commutant."""
@@ -373,9 +374,10 @@ def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",
                              diagram_span.dim == len(diagram_ops),
                              _combine_methods(comm_group.method, graded_method),
                              extra={"group_image_via": "double commutant"})
-    diagrams = {"glA": lambda: map(permutation_to_diagram, itertools.permutations(range(r))),
-                "walled": lambda: enumerate_walled(Wall(r, s))}.get(
-                    family, lambda: enumerate_diagrams(r))()
+    if family == "glA":
+        diagrams = map(permutation_to_diagram, itertools.permutations(range(r)))
+    else:
+        diagrams = enumerate_walled(Wall(r, s)) if family == "walled" else enumerate_diagrams(r)
     form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
     diagram_ops = [LinOp(d, _diagram_rows(x, n, form)) for x in diagrams]
     if not _commute(gens, diagram_ops):

@@ -329,7 +329,8 @@ class TestModeValidation:
 
 def _verify_point(argv):
     """(family, n, r, s, mode, solver_cap) of one golden ``verify`` argv."""
-    opts = dict(zip(*[iter(argv[argv.index("verify") + 1:])] * 2))
+    args = argv[argv.index("verify") + 1:]
+    opts = dict(zip(args[::2], args[1::2]))
     s = opts.get("--s")
     return (opts["--duality"], int(opts["--n"]), int(opts["--r"]), s and int(s),
             opts.get("--mode", "auto"), int(opts.get("--solver-cap", DEFAULT_UNKNOWN_CAP)))
