@@ -9,11 +9,11 @@ orchestrates the multiplicity computations; the heavy lifting happens in
 """
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+
+import numpy as np
 
 from .diagrams import CapExceededError, double_factorial_odd
 
@@ -35,12 +35,21 @@ def derangements(k: int) -> int:
     return sum((-1) ** (k - j) * comb(k, j) * factorial(j) for j in range(k + 1))
 
 
+def _permutation_table(k: int) -> np.ndarray:
+    """Every permutation of range(k), one per row of a small-int table: j
+    goes into each of the j + 1 slots of every row of the table of range(j)."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for j in range(k):
+        perms = np.concatenate([np.insert(perms, slot, j, axis=1) for slot in range(j + 1)])
+    return perms
+
+
 def derangements_by_enumeration(k: int) -> int:
-    """Count fixed-point-free permutations directly (independent oracle)."""
+    """Count fixed-point-free permutations directly (independent oracle):
+    the rows of the table of all k! permutations with no fixed point."""
     if k > ENUMERATION_CAP:
         raise ValueError(f"enumeration for k={k} exceeds cap {ENUMERATION_CAP}")
-    ident = range(k)
-    return sum(1 for p in itertools.permutations(ident) if all(map(operator.ne, p, ident)))
+    return int(np.count_nonzero((_permutation_table(k) != np.arange(k)).all(axis=1)))
 
 
 def nearest_integer_to_k_factorial_over_e(k: int) -> int:

@@ -121,16 +121,23 @@ def _generators(kind: str, space) -> tuple[list[LinOp], list[LinOp]]:
     """Derived actions on ``space`` of (Cartan elements, root vectors) of
     gl_n, sp_n (block Gram, m = n/2) or so_n (identity Gram: no Cartan,
     adjacent rotations).  Commutants take both, keeping their torus
-    restriction; a closure takes the roots alone, whose words span H = EF - FE."""
+    restriction; a closure takes the roots alone, whose words span H = EF - FE.
+
+    A diagonal h = sum_a c_a E_aa acts on a basis vector of torus weight w
+    by sum_a c_a w_a, so the Cartan operators are diagonal ``LinOp``s read
+    off ``weight_vectors(space)``; the roots are Leibniz sums."""
     n, m, e = space.n, space.n // 2, functools.partial(matrix_unit, space.n)
     if kind == "sp":
-        cartan = [e(i, i) - e(m + i, m + i) for i in range(m)]
+        cartan = [{i: 1, m + i: -1} for i in range(m)]
         raising = [e(i, i + 1) - e(m + i + 1, m + i) for i in range(m - 1)] + [e(m - 1, n - 1)]
     else:
-        cartan = [e(i, i) for i in range(n)] if kind == "gl" else []
+        cartan = [{a: 1} for a in range(n)] if kind == "gl" else []
         raising = [e(i, i + 1) for i in range(n - 1)]
+    weights = weight_vectors(space) if cartan else []
+    torus = [LinOp(space.dim, [{i: v} if (v := sum(c * w[a] for a, c in h.items())) else {}
+                               for i, w in enumerate(weights)]) for h in cartan]
     roots = [x - x.T for x in raising] if kind == "so" else raising + [x.T for x in raising]
-    return tuple([derivation_ops_sparse(x, space) for x in xs] for xs in (cartan, roots))
+    return torus, [derivation_ops_sparse(x, space) for x in roots]
 
 
 def _diagram_generators(family: str, r: int, s: int | None) -> list:

@@ -564,6 +564,17 @@ def _as_linop(op, dim: int) -> LinOp:
     return op if isinstance(op, LinOp) else LinOp.from_dense(op)
 
 
+def _diagonal_support(diag_pairs, dim_w: int, dim_u: int) -> list[tuple[int, int]]:
+    """The entries (i, u), row-major, with dl[i] == dr[u] for every diagonal
+    pair (dl, dr): columns grouped once by their tuple of diagonal entries,
+    each row takes its class, in O(d * #pairs + |support|) steps."""
+    classes: dict[tuple, list[int]] = {}
+    for u in range(dim_u):
+        classes.setdefault(tuple(dr[u] for _, dr in diag_pairs), []).append(u)
+    return [(i, u) for i in range(dim_w)
+            for u in classes.get(tuple(dl[i] for dl, _ in diag_pairs), ())]
+
+
 def intertwiner_kernel(
     left_ops: Sequence,
     right_ops: Sequence,
@@ -576,9 +587,10 @@ def intertwiner_kernel(
     """Solve L_k A == A R_k for a dim_w x dim_u unknown matrix A.
 
     Diagonal operator pairs are used first: they force A to vanish outside
-    the entry set where the diagonals agree, which is what keeps the big
-    weight-graded systems small.  Returns the solve result together with
-    the list of (row, col) unknowns the kernel vectors refer to.
+    the entry set where the diagonals agree (``_diagonal_support``), which
+    is what keeps the big weight-graded systems small.  Returns the solve
+    result together with the row-major list of (row, col) unknowns the
+    kernel vectors refer to.
     """
     if len(left_ops) != len(right_ops):
         raise ValueError("need one right operator per left operator")
@@ -594,8 +606,7 @@ def intertwiner_kernel(
         else:
             general_pairs.append((l, r))
 
-    support = [(i, u) for i in range(dim_w) for u in range(dim_u)
-               if all(dl[i] == dr[u] for dl, dr in diag_pairs)]
+    support = _diagonal_support(diag_pairs, dim_w, dim_u)
     if len(support) > unknown_cap:
         raise CapExceededError(
             f"{len(support)} unknowns exceed the solver cap {unknown_cap}; "

@@ -572,10 +572,21 @@ def adjoint_projection(n: int, r: int) -> np.ndarray:
 def deranged_ops(els: list[AlgebraElement], n: int, r: int) -> list[LinOp]:
     """Actions of sandwiched walled elements on the adjoint power,
     transported from mixed tensor space through one transport pair, which
-    checks the mixed space once, and multiplied sparsely."""
+    checks the mixed space once, and multiplied sparsely in integers: the
+    coordinate map scaled by n^r (its denominators divide it), each
+    element by its common denominator, and each product divided once."""
+    def scaled(rows, s):
+        return [{j: c.numerator * (s // c.denominator) for j, c in row.items()} for row in rows]
+
     incl, coords = adjoint_transport_rows(n, r)
-    mixed = [_walled_rows(el, MixedSpace(n, r, r)) for el in els]
-    return [LinOp(len(coords), sparse_matmul(sparse_matmul(coords, m), incl)) for m in mixed]
+    coords, ops = scaled(coords, n ** r), []
+    for el in els:
+        m = _walled_rows(el, MixedSpace(n, r, r))
+        den = math.lcm(*(c.denominator for row in m for c in row.values()))
+        rows = sparse_matmul(sparse_matmul(coords, scaled(m, den)), incl)
+        ops.append(LinOp(len(coords), [{j: Fraction(x, n ** r * den) for j, x in row.items()}
+                                       for row in rows]))
+    return ops
 
 
 def deranged_matrix(el: AlgebraElement, n: int, r: int) -> np.ndarray:

@@ -13,6 +13,9 @@ route the highest-weight solve replaced, and the closed forms they are
 checked against are plain integer recurrences.  The duality verify is
 solved on bases, the route the generator solves replaced: every element
 of ``lie_basis`` on the group side and every diagram on the diagram side.
+The routes that reading the torus off the weights replaced are kept too:
+the Cartan operators as Leibniz sums, the commutant support by a scan of
+every entry, and the adjoint transport multiplied in Fractions.
 """
 import itertools
 from fractions import Fraction
@@ -34,6 +37,7 @@ from diagramalg.linalg import (
     rows_from_dense,
     solve_sparse_system,
     span_equal,
+    sparse_matmul,
     zeros_matrix,
 )
 from diagramalg.ring import QPoly, exactify
@@ -44,10 +48,13 @@ from diagramalg.tensor import (
     TensorSpace,
     _diagram_rows,
     _lift_entries,
+    adjoint_transport_rows,
     deranged_ops,
     derivation_ops_sparse,
     lie_basis,
+    matrix_unit,
     reflection_op,
+    sigma_mixed_rows,
     weight_vectors,
 )
 
@@ -395,3 +402,30 @@ def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",
     return DualityReport(family, n, r, s, dims, equal_a, equal_b,
                          diagram_span.dim == len(diagram_ops),
                          _combine_methods("exact", *methods))
+
+
+def scanned_support(left_ops, right_ops, dim_w: int, dim_u: int) -> list[tuple[int, int]]:
+    """The unknowns of ``intertwiner_kernel`` by a scan of all dim_w * dim_u
+    entries: (i, u) is kept when every diagonal pair agrees there."""
+    diags = [(l.diagonal_vector(), r.diagonal_vector()) for l, r in zip(left_ops, right_ops)]
+    diags = [(dl, dr) for dl, dr in diags if dl is not None and dr is not None]
+    return [(i, u) for i in range(dim_w) for u in range(dim_u)
+            if all(dl[i] == dr[u] for dl, dr in diags)]
+
+
+def derived_cartan_ops(kind: str, space) -> list[LinOp]:
+    """The Cartan operators of gl_n (E_aa) or sp_n (E_ii - E_(m+i)(m+i),
+    m = n/2) as the Leibniz sums of their derived actions."""
+    n, m = space.n, space.n // 2
+    xs = ([matrix_unit(n, i, i) - matrix_unit(n, m + i, m + i) for i in range(m)]
+          if kind == "sp" else [matrix_unit(n, a, a) for a in range(n)])
+    return [derivation_ops_sparse(x, space) for x in xs]
+
+
+def fraction_deranged_ops(els, n: int, r: int) -> list[LinOp]:
+    """``deranged_ops`` multiplied in Fractions: the coordinate map times
+    each element's mixed rows times the inclusion."""
+    incl, coords = adjoint_transport_rows(n, r)
+    space = MixedSpace(n, r, r)
+    return [LinOp(len(coords), sparse_matmul(sparse_matmul(coords, sigma_mixed_rows(el, space)),
+                                             incl)) for el in els]

@@ -8,6 +8,7 @@ from diagramalg import tensor
 from diagramalg.combinatorics import (
     AdjointMultiplicityReport,
     _highest_weight_multiplicity,
+    _permutation_table,
     DerangementTable,
     derangement_table,
     derangements,
@@ -42,6 +43,12 @@ class TestDerangements:
     def test_formula_matches_enumeration(self):
         for k in range(9):
             assert derangements(k) == derangements_by_enumeration(k)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_enumeration_table_holds_every_permutation_once(self, k):
+        table = _permutation_table(k)
+        assert table.shape == (factorial(k), k)
+        assert sorted(map(tuple, table.tolist())) == sorted(itertools.permutations(range(k)))
 
     def test_recurrence(self):
         vals = [derangements(k) for k in range(31)]

@@ -5,7 +5,7 @@ from diagramalg import duality, linalg
 from diagramalg.diagrams import CapExceededError
 from diagramalg.duality import DualityReport, verify_duality
 from diagramalg.linalg import DEFAULT_UNKNOWN_CAP, LinOp, MatrixSpan, algebra_closure, span_equal
-from diagramalg.tensor import (BilinearForm, MixedSpace, TensorSpace, _diagram_rows,
+from diagramalg.tensor import (AdjointSpace, BilinearForm, MixedSpace, TensorSpace, _diagram_rows,
                                lie_basis, reflection_op)
 from oracles import full_basis_verify
 from test_golden_stdout import COMMANDS
@@ -416,3 +416,26 @@ class TestGeneratorRoute:
         diagonal = [op.rows for op in seed if op.diagonal_vector() is not None]
         reflection = [reflection_op(n, r).rows] if family == "o" else []
         assert diagonal == reflection and len(seed) == roots + len(reflection)
+
+
+class TestCartanFromWeights:
+    """``_generators`` reads the Cartan operators off the torus weights;
+    ``oracles.derived_cartan_ops`` builds them as Leibniz sums."""
+
+    @pytest.mark.parametrize("kind,space", [
+        *[("gl", space) for space in (TensorSpace(3, 1), TensorSpace(4, 2), MixedSpace(3, 1, 1),
+                                      MixedSpace(2, 2, 1), AdjointSpace(3, 1), AdjointSpace(4, 2))],
+        *[("sp", space) for space in (TensorSpace(4, 1), TensorSpace(4, 2), MixedSpace(4, 1, 1),
+                                      MixedSpace(2, 2, 1), AdjointSpace(4, 1), AdjointSpace(2, 2))],
+    ], ids=lambda x: repr(x))
+    def test_rows_equal_the_derived_actions(self, kind, space):
+        cartan, _ = duality._generators(kind, space)
+        ref = oracles.derived_cartan_ops(kind, space)
+        assert [op.rows for op in cartan] == [op.rows for op in ref]
+        assert ([[type(c) for row in op.rows for c in row.values()] for op in cartan]
+                == [[type(c) for row in op.rows for c in row.values()] for op in ref])
+
+    def test_so_builds_no_weights(self, monkeypatch):
+        monkeypatch.setattr(duality, "weight_vectors", None)
+        cartan, rotations = duality._generators("so", TensorSpace(3, 2))
+        assert cartan == [] and len(rotations) == 2

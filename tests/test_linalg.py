@@ -51,6 +51,7 @@ from diagramalg.tensor import (
     BilinearForm,
 )
 
+import oracles
 from oracles import gauss_jordan_modp
 
 
@@ -1013,3 +1014,48 @@ class TestSparseLift:
         assert (res.nullity, res.rank, res.kernel) == (600, 600, None)
         assert res.method == "mod-p-confirmed-exact"
         assert peak < 4 * 2 ** 20
+
+
+class TestSupportByWeightClass:
+    """``intertwiner_kernel`` reads its unknowns off the diagonal
+    signatures; ``oracles.scanned_support`` tests every entry."""
+
+    @staticmethod
+    def diagonal(values):
+        return LinOp(len(values), [{i: v} if v else {} for i, v in enumerate(values)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dim_w,dim_u", [(7, 7), (5, 9), (12, 4)])
+    def test_random_diagonals_give_the_scanned_support(self, seed, dim_w, dim_u):
+        # few values, so classes collide; Fractions on one side meet equal
+        # ints on the other, and a general pair comes first
+        rng = random.Random(seed)
+
+        def values(dim):
+            return [rng.choice([-1, 0, 1, 2, Fraction(1, 2), Fraction(2), Fraction(-1)])
+                    for _ in range(dim)]
+
+        shift = [LinOp(dim_w, [{(i + 1) % dim_w: 1} for i in range(dim_w)]),
+                 LinOp(dim_u, [{(u + 2) % dim_u: 3} for u in range(dim_u)])]
+        left, right = [shift[0]], [shift[1]]
+        for _ in range(rng.randint(1, 3)):
+            left.append(self.diagonal(values(dim_w)))
+            right.append(self.diagonal(values(dim_u)))
+        _, support = intertwiner_kernel(left, right, dim_w, dim_u, want_kernel=False)
+        assert support == oracles.scanned_support(left, right, dim_w, dim_u)
+
+    def test_no_diagonal_pair_keeps_every_entry(self):
+        left = [LinOp(3, [{1: 1}, {2: 1}, {0: 1}])]
+        right = [LinOp(4, [{3: 1}, {0: 1}, {1: 1}, {2: 1}])]
+        _, support = intertwiner_kernel(left, right, 3, 4, want_kernel=False)
+        assert support == oracles.scanned_support(left, right, 3, 4)
+        assert support == [(i, u) for i in range(3) for u in range(4)]
+
+    def test_deranged_group_commutant(self):
+        # the gl_8 generators on sl_8: 105 of the 3969 entries survive
+        from diagramalg import duality
+
+        gens = sum(duality._generators("gl", AdjointSpace(8, 1)), [])
+        _, support = intertwiner_kernel(gens, gens, 63, 63, want_kernel=False)
+        assert support == oracles.scanned_support(gens, gens, 63, 63)
+        assert len(support) == 105

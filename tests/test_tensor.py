@@ -29,6 +29,7 @@ from diagramalg.tensor import (
     adjoint_projection,
     adjoint_transport,
     deranged_matrix,
+    deranged_ops,
     derivation_action,
     derivation_ops_sparse,
     diagram_matrix,
@@ -43,7 +44,7 @@ from diagramalg.tensor import (
     weight_vectors,
 )
 
-from oracles import orthogonal_diagram_matrix
+from oracles import fraction_deranged_ops, orthogonal_diagram_matrix
 
 
 def random_word(m, rng):
@@ -436,6 +437,21 @@ class TestAdjointSummand:
             tensor.deranged_ops([across], 3, 1)
         with pytest.raises(SpecializationError):
             tensor.deranged_ops([AlgebraElement.unit(2, 4)], 3, 1)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_integer_transport_equals_the_fraction_route(self, n):
+        # values and entry types, for bare diagrams (as verify transports
+        # them), their sandwiches and an element with a proper denominator
+        from diagramalg.algebra import deranged_basis
+
+        elements = deranged_basis(1, n)
+        els = [AlgebraElement.from_diagram(el.diagram, 1, n) for el in elements]
+        els += [el.element for el in elements]
+        els.append(idempotent_e(1, n).scale(Fraction(2, 3)) + els[0])
+        ours, ref = deranged_ops(els, n, 1), fraction_deranged_ops(els, n, 1)
+        assert [op.rows for op in ours] == [op.rows for op in ref]
+        assert ([[type(c) for row in op.rows for c in row.values()] for op in ours]
+                == [[type(c) for row in op.rows for c in row.values()] for op in ref])
 
     def test_deranged_identity(self):
         e = idempotent_e(1, 2)
