@@ -36,10 +36,6 @@ class RingMismatchError(ValueError):
     """Operands carry different coefficient rings (generic vs specialized)."""
 
 
-def _zero_coeff(x0):
-    return QPoly() if x0 is None else Fraction(0)
-
-
 def _coerce_coeff(c, x0):
     if x0 is None:
         if isinstance(c, QPoly):
@@ -66,12 +62,12 @@ class AlgebraElement:
             if d.m != m:
                 raise SizeMismatchError(f"diagram on {d.m} columns in an m={m} element")
             c = _coerce_coeff(c, x0)
+            if d in clean:
+                c = clean[d] + c
             if c:
-                c = clean.get(d, _zero_coeff(x0)) + c
-                if c:
-                    clean[d] = c
-                else:
-                    clean.pop(d, None)
+                clean[d] = c
+            else:
+                clean.pop(d, None)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "_terms", clean)
@@ -115,7 +111,7 @@ class AlgebraElement:
         return not self._terms
 
     def coefficient(self, d: BrauerDiagram):
-        return self._terms.get(d, _zero_coeff(self.x0))
+        return self._terms.get(d, QPoly() if self.x0 is None else Fraction(0))
 
     def _check_compatible(self, other: "AlgebraElement"):
         if self.m != other.m:
@@ -127,14 +123,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self._terms)
-        for d, c in other._terms.items():
-            acc = out.get(d, _zero_coeff(self.x0)) + c
-            if acc:
-                out[d] = acc
-            else:
-                out.pop(d, None)
-        return AlgebraElement._reduced(self.m, out, self.x0)
+        return AlgebraElement(self.m, [*self._terms.items(), *other._terms.items()], self.x0)
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement._reduced(self.m, {d: -c for d, c in self._terms.items()}, self.x0)
@@ -155,28 +144,19 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_compatible(other)
-        if self.x0 is None:  # one coefficient list per composite, summed at offset loops
-            rows: dict[BrauerDiagram, list] = {}
-            for d1, c1 in self._terms.items():
-                for d2, c2 in other._terms.items():
-                    res = compose(d1, d2)
-                    coeffs = (c1 * c2).coeffs
-                    row = rows.setdefault(res.composite, [])
-                    row += [0] * (res.loops + len(coeffs) - len(row))
-                    for i, c in enumerate(coeffs, res.loops):
-                        row[i] = row[i] + c if row[i] else c
-            return AlgebraElement._reduced(
-                self.m, {d: p for d, row in rows.items() if (p := QPoly(row))}, None)
-        out: dict[BrauerDiagram, Fraction] = {}
+        rows: dict[BrauerDiagram, list] = {}  # x-coefficients per composite, at offset loops
         for d1, c1 in self._terms.items():
             for d2, c2 in other._terms.items():
                 res = compose(d1, d2)
-                acc = out.get(res.composite, Fraction(0)) + c1 * c2 * self.x0 ** res.loops
-                if acc:
-                    out[res.composite] = acc
-                else:
-                    out.pop(res.composite, None)
-        return AlgebraElement._reduced(self.m, out, self.x0)
+                coeffs = (c1 * c2).coeffs if self.x0 is None else (c1 * c2,)
+                row = rows.setdefault(res.composite, [])
+                row += [0] * (res.loops + len(coeffs) - len(row))
+                for i, c in enumerate(coeffs, res.loops):
+                    row[i] = row[i] + c if row[i] else c
+        terms = ((d, QPoly(row)) for d, row in rows.items())
+        if self.x0 is not None:
+            terms = ((d, p.evaluate(self.x0)) for d, p in terms)
+        return AlgebraElement._reduced(self.m, {d: c for d, c in terms if c}, self.x0)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):
@@ -366,7 +346,7 @@ def element_from_json(obj) -> AlgebraElement:
     terms = obj.get("terms")
     if not isinstance(terms, list):
         raise DiagramParseError("'terms' must be a list")
-    acc: dict[BrauerDiagram, object] = {}
+    pairs = []
     for t in terms:
         if not isinstance(t, dict) or set(t) != {"diagram", "coeff"}:
             raise DiagramParseError(f"bad term {t!r}")
@@ -380,5 +360,5 @@ def element_from_json(obj) -> AlgebraElement:
             if not isinstance(raw, str):
                 raise DiagramParseError("specialized coefficients are 'p/q' strings")
             c = fraction_from_str(raw)
-        acc[d] = acc.get(d, _zero_coeff(x0)) + c
-    return AlgebraElement(m, acc, x0)
+        pairs.append((d, c))
+    return AlgebraElement(m, pairs, x0)

@@ -75,7 +75,8 @@ def _render_text(obj, indent: str = "") -> str:
                 lines.append(f"{indent}{k}: {_render_text(v)}")
         return "\n".join(lines)
     if isinstance(obj, list):
-        return "\n".join(_render_text(v, indent) if isinstance(v, (dict, list))
+        return "\n".join(f"{indent}-\n{_render_text(v, indent + '  ')}"
+                         if isinstance(v, (dict, list)) and v
                          else f"{indent}- {_render_text(v)}" for v in obj)
     if obj is None:
         return "-"

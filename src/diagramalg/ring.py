@@ -46,7 +46,7 @@ class QPoly:
         x0 = Fraction(x0)
         out = Fraction(0)
         for c in reversed(self.coeffs):
-            out = out * x0 + c
+            out = out * x0 + c if out else c
         return out
 
     def __add__(self, other) -> "QPoly":

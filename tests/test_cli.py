@@ -344,3 +344,29 @@ class TestDeterminism:
         assert rc == 0
         assert "formula: 3" in out
         assert "match: true" in out
+
+    def test_text_mode_marks_each_compound_list_item(self):
+        rc, out, _ = run_cli("--output", "text", "derangements", "--max", "2")
+        assert rc == 0
+        lines = out.splitlines()
+        rows = lines[lines.index("rows:") + 1:]
+        assert [line for line in rows if line.strip() == "-"] == ["  -"] * 3
+        assert rows[1:4] == ["    N: 1", "    k: 0", "    method: enumeration"]
+
+    def test_text_mode_keeps_edge_pairs_apart(self, tmp_path):
+        # the wall-crossing contraction: one cap t1-t2 and one cup b1-b2
+        path = write_json(tmp_path, [CROSSING])
+        rc, out, _ = run_cli("--output", "text", "multiply", "--file", path)
+        assert rc == 0
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.strip() == "edges:")
+        edges = [line.strip() for line in lines[start + 1:start + 7]]
+        assert edges == ["-", "- t1", "- t2", "-", "- b1", "- b2"]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, capsys, threads):
+        rc = cli.main(["--threads", threads, "derangements", "--max", "2"])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE == 2
+        assert err == "diagramalg: --threads must be at least 1\n"
+        assert out == ""
