@@ -161,6 +161,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.solver_cap < 1:
+        raise UsageError("--solver-cap must be at least 1")
     report = verify_duality(
         args.duality, args.n, args.r, args.s, mode=args.mode,
         solver_cap=args.solver_cap, with_timing=args.timing)

@@ -43,8 +43,7 @@ from .ring import exactify, fraction_from_str, fraction_to_str
 
 # Primes just below 2**25: a product of two residues is below 2**50, and
 # an int64 sum holds (2**63 - 1) // (p - 1)**2 of them (8192 at these
-# primes).  Longer sums are reduced mod p in chunks of that length
-# (``_matmul_mod``), so larger primes and longer rows stay exact too.
+# primes), so the closure screen multiplies residues at d <= 8192.
 DEFAULT_PRIMES = (33554393, 33554383)
 EXTRA_PRIMES = (33554371, 33554347, 33554341, 33554317, 33554291, 33554273)
 
@@ -102,25 +101,6 @@ def mat_to_modp(mat, p: int) -> np.ndarray:
     dst = out.reshape(-1)
     for k, q in (mat.entries() if isinstance(mat, LinOp) else _nonzeros(mat)).items():
         dst[k] = _residue(q, p, cache)
-    return out
-
-
-def _sum_terms(p: int) -> int:
-    """How many products of two residues mod p one int64 sum can hold."""
-    return (2 ** 63 - 1) // (p - 1) ** 2
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """``a @ b mod p`` for int64 arrays of residues mod p.  The products
-    are summed at most ``_sum_terms(p)`` at a time, with a reduction after
-    each chunk, so no int64 sum wraps."""
-    step = _sum_terms(p)
-    if a.shape[-1] <= step:
-        return a @ b % p
-    out = a[..., :step] @ b[..., :step, :] % p
-    for s in range(step, a.shape[-1], step):
-        out += a[..., s:s + step] @ b[..., s:s + step, :] % p
-        out %= p
     return out
 
 
@@ -814,8 +794,8 @@ def algebra_closure(
     taking candidates at ``bound`` kept words, which are then a basis;
     only they are multiplied out exactly, and one that is exactly
     dependent (a broken reduction) raises ArithmeticError.  If fewer
-    residues are kept, or the seed does not reduce mod p, the exact
-    saturation above runs.
+    residues are kept, the seed does not reduce mod p, or d is too large
+    for an int64 matrix product of residues, the exact saturation above runs.
     """
     seed = [_as_linop(m, d) for m in seed]
     start = [LinOp(d, [{i: 1} for i in range(d)])] + seed
@@ -840,8 +820,9 @@ def algebra_closure(
 def _bounded_closure(start: list[LinOp], d: int, p: int, bound: int) -> MatrixSpan | None:
     """The closure of ``start`` (the identity, then the seed) from a
     saturation on residues mod p, as ``algebra_closure`` describes, or
-    None when the seed does not reduce mod p or fewer than ``bound``
-    residues come out independent."""
+    None where that falls back to the exact saturation."""
+    if d * (p - 1) ** 2 > 2 ** 63 - 1:
+        return None
     try:
         residues = [mat_to_modp(m, p) for m in start]
     except ZeroDivisionError:
@@ -853,7 +834,7 @@ def _bounded_closure(start: list[LinOp], d: int, p: int, bound: int) -> MatrixSp
 
     def multiply(gen, cand):
         g, g_res = gen
-        return _matmul_mod(g_res, cand[0], p), (g, words[cand[1]])
+        return g_res @ cand[0] % p, (g, words[cand[1]])
 
     def take(cand) -> bool:
         if len(words) == bound or not screen.insert(cand[0].reshape(-1)):

@@ -10,7 +10,9 @@ generic product adds one shifted polynomial per pair of terms, and the
 modular echelon form is a whole-matrix Gauss-Jordan over GF(p) on lists.
 The tensor multiplicities are solved against the whole sl_n basis, the
 route the highest-weight solve replaced, and the closed forms they are
-checked against are plain integer recurrences.  The duality verify is
+checked against are plain integer recurrences.  The glA dimensions are
+checked against the hook length and hook-content formulas over the
+partitions of r.  The duality verify is
 solved on bases, the route the generator solves replaced: every element
 of ``lie_basis`` on the group side and every diagram on the diagram side.
 The routes that reading the torus off the weights replaced are kept too:
@@ -18,6 +20,7 @@ the Cartan operators as Leibniz sums, the commutant support by a scan of
 every entry, and the adjoint transport multiplied in Fractions.
 """
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -338,6 +341,37 @@ def closed_form_multiplicity(n: int, r: int, adjoint: bool):
     if n >= k:
         return derangement_number(k)
     return None
+
+
+def partitions(r: int, max_parts: int, largest: int | None = None):
+    """The partitions of r into at most ``max_parts`` parts (each at most
+    ``largest``), as weakly decreasing tuples, largest first part first."""
+    if r == 0:
+        yield ()
+    elif max_parts > 0:
+        for first in range(min(r, largest or r), 0, -1):
+            for rest in partitions(r - first, max_parts - 1, first):
+                yield (first,) + rest
+
+
+def _hooks_and_contents(shape) -> list[tuple[int, int]]:
+    """(hook length, content j - i) of each box (i, j) of the Young diagram."""
+    columns = [sum(1 for part in shape if part > j) for j in range(max(shape, default=0))]
+    return [(shape[i] - j + columns[j] - i - 1, j - i)
+            for i in range(len(shape)) for j in range(shape[i])]
+
+
+def standard_tableaux(shape) -> int:
+    """f^shape by the hook length formula (Frame, Robinson and Thrall 1954):
+    r! over the product of the hook lengths."""
+    return math.factorial(sum(shape)) // math.prod(h for h, _ in _hooks_and_contents(shape))
+
+
+def gl_irrep_dim(shape, n: int) -> int:
+    """dim V_shape of GL_n by the hook-content formula (Stanley, EC2,
+    Cor. 7.21.4): the product of (n + content) / hook over the boxes."""
+    boxes = _hooks_and_contents(shape)
+    return math.prod(n + c for _, c in boxes) // math.prod(h for h, _ in boxes)
 
 
 def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from diagramalg import cli, combinatorics
+from diagramalg import algebra, cli, combinatorics, duality
 
 CMD = [sys.executable, "-m", "diagramalg.cli"]
 
@@ -224,6 +224,39 @@ class TestVerify:
                              "--solver-cap", "10")
         assert rc == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize("cap,rc,err", [
+        ("0", 2, "diagramalg: --solver-cap must be at least 1\n"),
+        ("-1", 2, "diagramalg: --solver-cap must be at least 1\n"),
+        ("1", 3, "diagramalg: cap exceeded: 16 unknowns exceed the solver cap 1; "
+                 "raise it with --solver-cap\n"),
+    ], ids=["0", "-1", "1"])
+    def test_solver_cap_below_one_is_a_usage_error(self, capsys, cap, rc, err):
+        # exit 3 means a cap was hit; a cap no system can meet is malformed input
+        args = ["verify", "--duality", "glA", "--n", "2", "--r", "2", "--solver-cap", cap]
+        assert cli.main(args) == rc
+        assert capsys.readouterr() == ("", err)
+
+    def test_deranged_s_must_equal_r(self, capsys):
+        args = ["verify", "--duality", "deranged", "--n", "2", "--r", "1"]
+        assert cli.main(args + ["--s", "2"]) == 2
+        assert capsys.readouterr() == ("", "diagramalg: the deranged family lives on (r, r) columns\n")
+        assert cli.main(args + ["--s", "1"]) == 0
+        with_s = capsys.readouterr()
+        assert cli.main(args) == 0
+        assert capsys.readouterr() == with_s
+
+    def test_deranged_matrix_space_cap_before_any_work(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(algebra, "deranged_basis", refuse)
+        monkeypatch.setattr(duality, "deranged_ops", refuse)
+        monkeypatch.setattr(duality, "derivation_ops_sparse", refuse)
+        args = ["verify", "--duality", "deranged", "--n", "4", "--r", "1", "--solver-cap", "100"]
+        assert cli.main(args) == 3
+        assert capsys.readouterr() == (
+            "", "diagramalg: cap exceeded: 225 matrix-space unknowns exceed the solver cap 100\n")
 
     def test_modes_agree_on_dims_and_tag_their_route(self):
         # 729 and 365 unknowns: above the exact cap of mode auto

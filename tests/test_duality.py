@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 import oracles
@@ -7,7 +10,7 @@ from diagramalg.duality import DualityReport, verify_duality
 from diagramalg.linalg import DEFAULT_UNKNOWN_CAP, LinOp, MatrixSpan, algebra_closure, span_equal
 from diagramalg.tensor import (AdjointSpace, BilinearForm, MixedSpace, TensorSpace, _diagram_rows,
                                lie_basis, reflection_op)
-from oracles import full_basis_verify
+from oracles import full_basis_verify, gl_irrep_dim, partitions, standard_tableaux
 from test_golden_stdout import COMMANDS
 
 
@@ -299,6 +302,33 @@ class TestBoundedClosure:
         rep = verify_duality("sp", 4, 2, mode=mode)
         assert rep.verified
         assert bounds == [rep.dims["commutant_of_diagram"]] == [126]
+
+
+class TestGlAClosedForms:
+    """Schur-Weyl duality for GL_n: V^(x r) is the sum over partitions
+    of r with at most n parts of S^shape (x) V_shape, so the diagram image
+    has dimension sum (f^shape)^2 and the group image sum (dim V_shape)^2."""
+
+    def test_oracles(self):
+        assert [len(list(partitions(r, r))) for r in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+        for r in range(8):
+            assert sum(standard_tableaux(la) ** 2 for la in partitions(r, r)) == math.factorial(r)
+        for n, k in itertools.product(range(1, 5), range(5)):
+            # symmetric and exterior powers
+            assert gl_irrep_dim((k,) if k else (), n) == math.comb(n + k - 1, k)
+            assert gl_irrep_dim((1,) * k, n) == math.comb(n, k)
+
+    @pytest.mark.parametrize("n,r", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2), (2, 5)])
+    def test_dims_are_the_closed_forms(self, n, r):
+        shapes = list(partitions(r, n))
+        f = [standard_tableaux(la) for la in shapes]
+        dim_v = [gl_irrep_dim(la, n) for la in shapes]
+        assert sum(a * b for a, b in zip(f, dim_v)) == n ** r
+        rep = verify_duality("glA", n, r)
+        assert rep.dims["commutant_of_group"] == rep.dims["diagram_image"] == sum(a * a for a in f)
+        assert (rep.dims["group_image"] == rep.dims["commutant_of_diagram"]
+                == sum(b * b for b in dim_v))
+        assert rep.faithful == (n >= r)
 
 
 class TestModeValidation:

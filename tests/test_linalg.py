@@ -889,6 +889,21 @@ class TestBoundedClosure:
         with pytest.raises(ArithmeticError, match="exactly dependent"):
             algebra_closure(gl2_closure_seed(), 4, bound=10)
 
+    def test_wrapping_int64_sums_fall_back_before_any_reduction(self, monkeypatch):
+        # an entry of a product of d x d residues sums d terms below
+        # (p - 1)**2: 8192 of them fit in an int64, 8193 may not
+        d, p = 8193, DEFAULT_PRIMES[0]
+        assert (d - 1) * (p - 1) ** 2 <= 2 ** 63 - 1 < d * (p - 1) ** 2
+        counts = self.counting(monkeypatch)
+
+        def refuse(mat, p):
+            raise AssertionError("reduced mod p")
+
+        monkeypatch.setattr(linalg, "mat_to_modp", refuse)
+        seed = [LinOp(d, [{i: 1} if i % 2 else {} for i in range(d)])]
+        assert algebra_closure(seed, d, bound=2).dim == 2
+        assert counts["exact_saturations"] == [True]
+
 
 CLOSURE_SEEDS = pytest.mark.parametrize("make_seed,d,dim", [
     (gl2_closure_seed, 4, 10), (sp42_closure_seed, 16, 126),
@@ -939,8 +954,8 @@ class TestDenseAndLinOpAgree:
 
 
 class TestModRrefWideSums:
-    """Near 2**31 an int64 holds only two products of residues; longer
-    sums are reduced in chunks."""
+    """Near 2**31 an int64 holds only two products of residues; the
+    echelon form reduces in Python ints, so its ranks stay exact."""
 
     P = 2 ** 31 - 1
 
@@ -962,15 +977,6 @@ class TestModRrefWideSums:
                 else:
                     acc.insert(np.array(row, dtype=np.int64))
             assert acc.rank == 6
-
-    def test_matmul_mod_matches_integer_product(self):
-        rng = random.Random(12)
-        a = [[rng.randrange(self.P) for _ in range(7)] for _ in range(3)]
-        b = [[rng.randrange(self.P) for _ in range(4)] for _ in range(7)]
-        want = [[sum(a[i][k] * b[k][j] for k in range(7)) % self.P for j in range(4)]
-                for i in range(3)]
-        got = linalg._matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), self.P)
-        assert got.tolist() == want
 
 
 class TestSparseModRrefMemory:
