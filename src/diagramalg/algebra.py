@@ -334,7 +334,7 @@ def element_from_json(obj) -> AlgebraElement:
     if not isinstance(obj, dict):
         raise DiagramParseError("element must be an object")
     m = obj.get("m")
-    if not isinstance(m, int) or m <= 0:
+    if type(m) is not int or m <= 0:  # a JSON boolean is no column count
         raise DiagramParseError(f"'m' must be a positive integer, got {m!r}")
     ring = obj.get("ring")
     if ring == "generic":

@@ -40,16 +40,13 @@ from .diagrams import (
 )
 from .duality import FAMILIES, verify_duality
 from .linalg import DEFAULT_UNKNOWN_CAP, MODES
-from .ring import fraction_from_str
+from .ring import DIGITS_CAP as FORMULA_DIGITS_CAP, fraction_from_str
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_CAPS = 3
 EXIT_INTERNAL = 4
-
-# CPython's default int-to-str limit; a longer formula is refused on every build
-FORMULA_DIGITS_CAP = 4300
 
 
 class UsageError(ValueError):

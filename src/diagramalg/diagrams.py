@@ -231,52 +231,31 @@ def compose(d1: BrauerDiagram, d2: BrauerDiagram) -> CompositionResult:
     """
     if d1.m != d2.m:
         raise SizeMismatchError(f"cannot compose diagrams on {d1.m} and {d2.m} columns")
-    m = d1.m
-    partner = [-1] * (2 * m)
-    seen_middle = [False] * m
-
-    def trace(start: int) -> int:
-        # Walk the strand leaving composite vertex `start` until it exits
-        # at the composite boundary.  Layer 1 is d1, layer 2 is d2; the
-        # middle row consists of d1's bottom glued to d2's top.
-        if start < m:
-            layer, v = 1, d1.partner[start]
-        else:
-            layer, v = 2, d2.partner[start]
-        while True:
-            if layer == 1:
-                if v < m:
-                    return v
-                col = v - m
-                seen_middle[col] = True
-                layer, v = 2, d2.partner[col]
-            else:
-                if v >= m:
-                    return v
-                col = v
-                seen_middle[col] = True
-                layer, v = 1, d1.partner[m + col]
-
-    for v in range(2 * m):
-        if partner[v] == -1:
-            w = trace(v)
-            partner[v] = w
-            partner[w] = v
-
+    m, two_m = d1.m, 2 * d1.m
+    layers, partner = (d1.partner, d2.partner), [-1] * two_m
+    seen = [False] * m  # middle columns that some strand crossed
+    # Layer False is d1, whose bottom row is glued; layer True is d2, whose
+    # top row is.  A strand on a glued vertex crosses to the other layer in
+    # the same middle column and follows the edge there.
+    for start in range(two_m):
+        if partner[start] != -1:
+            continue
+        k = start >= m
+        v = layers[k][start]
+        while (v >= m) != k:
+            seen[v % m] = True
+            k = not k
+            v = layers[k][(v + m) % two_m]
+        partner[start], partner[v] = v, start
+    # every column left over lies on a closed loop of glued edges only
     loops = 0
     for j in range(m):
-        if seen_middle[j]:
-            continue
-        loops += 1
-        col = j
-        while True:
-            seen_middle[col] = True
-            nxt = d1.partner[m + col] - m  # horizontal edge on d1's bottom row
-            seen_middle[nxt] = True
-            col = d2.partner[nxt]          # horizontal edge on d2's top row
-            if col == j:
-                break
-
+        if not seen[j]:
+            loops += 1
+            k, v = False, m + j
+            while not seen[v % m]:
+                seen[v % m] = True
+                k, v = not k, (layers[k][v] + m) % two_m
     return CompositionResult(BrauerDiagram(m, tuple(partner)), loops)
 
 
@@ -397,7 +376,7 @@ def diagram_from_json(obj) -> BrauerDiagram:
     if not isinstance(obj, dict):
         raise DiagramParseError(f"diagram must be an object, got {type(obj).__name__}")
     m = obj.get("m")
-    if not isinstance(m, int) or m <= 0:
+    if type(m) is not int or m <= 0:  # a JSON boolean is no column count
         raise DiagramParseError(f"'m' must be a positive integer, got {m!r}")
     edges = obj.get("edges")
     if not isinstance(edges, list):

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .diagrams import (CapExceededError, Wall, c_generator, enumerate_diagrams,
                        enumerate_walled, permutation_to_diagram, wall_generator)
@@ -83,24 +83,9 @@ class DualityReport:
     extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "n": self.n,
-            "r": self.r,
-            "s": self.s,
-            "dims": {
-                "group_image": self.dims.get("group_image"),
-                "diagram_image": self.dims.get("diagram_image"),
-                "commutant_of_diagram": self.dims.get("commutant_of_diagram"),
-                "commutant_of_group": self.dims.get("commutant_of_group"),
-            },
-            "equal_a": self.equal_a,
-            "equal_b": self.equal_b,
-            "faithful": self.faithful,
-            "method": self.method,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        out.update(self.extra)
+        """The fields in order, then the ``extra`` keys."""
+        out = asdict(self)
+        out.update(out.pop("extra"))
         return out
 
     @property

@@ -10,6 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+# CPython's default int-to-str limit: no longer integer prints on every build
+DIGITS_CAP = 4300
+
 
 class QPoly:
     """Immutable dense polynomial over Q, coefficients constant-first."""
@@ -150,6 +153,14 @@ def fraction_to_str(q) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
+    """Parse 'p', 'p/q' or a decimal such as '-1.5e3'.  The length of the
+    unsigned literal before its exponent, plus the exponent, bounds the
+    digits of its numerator and denominator; past ``DIGITS_CAP`` neither
+    could be printed, so the literal is refused before either is built."""
+    body, _, exp = s.strip().lstrip("+-").lower().partition("e")
+    exp = exp.lstrip("+-").replace("_", "").lstrip("0")
+    if len(exp) > 4 or len(body) + int(exp if exp.isdecimal() else 0) > DIGITS_CAP:
+        raise ValueError(f"bad rational literal: more than {DIGITS_CAP} digits")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -70,22 +70,6 @@ class SpecializationError(ValueError):
 
 
 @dataclass(frozen=True)
-class TensorSpace:
-    """V tensored with itself r times, V = Q^n."""
-
-    n: int
-    r: int
-
-    def __post_init__(self):
-        if self.n < 2 or self.r < 1:
-            raise ValueError(f"need n >= 2 and r >= 1, got ({self.n}, {self.r})")
-
-    @property
-    def dim(self) -> int:
-        return self.n ** self.r
-
-
-@dataclass(frozen=True)
 class MixedSpace:
     """V^(x r) tensor (V*)^(x s); the V block comes first."""
 
@@ -100,6 +84,18 @@ class MixedSpace:
     @property
     def dim(self) -> int:
         return self.n ** (self.r + self.s)
+
+
+@dataclass(frozen=True)
+class TensorSpace(MixedSpace):
+    """V tensored with itself r times, V = Q^n: the mixed space with no
+    dual factors."""
+
+    s: int = 0
+
+    def __post_init__(self):
+        if self.n < 2 or self.r < 1 or self.s != 0:
+            raise ValueError(f"need n >= 2 and r >= 1, got ({self.n}, {self.r})")
 
 
 @dataclass(frozen=True)
@@ -467,8 +463,6 @@ def _sparse_cols(x: np.ndarray) -> list[dict[int, object]]:
 
 
 def _position_actions(x: np.ndarray, space):
-    if isinstance(space, TensorSpace):
-        return [_sparse_cols(x)] * space.r, [space.n] * space.r
     if isinstance(space, MixedSpace):
         # dual positions act by -x^T
         cols, dual = _sparse_cols(x), _sparse_cols(-x.T)
@@ -629,9 +623,7 @@ def weight_vectors(space) -> list[tuple[int, ...]]:
     units; generators that commute with the torus preserve them."""
     n = space.n
     units = [tuple(int(c == a) for c in range(n)) for a in range(n)]
-    if isinstance(space, TensorSpace):
-        per_pos = [units] * space.r
-    elif isinstance(space, MixedSpace):
+    if isinstance(space, MixedSpace):
         per_pos = [units] * space.r + [[tuple(-c for c in w) for w in units]] * space.s
     elif isinstance(space, AdjointSpace):
         per_pos = [_sl_weights(n)] * space.r

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the code paths they check: the twisted-strand
-composition is a literal graph chase on two stacked permutation
-diagrams, the walled predicate and the flip go edge by edge over the
+These deliberately avoid the code paths they check: diagram
+composition is a union-find over the vertices of the two stacked
+diagrams, the twisted-strand composition is a literal graph chase on two
+stacked permutation diagrams, the walled predicate and the flip go edge by edge over the
 sorted edge list, the orthogonal diagram action is the edge-by-edge delta
 product rather than a permute-contract-permute factorization, the
 adjoint action forms every commutator as a dense matrix product, the
@@ -60,6 +61,42 @@ from diagramalg.tensor import (
     sigma_mixed_rows,
     weight_vectors,
 )
+
+
+def glued_compose(d1: BrauerDiagram, d2: BrauerDiagram):
+    """Compose by gluing: a union-find over the 4m vertices of ``d1``
+    (0 .. 2m-1) stacked on ``d2`` (2m .. 4m-1), joining every edge of both
+    and each bottom vertex of ``d1`` to the top vertex of ``d2`` in its
+    column.  Returns (composite, loops): the composite pairs the two
+    boundary vertices of each component, and the loops are the components
+    with no boundary vertex, those lying only in the middle row."""
+    m = d1.m
+    assert d2.m == m
+    parent = list(range(4 * m))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(v, w):
+        parent[find(v)] = find(w)
+
+    for offset, d in ((0, d1), (2 * m, d2)):
+        for v, w in d.edges:
+            union(offset + v, offset + w)
+    for j in range(m):
+        union(m + j, 2 * m + j)
+    ends: dict[int, list[int]] = {find(v): [] for v in range(4 * m)}
+    for k in range(2 * m):  # d1's top vertex k, or d2's bottom vertex k
+        ends[find(k if k < m else 2 * m + k)].append(k)
+    partner = [-1] * (2 * m)
+    for pair in ends.values():
+        if pair:
+            a, b = pair
+            partner[a], partner[b] = b, a
+    return BrauerDiagram(m, tuple(partner)), sum(1 for pair in ends.values() if not pair)
 
 
 def bizarre_compose(p1: BrauerDiagram, p2: BrauerDiagram, wall: Wall):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -73,6 +74,36 @@ class TestMultiply:
         rc, _, err = run_cli("multiply", "--file", path, "--x", "generic")
         assert rc == 2
         assert "ring" in err
+
+    @pytest.mark.parametrize("make", [
+        lambda m: {"m": m, "edges": [["t1", "b1"]]},
+        lambda m: {"m": m, "ring": "generic",
+                   "terms": [{"diagram": {"m": 1, "edges": [["t1", "b1"]]}, "coeff": ["1"]}]},
+    ], ids=["diagram", "element"])
+    def test_boolean_column_count_exit_2(self, tmp_path, make):
+        path = write_json(tmp_path, [make(True)])
+        rc, out, err = run_cli("multiply", "--file", path)
+        assert rc == 2 and out == ""
+        assert "'m' must be a positive integer, got True" in err
+        assert run_cli("multiply", "--file", write_json(tmp_path, [make(1)]))[0] == 0
+
+    @pytest.mark.parametrize("x,coeff", [
+        ("1e200000000", "1"), ("1e-200000000", "1"), ("2", "1e200000000"),
+    ], ids=["x", "x-negative-exponent", "json-coefficient"])
+    def test_huge_rational_literal_refused_fast(self, tmp_path, capsys, x, coeff):
+        element = {"m": 2, "ring": {"x0": "2"}, "terms": [{"diagram": IDENTITY, "coeff": coeff}]}
+        path = write_json(tmp_path, [element])
+        start = time.perf_counter()
+        assert cli.main(["multiply", "--file", path, "--x", x]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and "bad rational literal" in err
+
+    @pytest.mark.parametrize("x,x0", [("3/2", "3/2"), ("-2", "-2"), ("1e400", "1" + "0" * 400)],
+                             ids=["fraction", "integer", "401-digits"])
+    def test_ordinary_rational_literal_still_parses(self, tmp_path, capsys, x, x0):
+        assert cli.main(["multiply", "--file", write_json(tmp_path, [CROSSING]), "--x", x]) == 0
+        assert json.loads(capsys.readouterr().out)["ring"] == {"x0": x0}
 
 
 class TestDims:

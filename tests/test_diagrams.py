@@ -29,7 +29,7 @@ from diagramalg.diagrams import (
     wall_generator,
 )
 
-from oracles import bizarre_compose, reference_flip, reference_is_walled
+from oracles import bizarre_compose, glued_compose, reference_flip, reference_is_walled
 
 
 def test_identity_composes_to_identity():
@@ -51,6 +51,23 @@ def test_transposition_squares_to_identity():
     res = compose(s, s)
     assert res.composite == identity_diagram(2)
     assert res.loops == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_compose_matches_gluing_on_every_pair(m):
+    ds = list(enumerate_diagrams(m))
+    for d1, d2 in itertools.product(ds, repeat=2):
+        res = compose(d1, d2)
+        assert (res.composite, res.loops) == glued_compose(d1, d2)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_compose_matches_gluing_on_random_pairs(m):
+    rng = random.Random(400 + m)
+    for _ in range(2000):
+        d1, d2 = random_diagram(m, rng), random_diagram(m, rng)
+        res = compose(d1, d2)
+        assert (res.composite, res.loops) == glued_compose(d1, d2)
 
 
 def test_compose_size_mismatch():

@@ -496,6 +496,26 @@ class TestWeights:
                 assert d[i, i] == w[a]
 
 
+class TestTensorSpaceIsMixed:
+    """TensorSpace(n, r) is the mixed space with no dual factors."""
+
+    def test_instance_without_duals(self):
+        space = TensorSpace(3, 2)
+        assert isinstance(space, MixedSpace) and space.s == 0 and space.dim == 9
+
+    @pytest.mark.parametrize("args", [(2, 3, 1), (2, 0), (1, 2)])
+    def test_bad_shape_rejected(self, args):
+        with pytest.raises(ValueError, match="need n >= 2 and r >= 1"):
+            TensorSpace(*args)
+
+    @pytest.mark.parametrize("n,r", [(2, 1), (2, 3), (3, 2), (4, 2)])
+    def test_same_actions_and_weights_as_mixed(self, n, r):
+        plain, mixed = TensorSpace(n, r), MixedSpace(n, r, 0)
+        assert weight_vectors(plain) == weight_vectors(mixed)
+        for x in lie_basis("gl", n) + lie_basis("so", n):
+            assert derivation_ops_sparse(x, plain).rows == derivation_ops_sparse(x, mixed).rows
+
+
 class TestSizeCapsAreConstants:
     """The dense builders refuse a space above DENSE_DIM_CAP (4096) and
     the sparse derivation one above DEFAULT_DIM_CAP (65536), before any
