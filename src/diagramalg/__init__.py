@@ -38,7 +38,6 @@ from .algebra import (
     deranged_basis,
     element_from_json,
     element_to_json,
-    generated_subalgebra,
     idempotent_e,
 )
 from .tensor import (
@@ -47,24 +46,16 @@ from .tensor import (
     MixedSpace,
     SpecializationError,
     TensorSpace,
-    adjoint_projection,
     deranged_matrix,
     derivation_action,
     diagram_matrix,
-    lie_basis,
     mixed_diagram_matrix,
-    sigma_contraction,
-    sigma_element,
-    sigma_mixed,
     sigma_perm,
 )
 from .linalg import (
     MatrixSpan,
     algebra_closure,
     commutant,
-    matrix_from_json,
-    matrix_to_json,
-    rref,
     span_equal,
 )
 from .duality import DualityReport, verify_duality

@@ -7,10 +7,9 @@ at a rational number gives the algebras acting on tensor space.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .diagrams import (
     BrauerDiagram,
@@ -20,8 +19,6 @@ from .diagrams import (
     compose,
     diagram_from_json,
     diagram_to_json,
-    double_factorial_odd,
-    enumerate_diagrams,
     enumerate_walled,
     identity_diagram,
     is_walled,
@@ -274,39 +271,6 @@ def deranged_basis(r: int, n) -> list[DerangedElement]:
             raise ArithmeticError(
                 f"deranged elements are not independent at r={r}, n={n}")
     return out
-
-
-def generated_subalgebra(gens: Iterable[AlgebraElement]) -> int:
-    """Dimension of the smallest unital subalgebra containing ``gens``.
-
-    Works in diagram coordinates with exact arithmetic, saturating the
-    span under left multiplication by the generators (the shared
-    ``linalg.saturate`` loop, with exact rank as the membership rule).
-    Only specialized elements are accepted (the span lives over Q).
-    """
-    from .linalg import ExactRref, saturate
-    from .tensor import DENSE_DIM_CAP
-
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    m = gens[0].m
-    x0 = gens[0].x0
-    if x0 is None:
-        raise RingMismatchError("generated_subalgebra needs a specialized ring")
-    for g in gens:
-        if g.m != m or g.x0 != x0:
-            raise RingMismatchError("generators must share m and ring")
-
-    dim_bound = double_factorial_odd(m)
-    if dim_bound > DENSE_DIM_CAP:
-        raise CapExceededError(f"diagram basis of size {dim_bound} exceeds cap {DENSE_DIM_CAP}")
-    basis_diagrams = sorted(enumerate_diagrams(m), key=lambda d: d.edges)
-    index = {d: i for i, d in enumerate(basis_diagrams)}
-
-    rref = ExactRref(dim_bound)
-    return len(saturate([AlgebraElement.unit(m, x0)] + gens, gens, operator.mul,
-                        lambda el: rref.insert({index[d]: c for d, c in el.items()})))
 
 
 def element_to_json(el: AlgebraElement) -> dict:

@@ -337,13 +337,6 @@ def enumerate_walled(wall: Wall) -> Iterator[BrauerDiagram]:
     return _matchings(m, lambda v, w: _walled_pair(v, w, m, r))
 
 
-def random_diagram(m: int, rng) -> BrauerDiagram:
-    """Uniformly random diagram, driven by a ``random.Random`` instance."""
-    verts = list(range(2 * m))
-    rng.shuffle(verts)
-    return _from_edges(m, zip(verts[0::2], verts[1::2]))
-
-
 def vertex_label(v: int, m: int) -> str:
     return f"t{v + 1}" if v < m else f"b{v - m + 1}"
 

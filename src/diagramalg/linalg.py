@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .diagrams import CapExceededError
-from .ring import exactify, fraction_from_str, fraction_to_str
+from .ring import exactify
 
 # Primes just below 2**25: a product of two residues is below 2**50, and
 # an int64 sum holds (2**63 - 1) // (p - 1)**2 of them (8192 at these
@@ -57,29 +57,10 @@ CLOSURE_DIM_CAP = 4096        # refuse an algebra closure of larger dimension
 # ---------------------------------------------------------------------------
 # dense exact matrices (numpy object arrays holding Fractions / ints)
 
-def frac_matrix(rows) -> np.ndarray:
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            out[i, j] = exactify(v)
-    return out
-
-
 def zeros_matrix(nrows: int, ncols: int) -> np.ndarray:
     out = np.empty((nrows, ncols), dtype=object)
     out[:] = 0
     return out
-
-
-def identity_matrix(d: int) -> np.ndarray:
-    out = zeros_matrix(d, d)
-    for i in range(d):
-        out[i, i] = 1
-    return out
-
-
-def matrices_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool((a == b).all())
 
 
 def _residue(q, p: int, cache: dict) -> int:
@@ -261,21 +242,6 @@ def _make_primitive(v: dict[int, int], negate: bool = False) -> None:
     if g != 1:
         for j in v:
             v[j] //= g
-
-
-def rref(mat) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """Exact reduced row echelon form.
-
-    Returns (rank, reduced matrix of the same shape, pivot columns).
-    Pivoting is deterministic: leftmost nonzero entry, rows in order.
-    """
-    arr = mat if isinstance(mat, np.ndarray) else frac_matrix(mat)
-    nrows, ncols = arr.shape
-    acc = ExactRref(ncols)
-    for i in range(nrows):
-        acc.insert(_nonzeros(arr[i]))
-    rows = acc.rows + [{}] * (nrows - acc.rank)
-    return acc.rank, dense_from_rows(rows, ncols), tuple(acc.pivot_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -863,30 +829,3 @@ def span_equal(a: MatrixSpan, b: MatrixSpan) -> bool:
     if a.d != b.d:
         raise ValueError(f"ambient dimensions differ: {a.d} vs {b.d}")
     return a.dim == b.dim and all(b.contains_matrix(m) for m in a.basis)
-
-
-# ---------------------------------------------------------------------------
-# matrix JSON export
-
-def matrix_to_json(mat: np.ndarray, sparse: bool = False):
-    """Dense: 2-d array of 'p/q' strings.  Sparse: explicit entry list."""
-    nrows, ncols = mat.shape
-    if not sparse:
-        return [[fraction_to_str(mat[i, j]) for j in range(ncols)]
-                for i in range(nrows)]
-    entries = []
-    for i in range(nrows):
-        for j in range(ncols):
-            v = Fraction(mat[i, j])
-            if v:
-                entries.append([i, j, fraction_to_str(v)])
-    return {"rows": nrows, "cols": ncols, "entries": entries}
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    if isinstance(obj, dict):
-        out = zeros_matrix(obj["rows"], obj["cols"])
-        for i, j, s in obj["entries"]:
-            out[i, j] = fraction_from_str(s)
-        return out
-    return frac_matrix([[fraction_from_str(s) for s in row] for row in obj])

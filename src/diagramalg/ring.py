@@ -153,10 +153,13 @@ def fraction_to_str(q) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
-    """Parse 'p', 'p/q' or a decimal such as '-1.5e3'.  The length of the
-    unsigned literal before its exponent, plus the exponent, bounds the
-    digits of its numerator and denominator; past ``DIGITS_CAP`` neither
-    could be printed, so the literal is refused before either is built."""
+    """Parse 'p', 'p/q' or a decimal such as '-1.5e3'; anything but a
+    string is refused.  The length of the unsigned literal before its
+    exponent, plus the exponent, bounds the digits of its numerator and
+    denominator; past ``DIGITS_CAP`` neither could be printed, so the
+    literal is refused before either is built."""
+    if not isinstance(s, str):
+        raise ValueError(f"bad rational literal of type {type(s).__name__}: not a string")
     body, _, exp = s.strip().lstrip("+-").lower().partition("e")
     exp = exp.lstrip("+-").replace("_", "").lstrip("0")
     if len(exp) > 4 or len(body) + int(exp if exp.isdecimal() else 0) > DIGITS_CAP:

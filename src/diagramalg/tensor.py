@@ -9,7 +9,8 @@ Conventions, fixed once and pinned by the multiplicativity tests:
   index, a bottom edge (a, b), a < b, pairs the two inputs through the
   Gram matrix of the form, and a top edge (a, b), a < b, emits the dual
   element, the entries of the inverse Gram matrix.  This makes
-  ``sigma_element`` an algebra homomorphism for the diagram product.
+  ``_element_rows``, the sparse rows of a specialized element, an
+  algebra homomorphism for the diagram product.
   Mixed tensor space uses the same rule with the identity form, which is
   the pairing of V with V*.
 * In the symplectic flavour the matrix is multiplied by the signs of two
@@ -37,12 +38,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraElement, RingMismatchError, idempotent_e
+from .algebra import AlgebraElement, RingMismatchError
 from .diagrams import (
     BrauerDiagram,
     CapExceededError,
     Wall,
-    c_generator,
     inverse_word,
     is_walled,
     permutation_to_diagram,
@@ -54,8 +54,6 @@ from .linalg import (
     LinOp,
     _nonzeros,
     dense_from_rows,
-    frac_matrix,
-    solve_sparse_system,
     sparse_matmul,
     sparse_scale_add,
     zeros_matrix,
@@ -224,38 +222,8 @@ def _element_rows(el: AlgebraElement, n: int, form: BilinearForm) -> list[dict[i
 
 
 # ---------------------------------------------------------------------------
-# diagram-side matrices on plain tensor space
-
-def sigma_perm(word, space: TensorSpace) -> np.ndarray:
-    """Permutation matrix of the place permutation of ``word``: the
-    matrix of the permutation diagram of the inverse word."""
-    if sorted(word) != list(range(space.r)):
-        raise ValueError(f"not a permutation word of length {space.r}: {word!r}")
-    return diagram_matrix(permutation_to_diagram(inverse_word(word)), space,
-                          BilinearForm("symmetric", space.n))
-
-
-def sigma_contraction(i: int, j: int, space: TensorSpace, form: BilinearForm) -> np.ndarray:
-    """Weyl contraction in tensor positions i and j (1-based): pair the two
-    factors with the form, then re-insert the form's dual element.  It is
-    the matrix of ``c_generator(r, i, j)``, so symmetric in i and j.
-
-    Satisfies C*C = (eps n) C: the trace of the form against its inverse
-    is n for the symmetric flavour and -n for the symplectic one.
-    """
-    return diagram_matrix(c_generator(space.r, i, j), space, form)
-
-
-def diagram_matrix(d: BrauerDiagram, space: TensorSpace, form: BilinearForm) -> np.ndarray:
-    """Matrix of one diagram, read edge by edge: vertical edges copy an
-    index, bottom edges pair two inputs with the form, top edges emit the
-    form's dual element.  The symplectic flavour multiplies by the signs
-    of the top and bottom reading words."""
-    check_dim(space, DENSE_DIM_CAP)
-    if d.m != space.r:
-        raise ValueError(f"diagram on {d.m} columns against r={space.r}")
-    return dense_from_rows(_diagram_rows(d, space.n, form), space.dim)
-
+# specialized elements; on mixed tensor space the V / V* pairing is the
+# identity form
 
 def _check_specialized(el: AlgebraElement, m: int, x0, action: str, n: int) -> None:
     """An element acting on m tensor factors of Q^n: m columns, specialized at x0."""
@@ -267,34 +235,6 @@ def _check_specialized(el: AlgebraElement, m: int, x0, action: str, n: int) -> N
         raise SpecializationError(f"x0={el.x0} but the {action} action on n={n} needs x0={x0}")
 
 
-def sigma_element(el: AlgebraElement, space: TensorSpace, form: BilinearForm) -> np.ndarray:
-    """Representing matrix of a specialized element on tensor space.
-
-    The specialization must match the form: x0 = n for the symmetric
-    flavour, x0 = -n for the symplectic one.
-    """
-    _check_specialized(el, space.r, form.eps * space.n, form.flavor, space.n)
-    check_dim(space, DENSE_DIM_CAP)
-    return dense_from_rows(_element_rows(el, space.n, form), space.dim)
-
-
-# ---------------------------------------------------------------------------
-# mixed tensor space: the V / V* pairing is the identity form
-
-def mixed_diagram_matrix(d: BrauerDiagram, space: MixedSpace) -> np.ndarray:
-    """Walled diagram on V^(x r) (x) (V*)^(x s), all entries 0/1: bottom
-    horizontal edges pair a vector with a covector, top horizontal edges
-    emit the identity element of V (x) V*."""
-    check_dim(space, DENSE_DIM_CAP)
-    wall = Wall(space.r, space.s)
-    if d.m != wall.m:
-        raise ValueError(f"diagram on {d.m} columns against r+s={wall.m}")
-    if not is_walled(d, wall):
-        raise ValueError("diagram does not respect the wall")
-    return dense_from_rows(_diagram_rows(d, space.n, BilinearForm("symmetric", space.n)),
-                           space.dim)
-
-
 def _walled_rows(el: AlgebraElement, space: MixedSpace) -> list[dict[int, Fraction]]:
     """Sparse rows of a walled element on a space its caller has capped."""
     wall = Wall(space.r, space.s)
@@ -304,23 +244,8 @@ def _walled_rows(el: AlgebraElement, space: MixedSpace) -> list[dict[int, Fracti
     return _element_rows(el, space.n, BilinearForm("symmetric", space.n))
 
 
-def sigma_mixed_rows(el: AlgebraElement, space: MixedSpace) -> list[dict[int, Fraction]]:
-    """Sparse rows of the representing matrix of a walled element."""
-    check_dim(space)
-    return _walled_rows(el, space)
-
-
-def sigma_mixed(el: AlgebraElement, space: MixedSpace) -> np.ndarray:
-    """Representing matrix of a walled element on mixed tensor space.
-
-    Requires support on walled diagrams and specialization x0 = n.
-    """
-    check_dim(space, DENSE_DIM_CAP)
-    return dense_from_rows(_walled_rows(el, space), space.dim)
-
-
 # ---------------------------------------------------------------------------
-# Lie algebra bases and derived actions
+# matrix units, the sl_n basis and derived actions
 
 def matrix_unit(n: int, a: int, b: int) -> np.ndarray:
     out = zeros_matrix(n, n)
@@ -328,42 +253,7 @@ def matrix_unit(n: int, a: int, b: int) -> np.ndarray:
     return out
 
 
-def lie_basis(family: str, n: int) -> list[np.ndarray]:
-    """Ordered basis of gl_n, sl_n, sp_n or so_n as exact n x n matrices.
-
-    gl and sl are written down directly; sp and so are computed as the
-    exact nullspace of X^T G + G X = 0 for the standard Gram matrix G,
-    which pins deterministic representatives and doubles as a check of
-    the classical dimension formulas.
-    """
-    if family == "gl":
-        return [matrix_unit(n, a, b) for a in range(n) for b in range(n)]
-    if family == "sl":
-        out = [matrix_unit(n, a, b) for a in range(n) for b in range(n) if a != b]
-        for a in range(n - 1):
-            h = zeros_matrix(n, n)
-            h[a, a] = 1
-            h[a + 1, a + 1] = -1
-            out.append(h)
-        return out
-    if family in ("sp", "so"):
-        form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
-        gram = form.gram
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                # (X^T G + G X)[i, j] as a linear function of the entries of X
-                for k in range(n):
-                    row[k * n + i] += gram[k, j]
-                    row[k * n + j] += gram[i, k]
-                rows.append(row)
-        kernel = solve_sparse_system(rows, n * n, mode="exact").kernel
-        return [frac_matrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in kernel]
-    raise ValueError(f"unknown family {family!r}")
-
-
-# The sparse structure of lie_basis('sl', n), in closed form: the
+# The sl_n basis used throughout, by its sparse structure: the
 # off-diagonal units E_ab come first, row-major, then h_0, ..., h_(n-2)
 # with h_a = E_aa - E_(a+1)(a+1).  In a traceless matrix of diagonal d
 # the coordinate of h_a is cumulative: d_0 + ... + d_a.
@@ -448,15 +338,6 @@ def _lift_entries(action_cols, dims, columns=None):
     return [rows.get(dst, {}) for dst in range(total)], total
 
 
-def ad_action(x: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of [x, -] on sl_n in the lie_basis('sl', n) coordinates,
-    read from the sparse structure constants of sl_n and densified.
-
-    Defined for any x in gl_n: commutators with a traceless matrix stay
-    traceless.  Entries are plain ints where the denominator is 1."""
-    return dense_from_rows(_ad_cols(x, n), n * n - 1).T.copy()
-
-
 def _sparse_cols(x: np.ndarray) -> list[dict[int, object]]:
     """Columns of a small dense matrix as sparse {row: value} dicts."""
     return [{i: exactify(v) for i, v in enumerate(col) if v} for col in x.T.tolist()]
@@ -483,13 +364,6 @@ def derivation_ops_sparse(x: np.ndarray, space) -> LinOp:
     return LinOp(total, rows)
 
 
-def derivation_action(x: np.ndarray, space) -> np.ndarray:
-    """Dense matrix of :func:`derivation_ops_sparse`, for spaces within
-    the dense cap."""
-    check_dim(space, DENSE_DIM_CAP)
-    return derivation_ops_sparse(x, space).to_dense()
-
-
 def reflection_op(n: int, r: int) -> LinOp:
     """Tensor power of diag(-1, 1, ..., 1), as a diagonal ``LinOp``: the
     determinant -1 element that extends rotations to the full orthogonal group."""
@@ -497,12 +371,6 @@ def reflection_op(n: int, r: int) -> LinOp:
     check_dim(space)
     return LinOp(space.dim, [{i: (-1) ** digs.count(0)} for i, digs in
                              enumerate(itertools.product(range(n), repeat=r))])
-
-
-def reflection_matrix(n: int, r: int) -> np.ndarray:
-    """Dense matrix of :func:`reflection_op`."""
-    check_dim(TensorSpace(n, r), DENSE_DIM_CAP)
-    return reflection_op(n, r).to_dense()
 
 
 # ---------------------------------------------------------------------------
@@ -549,20 +417,6 @@ def adjoint_transport_rows(n: int, r: int) -> tuple[list[dict], list[dict]]:
     return incl, coords
 
 
-def adjoint_transport(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense matrices of :func:`adjoint_transport_rows`."""
-    check_dim(MixedSpace(n, r, r), DENSE_DIM_CAP)
-    incl, coords = adjoint_transport_rows(n, r)
-    return dense_from_rows(incl, len(coords)), dense_from_rows(coords, len(incl))
-
-
-def adjoint_projection(n: int, r: int) -> np.ndarray:
-    """The projector on mixed (r, r) space represented by the sandwich
-    idempotent; its image is the adjoint power, realized inside mixed
-    tensor space."""
-    return sigma_mixed(idempotent_e(r, n), MixedSpace(n, r, r))
-
-
 def deranged_ops(els: list[AlgebraElement], n: int, r: int) -> list[LinOp]:
     """Actions of sandwiched walled elements on the adjoint power,
     transported from mixed tensor space through one transport pair, which
@@ -583,17 +437,11 @@ def deranged_ops(els: list[AlgebraElement], n: int, r: int) -> list[LinOp]:
     return ops
 
 
-def deranged_matrix(el: AlgebraElement, n: int, r: int) -> np.ndarray:
-    """Dense matrix of one element's action, as :func:`deranged_ops`."""
-    check_dim(MixedSpace(n, r, r), DENSE_DIM_CAP)
-    return deranged_ops([el], n, r)[0].to_dense()
-
-
 # ---------------------------------------------------------------------------
 # weight bookkeeping for the graded solvers
 
 def _sl_weights(n: int) -> list[tuple[int, ...]]:
-    """Torus weight of each element of lie_basis('sl', n): e_a - e_b for
+    """Torus weight of each element of the sl_n basis: e_a - e_b for
     E_ab, zero for the diagonal elements."""
     return [tuple((c == a) - (c == b) for c in range(n))
             for a, b in itertools.permutations(range(n), 2)] + [(0,) * n] * (n - 1)
@@ -630,3 +478,78 @@ def weight_vectors(space) -> list[tuple[int, ...]]:
     else:
         raise TypeError(f"unknown space {space!r}")
     return [tuple(map(sum, zip((0,) * n, *ws))) for ws in itertools.product(*per_pos)]
+
+
+# ---------------------------------------------------------------------------
+# Dense builders.  No command calls them: every verify route carries its
+# operators as sparse ``LinOp``s.  They stay because ``bench/tracer.py``
+# wraps each one by name (``TENSOR_BUILDERS``, bound with ``getattr`` and
+# no default), until the benchmark reads the program's own trace instead.
+
+def sigma_perm(word, space: TensorSpace) -> np.ndarray:
+    """Permutation matrix of the place permutation of ``word``: the
+    matrix of the permutation diagram of the inverse word."""
+    if sorted(word) != list(range(space.r)):
+        raise ValueError(f"not a permutation word of length {space.r}: {word!r}")
+    return diagram_matrix(permutation_to_diagram(inverse_word(word)), space,
+                          BilinearForm("symmetric", space.n))
+
+
+def diagram_matrix(d: BrauerDiagram, space: TensorSpace, form: BilinearForm) -> np.ndarray:
+    """Matrix of one diagram, read edge by edge: vertical edges copy an
+    index, bottom edges pair two inputs with the form, top edges emit the
+    form's dual element.  The symplectic flavour multiplies by the signs
+    of the top and bottom reading words."""
+    check_dim(space, DENSE_DIM_CAP)
+    if d.m != space.r:
+        raise ValueError(f"diagram on {d.m} columns against r={space.r}")
+    return dense_from_rows(_diagram_rows(d, space.n, form), space.dim)
+
+
+def mixed_diagram_matrix(d: BrauerDiagram, space: MixedSpace) -> np.ndarray:
+    """Walled diagram on V^(x r) (x) (V*)^(x s), all entries 0/1: bottom
+    horizontal edges pair a vector with a covector, top horizontal edges
+    emit the identity element of V (x) V*."""
+    check_dim(space, DENSE_DIM_CAP)
+    wall = Wall(space.r, space.s)
+    if d.m != wall.m:
+        raise ValueError(f"diagram on {d.m} columns against r+s={wall.m}")
+    if not is_walled(d, wall):
+        raise ValueError("diagram does not respect the wall")
+    return dense_from_rows(_diagram_rows(d, space.n, BilinearForm("symmetric", space.n)),
+                           space.dim)
+
+
+def derivation_action(x: np.ndarray, space) -> np.ndarray:
+    """Dense matrix of :func:`derivation_ops_sparse`, for spaces within
+    the dense cap."""
+    check_dim(space, DENSE_DIM_CAP)
+    return derivation_ops_sparse(x, space).to_dense()
+
+
+def reflection_matrix(n: int, r: int) -> np.ndarray:
+    """Dense matrix of :func:`reflection_op`."""
+    check_dim(TensorSpace(n, r), DENSE_DIM_CAP)
+    return reflection_op(n, r).to_dense()
+
+
+def ad_action(x: np.ndarray, n: int) -> np.ndarray:
+    """Matrix of [x, -] on sl_n in the coordinates of the sl_n basis,
+    read from the sparse structure constants of sl_n and densified.
+
+    Defined for any x in gl_n: commutators with a traceless matrix stay
+    traceless.  Entries are plain ints where the denominator is 1."""
+    return dense_from_rows(_ad_cols(x, n), n * n - 1).T.copy()
+
+
+def adjoint_transport(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense matrices of :func:`adjoint_transport_rows`."""
+    check_dim(MixedSpace(n, r, r), DENSE_DIM_CAP)
+    incl, coords = adjoint_transport_rows(n, r)
+    return dense_from_rows(incl, len(coords)), dense_from_rows(coords, len(incl))
+
+
+def deranged_matrix(el: AlgebraElement, n: int, r: int) -> np.ndarray:
+    """Dense matrix of one element's action, as :func:`deranged_ops`."""
+    check_dim(MixedSpace(n, r, r), DENSE_DIM_CAP)
+    return deranged_ops([el], n, r)[0].to_dense()

@@ -19,6 +19,11 @@ of ``lie_basis`` on the group side and every diagram on the diagram side.
 The routes that reading the torus off the weights replaced are kept too:
 the Cartan operators as Leibniz sums, the commutant support by a scan of
 every entry, and the adjoint transport multiplied in Fractions.
+
+The tests' dense inputs live here as well, since no command builds them:
+exact object arrays (``frac_matrix``, ``identity_matrix``,
+``matrices_equal``), the Lie algebra bases (``lie_basis``) and uniformly
+random diagrams (``random_diagram``).
 """
 import itertools
 import math
@@ -52,15 +57,83 @@ from diagramalg.tensor import (
     TensorSpace,
     _diagram_rows,
     _lift_entries,
+    _walled_rows,
     adjoint_transport_rows,
     deranged_ops,
     derivation_ops_sparse,
-    lie_basis,
     matrix_unit,
     reflection_op,
-    sigma_mixed_rows,
     weight_vectors,
 )
+
+
+# ---------------------------------------------------------------------------
+# dense exact matrices (numpy object arrays of ints and Fractions) and
+# random diagrams
+
+def frac_matrix(rows) -> np.ndarray:
+    out = np.empty((len(rows), len(rows[0])), dtype=object)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            out[i, j] = exactify(v)
+    return out
+
+
+def identity_matrix(d: int) -> np.ndarray:
+    out = zeros_matrix(d, d)
+    for i in range(d):
+        out[i, i] = 1
+    return out
+
+
+def matrices_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and bool((a == b).all())
+
+
+def lie_basis(family: str, n: int) -> list[np.ndarray]:
+    """Ordered basis of gl_n, sl_n, sp_n or so_n as exact n x n matrices.
+
+    gl and sl are written down directly, sl in the order of the sl_n
+    basis of ``diagramalg.tensor``; sp and so are computed as the exact
+    nullspace of X^T G + G X = 0 for the standard Gram matrix G, which
+    pins deterministic representatives and doubles as a check of the
+    classical dimension formulas.
+    """
+    if family == "gl":
+        return [matrix_unit(n, a, b) for a in range(n) for b in range(n)]
+    if family == "sl":
+        out = [matrix_unit(n, a, b) for a in range(n) for b in range(n) if a != b]
+        for a in range(n - 1):
+            h = zeros_matrix(n, n)
+            h[a, a] = 1
+            h[a + 1, a + 1] = -1
+            out.append(h)
+        return out
+    if family in ("sp", "so"):
+        form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
+        gram = form.gram
+        rows = []
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                # (X^T G + G X)[i, j] as a linear function of the entries of X
+                for k in range(n):
+                    row[k * n + i] += gram[k, j]
+                    row[k * n + j] += gram[i, k]
+                rows.append(row)
+        kernel = solve_sparse_system(rows, n * n, mode="exact").kernel
+        return [frac_matrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in kernel]
+    raise ValueError(f"unknown family {family!r}")
+
+
+def random_diagram(m: int, rng) -> BrauerDiagram:
+    """Uniformly random diagram, driven by a ``random.Random`` instance."""
+    verts = list(range(2 * m))
+    rng.shuffle(verts)
+    partner = [-1] * (2 * m)
+    for v, w in zip(verts[0::2], verts[1::2]):
+        partner[v], partner[w] = w, v
+    return BrauerDiagram(m, tuple(partner))
 
 
 def glued_compose(d1: BrauerDiagram, d2: BrauerDiagram):
@@ -498,5 +571,5 @@ def fraction_deranged_ops(els, n: int, r: int) -> list[LinOp]:
     each element's mixed rows times the inclusion."""
     incl, coords = adjoint_transport_rows(n, r)
     space = MixedSpace(n, r, r)
-    return [LinOp(len(coords), sparse_matmul(sparse_matmul(coords, sigma_mixed_rows(el, space)),
+    return [LinOp(len(coords), sparse_matmul(sparse_matmul(coords, _walled_rows(el, space)),
                                              incl)) for el in els]

@@ -11,7 +11,6 @@ from diagramalg.algebra import (
     deranged_basis,
     element_from_json,
     element_to_json,
-    generated_subalgebra,
     idempotent_e,
 )
 from diagramalg.diagrams import (
@@ -23,13 +22,12 @@ from diagramalg.diagrams import (
     identity_diagram,
     is_walled,
     permutation_to_diagram,
-    random_diagram,
     wall_generator,
 )
 from diagramalg.linalg import ExactRref
 from diagramalg.ring import QPoly
 
-from oracles import reference_generic_product
+from oracles import random_diagram, reference_generic_product
 
 
 def elem(d, coeff=1, x0=None):
@@ -218,27 +216,6 @@ class TestDerangedBasis:
             deranged_basis(2, 3)
         with pytest.raises(CapExceededError):
             deranged_basis(4, 8)
-
-
-class TestGeneratedSubalgebra:
-    def test_brauer_generated_by_symmetric_group_and_one_crossing(self):
-        x0 = 3
-        gens = [elem(permutation_to_diagram(w), 1, x0)
-                for w in [(1, 0, 2), (0, 2, 1)]]
-        gens.append(elem(c_generator(3, 1, 2), 1, x0))
-        assert generated_subalgebra(gens) == 15
-
-    def test_unit_alone(self):
-        assert generated_subalgebra([AlgebraElement.unit(3, 3)]) == 1
-
-    def test_transpositions_generate_group_algebra(self):
-        gens = [elem(permutation_to_diagram(w), 1, 3)
-                for w in [(1, 0, 2), (0, 2, 1)]]
-        assert generated_subalgebra(gens) == 6
-
-    def test_generic_ring_rejected(self):
-        with pytest.raises(RingMismatchError):
-            generated_subalgebra([AlgebraElement.unit(2)])
 
 
 class TestGenericProductMatchesReference:

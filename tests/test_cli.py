@@ -99,6 +99,15 @@ class TestMultiply:
         out, err = capsys.readouterr()
         assert out == "" and "bad rational literal" in err
 
+    @pytest.mark.parametrize("ring,coeff,x", [
+        ("generic", [1], "generic"), ({"x0": 2}, "1", "2"), ("generic", ["1", None], "generic"),
+    ], ids=["generic-int-coefficient", "int-x0", "null-coefficient"])
+    def test_non_string_rational_literal_exit_2(self, tmp_path, ring, coeff, x):
+        element = {"m": 2, "ring": ring, "terms": [{"diagram": IDENTITY, "coeff": coeff}]}
+        rc, out, err = run_cli("multiply", "--file", write_json(tmp_path, [element]), "--x", x)
+        assert rc == 2 and out == ""
+        assert "bad rational literal" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("x,x0", [("3/2", "3/2"), ("-2", "-2"), ("1e400", "1" + "0" * 400)],
                              ids=["fraction", "integer", "401-digits"])
     def test_ordinary_rational_literal_still_parses(self, tmp_path, capsys, x, x0):

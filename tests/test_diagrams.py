@@ -25,11 +25,11 @@ from diagramalg.diagrams import (
     inverse_word,
     is_walled,
     permutation_to_diagram,
-    random_diagram,
     wall_generator,
 )
 
-from oracles import bizarre_compose, glued_compose, reference_flip, reference_is_walled
+from oracles import (bizarre_compose, glued_compose, random_diagram, reference_flip,
+                     reference_is_walled)
 
 
 def test_identity_composes_to_identity():

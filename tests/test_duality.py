@@ -9,8 +9,9 @@ from diagramalg.diagrams import CapExceededError
 from diagramalg.duality import DualityReport, verify_duality
 from diagramalg.linalg import DEFAULT_UNKNOWN_CAP, LinOp, MatrixSpan, algebra_closure, span_equal
 from diagramalg.tensor import (AdjointSpace, BilinearForm, MixedSpace, TensorSpace, _diagram_rows,
-                               lie_basis, reflection_op)
-from oracles import full_basis_verify, gl_irrep_dim, partitions, standard_tableaux
+                               reflection_op)
+from oracles import (full_basis_verify, gl_irrep_dim, identity_matrix, lie_basis, partitions,
+                     standard_tableaux)
 from test_golden_stdout import COMMANDS
 
 
@@ -240,7 +241,7 @@ class TestModularTags:
         assert rep.method == "mod-p-confirmed-exact"
 
     def test_failed_equality_keeps_the_modular_tag(self, monkeypatch):
-        from diagramalg.linalg import MatrixSpan, identity_matrix
+        from diagramalg.linalg import MatrixSpan
 
         monkeypatch.setattr(duality, "algebra_closure",
                             lambda gens, d, **_: MatrixSpan.from_matrices(
@@ -349,7 +350,7 @@ class TestModeValidation:
                 verify_duality(family, 2, r, mode="exactt")
 
     def test_graded_solve_rejects_unknown_mode(self):
-        from diagramalg.linalg import graded_commutant_dim, identity_matrix
+        from diagramalg.linalg import graded_commutant_dim
 
         with pytest.raises(ValueError, match="unknown graded mode"):
             graded_commutant_dim([identity_matrix(2)], [(0,), (1,)], mode="exactt")

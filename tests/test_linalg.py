@@ -20,17 +20,12 @@ from diagramalg.linalg import (
     ModRref,
     algebra_closure,
     commutant,
-    frac_matrix,
+    dense_from_rows,
     graded_commutant_dim,
-    identity_matrix,
     intertwiner_kernel,
     kernel_modp_dense,
     mat_to_modp,
-    matrices_equal,
-    matrix_from_json,
-    matrix_to_json,
     rational_reconstruct,
-    rref,
     solve_sparse_system,
     span_equal,
     zeros_matrix,
@@ -43,7 +38,6 @@ from diagramalg.tensor import (
     deranged_ops,
     derivation_action,
     diagram_matrix,
-    lie_basis,
     mixed_diagram_matrix,
     reflection_matrix,
     sigma_perm,
@@ -52,7 +46,15 @@ from diagramalg.tensor import (
 )
 
 import oracles
-from oracles import gauss_jordan_modp
+from oracles import frac_matrix, gauss_jordan_modp, identity_matrix, lie_basis, matrices_equal
+
+
+def echelon(mat) -> ExactRref:
+    """The exact echelon form of the rows of a dense matrix."""
+    acc = ExactRref(mat.shape[1])
+    for row in mat:
+        acc.insert(row)
+    return acc
 
 
 def random_rational_matrix(rng, rows, cols, den=5):
@@ -62,15 +64,15 @@ def random_rational_matrix(rng, rows, cols, den=5):
 
 class TestRref:
     def test_identity(self):
-        rank, red, pivots = rref(identity_matrix(3))
-        assert rank == 3
-        assert pivots == (0, 1, 2)
-        assert matrices_equal(red, identity_matrix(3))
+        acc = echelon(identity_matrix(3))
+        assert acc.rank == 3
+        assert acc.pivot_cols == [0, 1, 2]
+        assert matrices_equal(dense_from_rows(acc.rows, 3), identity_matrix(3))
 
     def test_zero(self):
-        rank, _, pivots = rref(zeros_matrix(3, 4))
-        assert rank == 0
-        assert pivots == ()
+        acc = echelon(zeros_matrix(3, 4))
+        assert acc.rank == 0
+        assert acc.pivot_cols == []
 
     def test_rank_matches_two_prime_moduli(self):
         rng = random.Random(100)
@@ -79,7 +81,7 @@ class TestRref:
             # force a rank drop
             for j in range(20):
                 mat[7, j] = mat[3, j] + 2 * mat[5, j]
-            rank_exact, _, _ = rref(mat)
+            rank_exact = echelon(mat).rank
             for p in DEFAULT_PRIMES:
                 acc = ModRref(20, p)
                 reduced = mat_to_modp(mat, p)
@@ -90,7 +92,7 @@ class TestRref:
     def test_modular_rank_is_lower_bound(self):
         p = DEFAULT_PRIMES[0]
         mat = frac_matrix([[p, 0], [0, 1]])
-        rank_exact, _, _ = rref(mat)
+        rank_exact = echelon(mat).rank
         acc = ModRref(2, p)
         for row in mat_to_modp(mat, p):
             acc.insert(row)
@@ -370,21 +372,6 @@ class TestInvariantVectors:
         assert [i for i, _ in support] == [0, 1, 2, 3]
 
 
-class TestMatrixJson:
-    def test_dense_roundtrip(self):
-        mat = frac_matrix([[Fraction(1, 2), 0], [3, Fraction(-7, 5)]])
-        obj = matrix_to_json(mat)
-        assert obj == [["1/2", "0"], ["3", "-7/5"]]
-        assert matrices_equal(matrix_from_json(obj), mat)
-
-    def test_sparse_roundtrip(self):
-        mat = zeros_matrix(2, 3)
-        mat[1, 2] = Fraction(5, 3)
-        obj = matrix_to_json(mat, sparse=True)
-        assert obj == {"rows": 2, "cols": 3, "entries": [[1, 2, "5/3"]]}
-        assert matrices_equal(matrix_from_json(obj), mat)
-
-
 class TestKernelModP:
     def test_small_kernel(self):
         p = DEFAULT_PRIMES[0]
@@ -596,10 +583,11 @@ class TestSparseExactRref:
         grew = [acc.insert(row_forms(row)[form]) for row in rows]
         assert sum(grew) == acc.rank == len(pivots)
         assert acc.pivot_cols == pivots
-        rank, mat, pivot_tuple = rref(frac_matrix(rows))
-        assert (rank, pivot_tuple) == (len(pivots), tuple(pivots))
-        padded = reduced + [[0] * ncols] * (nrows - rank)
-        assert matrices_equal(mat, frac_matrix(padded))
+        dense = echelon(frac_matrix(rows))
+        assert (dense.rank, dense.pivot_cols) == (len(pivots), pivots)
+        padded = reduced + [[0] * ncols] * (nrows - dense.rank)
+        assert matrices_equal(dense_from_rows(dense.rows + [{}] * (nrows - dense.rank), ncols),
+                              frac_matrix(padded))
         assert acc.kernel_basis() == nullspace_from_rref(pivots, reduced, ncols)
         coeffs = [rng.randint(-2, 2) for _ in rows]
         member = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]

@@ -11,8 +11,6 @@ from diagramalg.combinatorics import _highest_weight_equations
 from diagramalg.duality import verify_duality
 from diagramalg.linalg import (
     LinOp,
-    identity_matrix,
-    matrices_equal,
     rows_from_dense,
     zeros_matrix,
 )
@@ -24,11 +22,10 @@ from diagramalg.tensor import (
     adjoint_transport,
     derivation_action,
     derivation_ops_sparse,
-    lie_basis,
     weight_vectors,
 )
 
-from oracles import dense_ad_action, sl_coordinates
+from oracles import dense_ad_action, identity_matrix, lie_basis, matrices_equal, sl_coordinates
 
 
 def random_fraction_matrix(n, rng):

@@ -18,33 +18,48 @@ from diagramalg.diagrams import (
     wall_generator,
     word_sign,
 )
-from diagramalg.linalg import frac_matrix, identity_matrix, matrices_equal, rref, zeros_matrix
+from diagramalg.linalg import ExactRref, LinOp, zeros_matrix
 from diagramalg.tensor import (
     AdjointSpace,
     BilinearForm,
     MixedSpace,
     SpecializationError,
     TensorSpace,
+    _element_rows,
+    _walled_rows,
     ad_action,
-    adjoint_projection,
     adjoint_transport,
     deranged_matrix,
     deranged_ops,
     derivation_action,
     derivation_ops_sparse,
     diagram_matrix,
-    lie_basis,
     matrix_unit,
     mixed_diagram_matrix,
     reflection_matrix,
-    sigma_contraction,
-    sigma_element,
-    sigma_mixed,
     sigma_perm,
     weight_vectors,
 )
 
-from oracles import fraction_deranged_ops, orthogonal_diagram_matrix
+from oracles import (fraction_deranged_ops, frac_matrix, identity_matrix, lie_basis,
+                     matrices_equal, orthogonal_diagram_matrix)
+
+
+def element_matrix(el, space, form):
+    """Dense matrix of the sparse rows of a specialized element."""
+    return LinOp(space.dim, _element_rows(el, space.n, form)).to_dense()
+
+
+def walled_matrix(el, space):
+    """Dense matrix of the sparse rows of a walled element."""
+    return LinOp(space.dim, _walled_rows(el, space)).to_dense()
+
+
+def rank(mat):
+    acc = ExactRref(mat.shape[1])
+    for row in mat:
+        acc.insert(row)
+    return acc.rank
 
 
 def random_word(m, rng):
@@ -89,25 +104,25 @@ class TestContraction:
         form = BilinearForm(flavor, n)
         space = TensorSpace(n, 3)
         for i, j in itertools.permutations(range(1, 4), 2):
-            c = sigma_contraction(i, j, space, form)
+            c = diagram_matrix(c_generator(3, i, j), space, form)
             assert matrices_equal(c @ c, form.eps * n * c)
 
     def test_symmetric_three_by_three(self):
         form = BilinearForm("symmetric", 3)
         space = TensorSpace(3, 2)
-        c = sigma_contraction(1, 2, space, form)
+        c = diagram_matrix(c_generator(2, 1, 2), space, form)
         assert matrices_equal(c @ c, 3 * c)
 
     def test_symplectic_two_by_two(self):
         form = BilinearForm("symplectic", 2)
         space = TensorSpace(2, 2)
-        c = sigma_contraction(1, 2, space, form)
+        c = diagram_matrix(c_generator(2, 1, 2), space, form)
         assert matrices_equal(c @ c, -2 * c)
 
     def test_commutes_with_disjoint_permutations(self):
         form = BilinearForm("symmetric", 2)
         space = TensorSpace(2, 4)
-        c = sigma_contraction(1, 2, space, form)
+        c = diagram_matrix(c_generator(4, 1, 2), space, form)
         swap34 = sigma_perm((0, 1, 3, 2), space)
         assert matrices_equal(c @ swap34, swap34 @ c)
 
@@ -116,15 +131,15 @@ class TestContraction:
         form = BilinearForm(flavor, 2)
         space = TensorSpace(2, 3)
         for i, j in itertools.combinations(range(1, 4), 2):
-            assert matrices_equal(sigma_contraction(i, j, space, form),
-                                  sigma_contraction(j, i, space, form))
+            assert matrices_equal(diagram_matrix(c_generator(3, i, j), space, form),
+                                  diagram_matrix(c_generator(3, j, i), space, form))
 
     def test_position_validation(self):
         form = BilinearForm("symmetric", 2)
         with pytest.raises(ValueError):
-            sigma_contraction(1, 1, TensorSpace(2, 2), form)
+            diagram_matrix(c_generator(2, 1, 1), TensorSpace(2, 2), form)
         with pytest.raises(ValueError):
-            sigma_contraction(0, 2, TensorSpace(2, 2), form)
+            diagram_matrix(c_generator(2, 0, 2), TensorSpace(2, 2), form)
 
     def test_odd_symplectic_rejected(self):
         with pytest.raises(ValueError):
@@ -133,11 +148,15 @@ class TestContraction:
 
 class TestDiagramMatrix:
     def test_crossing_generator_matches_contraction(self):
+        # the Weyl contraction pairs the two inputs with the form and emits
+        # its dual element: C[(k, l), (i, j)] = G[i, j] G^-1[k, l]
         for n, flavor in [(2, "symmetric"), (2, "symplectic"), (3, "symmetric")]:
             form = BilinearForm(flavor, n)
             space = TensorSpace(n, 2)
-            assert matrices_equal(diagram_matrix(c_generator(2, 1, 2), space, form),
-                                  sigma_contraction(1, 2, space, form))
+            g, ginv = form.gram, form.gram_inv
+            contraction = frac_matrix([[g[i, j] * ginv[k, l] for i in range(n) for j in range(n)]
+                                       for k in range(n) for l in range(n)])
+            assert matrices_equal(diagram_matrix(c_generator(2, 1, 2), space, form), contraction)
 
     def test_permutation_diagram_action(self):
         rng = random.Random(33)
@@ -182,7 +201,7 @@ class TestDiagramMatrix:
         with pytest.raises(ValueError):
             diagram_matrix(c, TensorSpace(2, 2), symplectic4)
         with pytest.raises(ValueError):
-            sigma_element(AlgebraElement.from_diagram(c, 1, -2), TensorSpace(2, 2), symplectic4)
+            element_matrix(AlgebraElement.from_diagram(c, 1, -2), TensorSpace(2, 2), symplectic4)
         with pytest.raises(ValueError):
             diagram_matrix(c, TensorSpace(4, 2), BilinearForm("symmetric", 2))
 
@@ -201,14 +220,14 @@ class TestSigmaElement:
         form = BilinearForm("symmetric", 2)
         space = TensorSpace(2, 2)
         one = AlgebraElement.unit(2, 2)
-        assert matrices_equal(sigma_element(one, space, form), identity_matrix(4))
+        assert matrices_equal(element_matrix(one, space, form), identity_matrix(4))
 
     def test_crossing_squares_to_scaled_crossing(self):
         form = BilinearForm("symplectic", 2)
         space = TensorSpace(2, 2)
         c = AlgebraElement.from_diagram(c_generator(2, 1, 2), 1, -2)
-        mc = sigma_element(c, space, form)
-        assert matrices_equal(sigma_element(c * c, space, form), mc @ mc)
+        mc = element_matrix(c, space, form)
+        assert matrices_equal(element_matrix(c * c, space, form), mc @ mc)
         assert matrices_equal(mc @ mc, -2 * mc)
 
     def test_multiplicative_on_random_pairs(self):
@@ -221,31 +240,22 @@ class TestSigmaElement:
                 diagrams[rng.randrange(3)], Fraction(rng.randint(-3, 3), 2), 3)
             b = (AlgebraElement.from_diagram(diagrams[rng.randrange(3)], 1, 3)
                  + AlgebraElement.from_diagram(diagrams[rng.randrange(3)], 2, 3))
-            assert matrices_equal(sigma_element(a * b, space, form),
-                                  sigma_element(a, space, form)
-                                  @ sigma_element(b, space, form))
-
-    def test_specialization_mismatch_rejected(self):
-        form = BilinearForm("symplectic", 2)
-        space = TensorSpace(2, 2)
-        wrong = AlgebraElement.unit(2, 2)     # needs x0 = -2
-        with pytest.raises(SpecializationError):
-            sigma_element(wrong, space, form)
-        with pytest.raises(RingMismatchError):
-            sigma_element(AlgebraElement.unit(2), space, form)
+            assert matrices_equal(element_matrix(a * b, space, form),
+                                  element_matrix(a, space, form)
+                                  @ element_matrix(b, space, form))
 
 
 class TestSigmaMixed:
     def test_crossing_is_rank_one_with_trace_eigenvalue(self):
         space = MixedSpace(2, 1, 1)
         c = mixed_diagram_matrix(wall_generator(Wall(1, 1), 1, 1), space)
-        assert rref(c)[0] == 1
+        assert rank(c) == 1
         assert matrices_equal(c @ c, 2 * c)
 
     def test_identity(self):
         space = MixedSpace(2, 1, 1)
         one = AlgebraElement.unit(2, 2)
-        assert matrices_equal(sigma_mixed(one, space), identity_matrix(4))
+        assert matrices_equal(walled_matrix(one, space), identity_matrix(4))
 
     def test_multiplicative_exhaustive(self):
         space = MixedSpace(2, 2, 1)
@@ -272,13 +282,15 @@ class TestSigmaMixed:
         space = MixedSpace(2, 2, 0)
         bad = AlgebraElement.from_diagram(c_generator(2, 1, 2), 1, 2)
         with pytest.raises(ValueError):
-            sigma_mixed(bad, space)
+            _walled_rows(bad, space)
 
     def test_rejects_wrong_specialization(self):
         space = MixedSpace(2, 1, 1)
         el = AlgebraElement.unit(2, 3)
         with pytest.raises(SpecializationError):
-            sigma_mixed(el, space)
+            _walled_rows(el, space)
+        with pytest.raises(RingMismatchError):
+            _walled_rows(AlgebraElement.unit(2), space)
 
 
 class TestLieBasis:
@@ -384,20 +396,20 @@ class TestAdjointSummand:
             assert matrices_equal(coords @ incl, identity_matrix(n * n - 1))
 
     def test_projection_rank_and_idempotence(self):
-        p = adjoint_projection(2, 1)
+        p = walled_matrix(idempotent_e(1, 2), MixedSpace(2, 1, 1))
         assert matrices_equal(p @ p, p)
-        assert rref(p)[0] == 3
+        assert rank(p) == 3
         incl, coords = adjoint_transport(2, 1)
         assert matrices_equal(p, incl @ coords)
 
     def test_projection_r2(self):
-        p = adjoint_projection(2, 2)
+        p = walled_matrix(idempotent_e(2, 2), MixedSpace(2, 2, 2))
         assert matrices_equal(p @ p, p)
-        assert rref(p)[0] == 9
+        assert rank(p) == 9
 
     def test_projection_equivariant(self):
-        p = adjoint_projection(3, 1)
         space = MixedSpace(3, 1, 1)
+        p = walled_matrix(idempotent_e(1, 3), space)
         for x in lie_basis("gl", 3):
             g = derivation_action(x, space)
             assert matrices_equal(g @ p, p @ g)
@@ -407,11 +419,11 @@ class TestAdjointSummand:
         # P factors exactly through the adjoint power: rank (n^2-1)^r
         # without eliminating the big matrix
         from diagramalg.linalg import dense_from_rows, rows_from_dense, sparse_matmul
-        from diagramalg.tensor import MixedSpace, adjoint_transport, sigma_mixed_rows
+        from diagramalg.tensor import MixedSpace, adjoint_transport
 
         incl, coords = adjoint_transport(n, r)
         e = idempotent_e(r, n)
-        p_rows = sigma_mixed_rows(e, MixedSpace(n, r, r))
+        p_rows = _walled_rows(e, MixedSpace(n, r, r))
         prod = sparse_matmul(rows_from_dense(incl), rows_from_dense(coords))
         assert p_rows == prod
         section = sparse_matmul(rows_from_dense(coords), rows_from_dense(incl))
