@@ -38,8 +38,8 @@ from .diagrams import (
     enumerate_diagrams,
     enumerate_walled,
 )
-from .duality import FAMILIES, verify_duality
-from .linalg import DEFAULT_UNKNOWN_CAP, MODES
+from .duality import FAMILIES, MODES, verify_duality
+from .linalg import DEFAULT_UNKNOWN_CAP
 from .ring import DIGITS_CAP as FORMULA_DIGITS_CAP, fraction_from_str
 
 EXIT_OK = 0
@@ -210,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="auto",
                    help="auto: exact arithmetic on small systems, one prime "
                         "certified by an exact check on larger ones (default); "
-                        "exact: exact arithmetic throughout; modular: "
-                        "uncertified counts on which two primes agree")
+                        "exact: exact arithmetic throughout")
     p.add_argument("--solver-cap", type=int, default=DEFAULT_UNKNOWN_CAP)
     p.add_argument("--timing", action="store_true",
                    help="fill elapsed_ms (off by default so identical "

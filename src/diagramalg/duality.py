@@ -8,16 +8,15 @@ operators generate, so each is solved on generators.  Each equality is
 one containment plus a dimension count.  Both containments hold exactly
 when the group generators commute with every diagram matrix, which is
 checked exactly, once, on sparse rows (a failure raises ArithmeticError);
-the report carries all four dimensions, and an equality that holds proves
-exact the modular commutant count it compares.
+the report carries all four dimensions.
 
 The diagram commutant is solved before the group image, because its
 nullity bounds the image: the checked containment puts the image inside
-that commutant, and a nullity counted modulo a prime is never below the
-exact one.  The closure then saturates on residues modulo one prime and
-stops once that many words are independent there (independent residues
-come from exactly independent words), so only a basis of the image is
-multiplied out exactly; if it stops short, the exact saturation decides.
+that commutant.  The closure then saturates on residues modulo one
+prime and stops once that many words are independent there (independent
+residues come from exactly independent words), so only a basis of the
+image is multiplied out exactly; if it stops short, the exact saturation
+decides.
 
 The deranged family is too large for span saturation of the group image
 (it has dimension 11732 inside 225 x 225 matrices at n=4, r=2).  There
@@ -40,7 +39,6 @@ from .diagrams import (CapExceededError, Wall, c_generator, enumerate_diagrams,
                        enumerate_walled, permutation_to_diagram, wall_generator)
 from .linalg import (
     DEFAULT_UNKNOWN_CAP,
-    MODES,
     LinOp,
     MatrixSpan,
     algebra_closure,
@@ -64,6 +62,7 @@ from .tensor import (
 )
 
 FAMILIES = ("glA", "sp", "o", "so-direct", "walled", "deranged")
+MODES = ("auto", "exact")
 
 
 @dataclass
@@ -170,8 +169,8 @@ def _verify_span_family(family, n, r, s, mode, solver_cap):
     _, comm_diag = commutant(diagram_gens, d, mode=mode, want_basis=False,
                              unknown_cap=solver_cap)
     # The group image lies in the commutant of every diagram, inside that
-    # of the generators, whose exact dimension is at most this nullity in
-    # every mode: a proven bound for the closure.
+    # of the generators, whose dimension is this nullity: a proven bound
+    # for the closure.
     group_span = algebra_closure(seed, d, bound=comm_diag.nullity)
     _, comm_group = commutant(gen_ops, d, mode=mode, want_basis=False,
                               unknown_cap=solver_cap)
@@ -181,15 +180,10 @@ def _verify_span_family(family, n, r, s, mode, solver_cap):
         "commutant_of_diagram": comm_diag.nullity,
         "commutant_of_group": comm_group.nullity,
     }
-    equal_a = group_span.dim == comm_diag.nullity
-    equal_b = diagram_span.dim == comm_group.nullity
-    # The checked containment gives image dim <= exact nullity <= modular
-    # nullity, so an equality proves a modular count exact.
-    methods = ["mod-p-confirmed-exact" if equal and res.method.startswith("mod-p(")
-               else res.method for res, equal in ((comm_diag, equal_a), (comm_group, equal_b))]
-    return DualityReport(family, n, r, s, dims, equal_a, equal_b,
+    return DualityReport(family, n, r, s, dims, group_span.dim == comm_diag.nullity,
+                         diagram_span.dim == comm_group.nullity,
                          diagram_span.dim == len(diagram_ops),
-                         _combine_methods("exact", *methods))
+                         _combine_methods("exact", comm_diag.method, comm_group.method))
 
 
 def _verify_so_direct(n, r, mode, solver_cap):
@@ -248,11 +242,8 @@ def _verify_deranged(n, r, mode, solver_cap):
     gens = sum(_generators("gl", space), [])  # Cartan elements, then roots
 
     # Commutant of the group side: sparse and torus-reduced.  Its basis
-    # realizes End of the group action and the span check needs it
-    # exactly, so the modular mode takes the certified route here.
-    comm_group_span, comm_group = commutant(
-        gens, d, mode="auto" if mode == "modular" else mode,
-        unknown_cap=solver_cap)
+    # realizes End of the group action, and the span check reads it.
+    comm_group_span, comm_group = commutant(gens, d, mode=mode, unknown_cap=solver_cap)
     equal_b = span_equal(diagram_span, comm_group_span)
     # Containment of the group image in the diagram commutant reduces to
     # the generators commuting with the diagram matrices.  equal_b proves
@@ -298,9 +289,9 @@ def verify_duality(
     """Run one double-centralizer verification and report dimensions,
     equality flags and the faithfulness of the diagram action.
 
-    ``s`` is only meaningful for the walled family.  ``mode`` selects the
-    arithmetic: 'exact', 'modular', or 'auto' (exact where cheap,
-    certified modular elsewhere).
+    ``s`` is only meaningful for the walled family.  ``mode`` is one of
+    ``MODES``: 'exact', or 'auto' (exact where cheap, one prime with an
+    exact certificate elsewhere, two primes in the deranged graded solve).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")

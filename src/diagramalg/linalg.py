@@ -419,7 +419,8 @@ def solve_sparse_system(
     eliminates modulo one prime and certifies the result by an exactly
     checked lift of the kernel (see the module docstring), falling back
     to exact elimination when the lift or its check fails.  Both return
-    unconditionally exact answers.  Mode 'modular' skips certification
+    unconditionally exact answers.  Mode 'modular', which the library's
+    multiplicities take and no verify route passes, skips certification
     and reports the dimensions on which two primes agree.
     """
     if mode not in MODES:
@@ -621,7 +622,7 @@ def commutant(
 
     With no generators this is the full matrix algebra.  The kernel comes
     back as a MatrixSpan when exact vectors are available; the modular
-    mode returns dimensions only.
+    mode, which no verify route passes, returns dimensions only.
     """
     ops = [_as_linop(g, d) for g in gens]
     result, support = intertwiner_kernel(ops, ops, d, d, mode=mode, want_kernel=want_basis,

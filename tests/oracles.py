@@ -27,7 +27,6 @@ random diagrams (``random_diagram``).
 """
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -497,8 +496,8 @@ def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",
     if family in ("o", "so-direct"):
         gens.append(reflection_op(n, r))
 
-    def count(ops, solve_mode=mode, want_basis=False):
-        return commutant(ops, d, mode=solve_mode, want_basis=want_basis, unknown_cap=solver_cap)
+    def count(ops, want_basis=False):
+        return commutant(ops, d, mode=mode, want_basis=want_basis, unknown_cap=solver_cap)
 
     if family == "so-direct":
         (_, so_comm), (_, o_comm) = count(gens[:-1]), count(gens)
@@ -512,7 +511,7 @@ def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",
         diagram_ops = deranged_ops([AlgebraElement.from_diagram(el.diagram, 1, n)
                                     for el in deranged_basis(r, n)], n, r)
         diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
-        comm_span, comm_group = count(gens, "auto" if mode == "modular" else mode, True)
+        comm_span, comm_group = count(gens, want_basis=True)
         equal_b = span_equal(diagram_span, comm_span)
         if not equal_b and not _commute(gens, diagram_ops):
             raise ArithmeticError("group and diagram actions fail to commute")
@@ -537,15 +536,12 @@ def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",
     _, comm_diag = count(diagram_ops)
     group_span = algebra_closure(gens, d, bound=comm_diag.nullity)
     _, comm_group = count(gens)
-    equal_a = group_span.dim == comm_diag.nullity
-    equal_b = diagram_span.dim == comm_group.nullity
-    methods = ["mod-p-confirmed-exact" if equal and res.method.startswith("mod-p(")
-               else res.method for res, equal in ((comm_diag, equal_a), (comm_group, equal_b))]
     dims = {"group_image": group_span.dim, "diagram_image": diagram_span.dim,
             "commutant_of_diagram": comm_diag.nullity, "commutant_of_group": comm_group.nullity}
-    return DualityReport(family, n, r, s, dims, equal_a, equal_b,
+    return DualityReport(family, n, r, s, dims, group_span.dim == comm_diag.nullity,
+                         diagram_span.dim == comm_group.nullity,
                          diagram_span.dim == len(diagram_ops),
-                         _combine_methods("exact", *methods))
+                         _combine_methods("exact", comm_diag.method, comm_group.method))
 
 
 def scanned_support(left_ops, right_ops, dim_w: int, dim_u: int) -> list[tuple[int, int]]:

@@ -12,8 +12,6 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-import pytest
-
 from diagramalg.algebra import AlgebraElement, deranged_basis, idempotent_e
 from diagramalg.combinatorics import (
     derangements,

@@ -259,6 +259,16 @@ class TestVerify:
         rc, _, _ = run_cli("verify", "--duality", "walled", "--n", "2", "--r", "1")
         assert rc == 2
 
+    @pytest.mark.parametrize("family,n,r", [("deranged", "3", "1"), ("sp", "4", "2")])
+    def test_modular_mode_is_refused(self, capsys, family, n, r):
+        # verify takes auto or exact; argparse names both on refusal
+        args = ["verify", "--duality", family, "--n", n, "--r", r, "--mode", "modular"]
+        assert cli.main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        refusal = err.splitlines()[-1]
+        assert "modular" in refusal and "auto" in refusal and "exact" in refusal
+
     def test_solver_cap_exit_3(self):
         rc, _, err = run_cli("verify", "--duality", "glA", "--n", "3", "--r", "2",
                              "--solver-cap", "10")
@@ -300,8 +310,7 @@ class TestVerify:
 
     def test_modes_agree_on_dims_and_tag_their_route(self):
         # 729 and 365 unknowns: above the exact cap of mode auto
-        tags = {"auto": "mod-p-confirmed-exact", "exact": "exact",
-                "modular": "mod-p-confirmed-exact"}
+        tags = {"auto": "mod-p-confirmed-exact", "exact": "exact"}
         dims = []
         for mode, tag in tags.items():
             rc, out, _ = run_cli("verify", "--duality", "o", "--n", "3", "--r", "3",
@@ -310,7 +319,7 @@ class TestVerify:
             obj = json.loads(out)
             assert obj["method"] == tag, mode
             dims.append(obj["dims"])
-        assert dims[0] == dims[1] == dims[2]
+        assert dims[0] == dims[1]
 
     def test_timing_flag_fills_elapsed(self):
         rc, out, _ = run_cli("verify", "--duality", "glA", "--n", "2", "--r", "2",

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 from math import comb, factorial
 
 import pytest

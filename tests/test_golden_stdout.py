@@ -39,7 +39,7 @@ COMMANDS = [
     ["verify", "--duality", "walled", "--n", "2", "--r", "2", "--s", "1"],
     ["verify", "--duality", "walled", "--n", "3", "--r", "1", "--s", "1"],
     ["verify", "--duality", "so-direct", "--n", "2", "--r", "1"],
-    ["verify", "--duality", "sp", "--n", "4", "--r", "2", "--mode", "modular"],
+    ["verify", "--duality", "sp", "--n", "4", "--r", "2", "--mode", "exact"],
     ["verify", "--duality", "o", "--n", "3", "--r", "3", "--mode", "exact"],
     ["verify", "--duality", "deranged", "--n", "3", "--r", "1"],
     ["verify", "--duality", "deranged", "--n", "3", "--r", "1", "--mode", "exact"],

@@ -1,17 +1,21 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, and every test module, uses each name it
+imports.
 
 Tests patch names on ``duality``, ``linalg`` and ``tensor`` where those
 modules bound them.  A leftover import of a name the module no longer
 calls would make such a patch silently inert, and the test built on it
-would pass without testing anything.
+would pass without testing anything.  In a test module a leftover import
+is the trace of a check that was removed or never written.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diagramalg"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "diagramalg"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +38,7 @@ def test_checker_flags_an_unused_name():
     assert unused_imports(source + "def f(x: os.PathLike):\n    return l(gcd(1, 2))\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
