@@ -16,6 +16,7 @@ from math import comb, factorial
 import numpy as np
 
 from .diagrams import CapExceededError, double_factorial_odd
+from .linalg import DEFAULT_UNKNOWN_CAP, solve_sparse_system
 
 ENUMERATION_CAP = 8
 # N(1558), with 4299 digits, is the last N(k) that CPython's default
@@ -35,13 +36,23 @@ def derangements(k: int) -> int:
     return sum((-1) ** (k - j) * comb(k, j) * factorial(j) for j in range(k + 1))
 
 
-def _permutation_table(k: int) -> np.ndarray:
-    """Every permutation of range(k), one per row of a small-int table: j
-    goes into each of the j + 1 slots of every row of the table of range(j)."""
-    perms = np.zeros((1, 0), dtype=np.int8)
+def _permutation_tables(k: int) -> list[np.ndarray]:
+    """For j = 0 .. k, every permutation of range(j), one per row of a
+    small-int table: j goes into each of the j + 1 slots of every row of
+    the table of range(j)."""
+    tables = [np.zeros((1, 0), dtype=np.int8)]
     for j in range(k):
-        perms = np.concatenate([np.insert(perms, slot, j, axis=1) for slot in range(j + 1)])
-    return perms
+        tables.append(np.concatenate([np.insert(tables[-1], slot, j, axis=1)
+                                      for slot in range(j + 1)]))
+    return tables
+
+
+def _permutation_table(k: int) -> np.ndarray:
+    return _permutation_tables(k)[-1]
+
+
+def _fixed_point_free(table: np.ndarray) -> int:
+    return int(np.count_nonzero((table != np.arange(table.shape[1], dtype=np.int8)).all(axis=1)))
 
 
 def derangements_by_enumeration(k: int) -> int:
@@ -49,7 +60,7 @@ def derangements_by_enumeration(k: int) -> int:
     the rows of the table of all k! permutations with no fixed point."""
     if k > ENUMERATION_CAP:
         raise ValueError(f"enumeration for k={k} exceeds cap {ENUMERATION_CAP}")
-    return int(np.count_nonzero((_permutation_table(k) != np.arange(k)).all(axis=1)))
+    return _fixed_point_free(_permutation_table(k))
 
 
 def nearest_integer_to_k_factorial_over_e(k: int) -> int:
@@ -101,8 +112,8 @@ def derangement_table(kmax: int) -> DerangementTable:
     values = [1]
     for k in range(1, kmax + 1):
         values.append(k * values[-1] + (-1 if k % 2 else 1))
-    for k in range(min(kmax, ENUMERATION_CAP) + 1):
-        if not values[k] == derangements(k) == derangements_by_enumeration(k):
+    for k, table in enumerate(_permutation_tables(min(kmax, ENUMERATION_CAP))):
+        if not values[k] == derangements(k) == _fixed_point_free(table):
             raise ArithmeticError(f"recurrence, formula and enumeration disagree at k={k}")
     methods = ["enumeration" if k <= ENUMERATION_CAP else "formula" for k in range(kmax + 1)]
     return DerangementTable(tuple(values), tuple(methods))
@@ -122,25 +133,25 @@ def walled_count(r: int, s: int) -> int:
     return factorial(r + s)
 
 
-def _highest_weight_equations(n: int, r: int, weight: tuple) -> tuple[list[dict], list[int]]:
-    """Equation rows and unknowns (the indices of that weight, ascending)
-    of the highest-weight vectors of a weight in the r-th tensor power of
-    sl_n: one Leibniz lift of each simple raising operator ad(E_(a,a+1))."""
-    from .tensor import AdjointSpace, _ad_cols, _lift_entries, _weight_support, matrix_unit
+def _highest_weight_equations(space, weight: tuple, kind: str = "gl",
+                              cap: int = DEFAULT_UNKNOWN_CAP) -> tuple[list[dict], list[int]]:
+    """Equation rows and unknowns (the indices of that weight, ascending,
+    at most ``cap``) of the highest-weight vectors of a weight of gl_n or
+    sp_n (``kind``) on a tensor, mixed or adjoint space: one Leibniz lift
+    of each simple raising operator onto those indices."""
+    from .tensor import _lift_entries, _position_actions, _weight_support, raising_units
 
-    AdjointSpace(n, r)  # refuses n < 2 and r < 1
-    support, rows = _weight_support(n, r, weight), []
-    for a in range(n - 1):
-        ad = _ad_cols(matrix_unit(n, a, a + 1), n)
-        rows += _lift_entries([ad] * r, [n * n - 1] * r, columns=support)[0]
+    support, rows = _weight_support(space, weight, kind, cap), []
+    for x in raising_units(kind, space.n):
+        rows += _lift_entries(*_position_actions(x, space), columns=support)[0]
     return rows, support
 
 
 def _highest_weight_multiplicity(n: int, r: int, weight: tuple, mode: str) -> int:
-    """Multiplicity of V_weight (weight dominant): the number of its highest-weight vectors."""
-    from .linalg import solve_sparse_system
+    """Multiplicity of V_weight (weight dominant) in sl_n^(x r): its highest-weight vectors."""
+    from .tensor import AdjointSpace
 
-    rows, support = _highest_weight_equations(n, r, weight)
+    rows, support = _highest_weight_equations(AdjointSpace(n, r), weight)
     return solve_sparse_system(rows, len(support), mode=mode, want_kernel=False).nullity
 
 

@@ -1,22 +1,21 @@
 """Double-centralizer verification.
 
-For each family the engine builds the group side (the unital algebra
-generated by the derived action of root vectors, plus one reflection for
-the full orthogonal group) and the diagram side (the span of the matrices
-of every diagram).  A commutant depends only on the unital algebra its
-operators generate, so each is solved on generators.  Each equality is
-one containment plus a dimension count.  Both containments hold exactly
-when the group generators commute with every diagram matrix, which is
-checked exactly, once, on sparse rows (a failure raises ArithmeticError);
-the report carries all four dimensions.
+For each family the engine builds the group side (the derived action of
+Cartan elements and root vectors, plus one reflection for the full
+orthogonal group) and the diagram side (the matrices of every diagram).
+Each equality is one containment plus a dimension count.  Both
+containments hold exactly when the group generators commute with every
+diagram matrix, which is checked exactly, once, on sparse rows (a
+failure raises ArithmeticError); the report carries all four dimensions.
 
-The diagram commutant is solved before the group image, because its
-nullity bounds the image: the checked containment puts the image inside
-that commutant.  The closure then saturates on residues modulo one
-prime and stops once that many words are independent there (independent
-residues come from exactly independent words), so only a basis of the
-image is multiplied out exactly; if it stops short, the exact saturation
-decides.
+glA, walled and sp read them off V = sum V_mu (x) M_mu, a sum of pairwise
+distinct irreducibles V_mu of gl_n or sp_n (dimension by Weyl's formula)
+with M_mu their highest-weight vectors: the group commutant is sum m_mu^2,
+the group image sum (dim V_mu)^2, and End_A(V) of the diagram image A is
+sum Hom(V_mu, V_nu) (x) Hom_A(M_mu, M_nu), solved on small matrices.  The
+identity Gram of o has no rational raising operator: there both
+commutants are solved on generators, and the diagram one bounds the
+closure of the group image (residues modulo one prime, then exact).
 
 The deranged family is too large for span saturation of the group image
 (it has dimension 11732 inside 225 x 225 matrices at n=4, r=2).  There
@@ -32,18 +31,23 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
 from .diagrams import (CapExceededError, Wall, c_generator, enumerate_diagrams,
                        enumerate_walled, permutation_to_diagram, wall_generator)
+from .combinatorics import _highest_weight_equations
 from .linalg import (
     DEFAULT_UNKNOWN_CAP,
     LinOp,
     MatrixSpan,
     algebra_closure,
+    check_unknowns,
     commutant,
     graded_commutant_dim,
+    intertwiner_kernel,
+    solve_sparse_system,
     span_equal,
 )
 from .tensor import (
@@ -56,7 +60,7 @@ from .tensor import (
     check_dim,
     deranged_ops,
     derivation_ops_sparse,
-    matrix_unit,
+    raising_units,
     reflection_op,
     weight_vectors,
 )
@@ -107,19 +111,14 @@ def _generators(kind: str, space) -> tuple[list[LinOp], list[LinOp]]:
     adjacent rotations).  Commutants take both, keeping their torus
     restriction; a closure takes the roots alone, whose words span H = EF - FE.
 
-    A diagonal h = sum_a c_a E_aa acts on a basis vector of torus weight w
-    by sum_a c_a w_a, so the Cartan operators are diagonal ``LinOp``s read
-    off ``weight_vectors(space)``; the roots are Leibniz sums."""
-    n, m, e = space.n, space.n // 2, functools.partial(matrix_unit, space.n)
-    if kind == "sp":
-        cartan = [{i: 1, m + i: -1} for i in range(m)]
-        raising = [e(i, i + 1) - e(m + i + 1, m + i) for i in range(m - 1)] + [e(m - 1, n - 1)]
-    else:
-        cartan = [{a: 1} for a in range(n)] if kind == "gl" else []
-        raising = [e(i, i + 1) for i in range(n - 1)]
-    weights = weight_vectors(space) if cartan else []
-    torus = [LinOp(space.dim, [{i: v} if (v := sum(c * w[a] for a, c in h.items())) else {}
-                               for i, w in enumerate(weights)]) for h in cartan]
+    The Cartan elements E_aa of gl_n and E_ii - E_(m+i)(m+i) of sp_n act on
+    a basis vector by the coordinates of its torus weight, so they are
+    diagonal ``LinOp``s read off ``weight_vectors(space, kind)``; the roots
+    are Leibniz sums."""
+    weights = weight_vectors(space, kind) if kind != "so" else []
+    torus = [LinOp(space.dim, [{i: v} if v else {} for i, v in enumerate(col)])
+             for col in zip(*weights)]
+    raising = raising_units(kind, space.n)
     roots = [x - x.T for x in raising] if kind == "so" else raising + [x.T for x in raising]
     return torus, [derivation_ops_sparse(x, space) for x in roots]
 
@@ -151,9 +150,45 @@ _SIDES = {
 }
 
 
+def _weyl_dim(kind: str, mu: tuple) -> int:
+    """dim V_mu by Weyl's formula: over the positive roots a of gl_n (e_i - e_j)
+    or sp_n (also e_i + e_j, 2 e_i), the product of <mu + rho, a> / <rho, a>, rho = (m, .., 1)."""
+    m = len(mu)
+    roots = [(i, j, -1) for i, j in itertools.combinations(range(m), 2)]
+    if kind == "sp":
+        roots += [(i, j, 1) for i, j in itertools.combinations_with_replacement(range(m), 2)]
+    rho = range(m, 0, -1)
+    l = [x + y for x, y in zip(mu, rho)]
+    return (math.prod(l[i] + c * l[j] for i, j, c in roots)
+            // math.prod(rho[i] + c * rho[j] for i, j, c in roots))
+
+
+def _multiplicity_spaces(space, kind: str, diagram_gens, mode: str, cap: int):
+    """(mu, dim V_mu, m_mu, [A_mu(g) for each g]) for each dominant weight mu
+    with m_mu > 0, decreasing, and the solve tags.  M_mu is the kernel of the
+    raising equations on the weight-mu indices; each kernel vector is 1 at
+    its own free column (its last nonzero) and 0 at the others, so A_mu(g)
+    is read off the free-column entries of g v."""
+    blocks, methods = [], []
+    for mu in sorted(set(weight_vectors(space, kind)), reverse=True):
+        if any(a < b for a, b in zip(mu, mu[1:] + (0,) * (kind == "sp"))):
+            continue
+        rows, support = _highest_weight_equations(space, mu, kind, cap)
+        res = solve_sparse_system(rows, len(support), mode=mode)
+        methods.append(res.method)
+        if res.nullity:
+            pos = {j: k for k, j in enumerate(support)}
+            free = [support[max(j for j, x in enumerate(v) if x)] for v in res.kernel]
+            blocks.append((mu, _weyl_dim(kind, mu), res.nullity, [LinOp(res.nullity, [
+                {k: c for k, v in enumerate(res.kernel)
+                 if (c := sum(x * v[pos[j]] for j, x in g.rows[f].items()))} for f in free])
+                for g in diagram_gens]))
+    return blocks, methods
+
+
 def _verify_span_family(family, n, r, s, mode, solver_cap):
     space = TensorSpace(n, r) if s is None else MixedSpace(n, r, s)
-    check_dim(space, DENSE_DIM_CAP)  # d * d unknowns in every solve
+    check_dim(space, DENSE_DIM_CAP)  # the diagram span has d * d columns
     diagrams, kind = _SIDES[family]
     cartan, seed = _generators(kind, space)
     if family == "o":
@@ -165,25 +200,36 @@ def _verify_span_family(family, n, r, s, mode, solver_cap):
     # both containments at once; each equality is then a dimension count
     if not _commute(gen_ops, diagram_ops):
         raise ArithmeticError("group and diagram actions fail to commute")
+    check_unknowns(d * d, solver_cap)
     diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
-    _, comm_diag = commutant(diagram_gens, d, mode=mode, want_basis=False,
-                             unknown_cap=solver_cap)
-    # The group image lies in the commutant of every diagram, inside that
-    # of the generators, whose dimension is this nullity: a proven bound
-    # for the closure.
-    group_span = algebra_closure(seed, d, bound=comm_diag.nullity)
-    _, comm_group = commutant(gen_ops, d, mode=mode, want_basis=False,
-                              unknown_cap=solver_cap)
-    dims = {
-        "group_image": group_span.dim,
-        "diagram_image": diagram_span.dim,
-        "commutant_of_diagram": comm_diag.nullity,
-        "commutant_of_group": comm_group.nullity,
-    }
-    return DualityReport(family, n, r, s, dims, group_span.dim == comm_diag.nullity,
-                         diagram_span.dim == comm_group.nullity,
-                         diagram_span.dim == len(diagram_ops),
-                         _combine_methods("exact", comm_diag.method, comm_group.method))
+    if family == "o":
+        solve = functools.partial(commutant, d=d, mode=mode, want_basis=False,
+                                  unknown_cap=solver_cap)
+        # The group image lies in the commutant of every diagram, inside
+        # that of the generators, whose nullity is a proven bound for the closure.
+        diag_result = solve(diagram_gens)[1]
+        group_image = algebra_closure(seed, d, bound=diag_result.nullity).dim
+        group_result = solve(gen_ops)[1]
+        comm_diag, comm_group = diag_result.nullity, group_result.nullity
+        methods, extra = [diag_result.method, group_result.method], {}
+    else:
+        blocks, methods = _multiplicity_spaces(space, kind, diagram_gens, mode, solver_cap)
+        if sum(dim_v * m for _, dim_v, m, _ in blocks) != d:
+            raise ArithmeticError("the highest-weight vectors do not account for every dimension")
+        homs = [(dim_mu * dim_nu, intertwiner_kernel(
+            a_nu, a_mu, m_nu, m_mu, mode=mode, want_kernel=False, unknown_cap=solver_cap)[0])
+            for (_, dim_mu, m_mu, a_mu), (_, dim_nu, m_nu, a_nu) in
+            itertools.product(blocks, repeat=2)]
+        group_image = sum(dim_v * dim_v for _, dim_v, _, _ in blocks)
+        comm_diag = sum(k * hom.nullity for k, hom in homs)
+        comm_group = sum(m * m for _, _, m, _ in blocks)
+        methods += [hom.method for _, hom in homs]
+        extra = {"group_image_via": "highest weights"}
+    dims = {"group_image": group_image, "diagram_image": diagram_span.dim,
+            "commutant_of_diagram": comm_diag, "commutant_of_group": comm_group}
+    return DualityReport(family, n, r, s, dims, group_image == comm_diag,
+                         diagram_span.dim == comm_group, diagram_span.dim == len(diagram_ops),
+                         _combine_methods("exact", *methods), extra=extra)
 
 
 def _verify_so_direct(n, r, mode, solver_cap):

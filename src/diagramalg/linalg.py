@@ -522,6 +522,12 @@ def _diagonal_support(diag_pairs, dim_w: int, dim_u: int) -> list[tuple[int, int
             for u in classes.get(tuple(dl[i] for dl, _ in diag_pairs), ())]
 
 
+def check_unknowns(count: int, cap: int) -> None:
+    if count > cap:
+        raise CapExceededError(f"{count} unknowns exceed the solver cap {cap}; "
+                               f"raise it with --solver-cap")
+
+
 def intertwiner_kernel(
     left_ops: Sequence,
     right_ops: Sequence,
@@ -554,10 +560,7 @@ def intertwiner_kernel(
             general_pairs.append((l, r))
 
     support = _diagonal_support(diag_pairs, dim_w, dim_u)
-    if len(support) > unknown_cap:
-        raise CapExceededError(
-            f"{len(support)} unknowns exceed the solver cap {unknown_cap}; "
-            f"raise it with --solver-cap")
+    check_unknowns(len(support), unknown_cap)
     # Unknowns by row of A (k -> [(u, idx)]) and by column (v -> [(i, idx)]),
     # in support order.
     in_row: dict[int, list[tuple[int, int]]] = {}

@@ -31,6 +31,7 @@ Conventions, fixed once and pinned by the multiplicativity tests:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -253,6 +254,15 @@ def matrix_unit(n: int, a: int, b: int) -> np.ndarray:
     return out
 
 
+def raising_units(kind: str, n: int) -> list[np.ndarray]:
+    """Simple raising root vectors: E_(a,a+1) of gl_n, or of sp_n (block Gram,
+    m = n/2) E_(i,i+1) - E_(m+i+1,m+i) for i < m - 1, and E_(m-1,n-1)."""
+    m, e = n // 2, functools.partial(matrix_unit, n)
+    if kind == "sp":
+        return [e(i, i + 1) - e(m + i + 1, m + i) for i in range(m - 1)] + [e(m - 1, n - 1)]
+    return [e(a, a + 1) for a in range(n - 1)]
+
+
 # The sl_n basis used throughout, by its sparse structure: the
 # off-diagonal units E_ab come first, row-major, then h_0, ..., h_(n-2)
 # with h_a = E_aa - E_(a+1)(a+1).  In a traceless matrix of diagonal d
@@ -447,29 +457,9 @@ def _sl_weights(n: int) -> list[tuple[int, ...]]:
             for a, b in itertools.permutations(range(n), 2)] + [(0,) * n] * (n - 1)
 
 
-def _weight_support(n: int, r: int, weight: tuple[int, ...]) -> list[int]:
-    """Indices of the basis vectors of AdjointSpace(n, r) of the given
-    weight, ascending, without listing every weight: the first r - 1
-    factors fix a weight, and only the last factors of the missing weight
-    complete it.  Listing stops once the indices outnumber the solver cap."""
-    d, weights = n * n - 1, _sl_weights(n)
-    complete = {w: [k for k, v in enumerate(weights) if v == w] for w in set(weights)}
-    support: list[int] = []
-    for p, ws in enumerate(itertools.product(weights, repeat=r - 1)):
-        missing = tuple(t - sum(cs) for t, cs in zip(weight, zip((0,) * n, *ws)))
-        support += (p * d + k for k in complete.get(missing, ()))
-        if len(support) > DEFAULT_UNKNOWN_CAP:
-            raise CapExceededError(f"weight {weight} has more than {DEFAULT_UNKNOWN_CAP} "
-                                   f"unknowns, the solver cap")
-    return support
-
-
-def weight_vectors(space) -> list[tuple[int, ...]]:
-    """Torus weight of every basis vector, as an integer tuple per index.
-
-    These are the diagonals of the derived actions of the diagonal matrix
-    units; generators that commute with the torus preserve them."""
-    n = space.n
+def _position_weights(space, kind: str = "gl") -> list[list[tuple[int, ...]]]:
+    """Torus weights of each position's basis: gl_n ones, or sp_n ones w_i - w_(m+i)."""
+    n, m = space.n, space.n // 2
     units = [tuple(int(c == a) for c in range(n)) for a in range(n)]
     if isinstance(space, MixedSpace):
         per_pos = [units] * space.r + [[tuple(-c for c in w) for w in units]] * space.s
@@ -477,7 +467,35 @@ def weight_vectors(space) -> list[tuple[int, ...]]:
         per_pos = [_sl_weights(n)] * space.r
     else:
         raise TypeError(f"unknown space {space!r}")
-    return [tuple(map(sum, zip((0,) * n, *ws))) for ws in itertools.product(*per_pos)]
+    if kind == "sp":
+        return [[tuple(w[i] - w[m + i] for i in range(m)) for w in ws] for ws in per_pos]
+    return per_pos
+
+
+def _weight_support(space, weight: tuple[int, ...], kind: str = "gl",
+                    cap: int = DEFAULT_UNKNOWN_CAP) -> list[int]:
+    """Indices of the basis vectors of ``space`` of the given weight,
+    ascending, without listing every weight: the other factors fix a weight,
+    and only the last factors of the missing weight complete it.  Listing
+    stops once the indices outnumber ``cap``."""
+    *head, last = _position_weights(space, kind)
+    complete = {w: [k for k, v in enumerate(last) if v == w] for w in set(last)}
+    support: list[int] = []
+    for p, ws in enumerate(itertools.product(*head)):
+        missing = tuple(t - sum(cs) for t, cs in zip(weight, zip((0,) * len(weight), *ws)))
+        support += (p * len(last) + k for k in complete.get(missing, ()))
+        if len(support) > cap:
+            raise CapExceededError(f"weight {weight} has more than {cap} unknowns, the solver cap")
+    return support
+
+
+def weight_vectors(space, kind: str = "gl") -> list[tuple[int, ...]]:
+    """Torus weight of every basis vector, as an integer tuple per index.
+
+    These are the diagonals of the derived actions of the diagonal matrix
+    units (of the sp_n Cartan elements for kind 'sp'); generators that
+    commute with the torus preserve them."""
+    return [tuple(map(sum, zip(*ws))) for ws in itertools.product(*_position_weights(space, kind))]
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,26 @@ class TestDerangementTable:
         rows = table.rows()
         assert rows[4] == {"k": 4, "N": "9", "method": "enumeration"}
 
+    @pytest.mark.parametrize("kmax,inserts", [(0, 0), (3, 6), (8, 36), (20, 36)])
+    def test_permutation_tables_are_built_in_one_pass(self, monkeypatch, kmax, inserts):
+        # each k <= min(kmax, 8) is enumerated on the way to the largest
+        # table: 1 + 2 + ... + 8 insertions, not the 120 of a rebuild per k
+        import numpy as np
+
+        calls = []
+        original = np.insert
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "insert", counting)
+        table = derangement_table(kmax)
+        monkeypatch.undo()
+        assert len(calls) == inserts
+        assert table.values[:9] == tuple(derangements_by_enumeration(k)
+                                         for k in range(min(kmax, 8) + 1))
+
     def test_validation_rejects_broken_tables(self):
         with pytest.raises(ArithmeticError):
             DerangementTable((1, 0, 1, 3), ("formula",) * 4)

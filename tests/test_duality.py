@@ -9,7 +9,7 @@ from diagramalg.diagrams import CapExceededError
 from diagramalg.duality import verify_duality
 from diagramalg.linalg import DEFAULT_UNKNOWN_CAP, LinOp, MatrixSpan, algebra_closure, span_equal
 from diagramalg.tensor import (AdjointSpace, BilinearForm, MixedSpace, TensorSpace, _diagram_rows,
-                               reflection_op)
+                               reflection_op, weight_vectors)
 from oracles import (full_basis_verify, gl_irrep_dim, identity_matrix, lie_basis, partitions,
                      standard_tableaux)
 from test_golden_stdout import COMMANDS
@@ -213,7 +213,9 @@ class TestOneEqualityRule:
     @pytest.mark.parametrize("mode", ["auto", "exact"])
     def test_span_families_count_dimensions(self, monkeypatch, family, n, r, s, mode):
         # no span comparison and no commutant basis: one exact commutation
-        # check and four dimensions decide both equalities
+        # check and four dimensions decide both equalities.  o solves both
+        # commutants; glA, sp and walled read all three dimensions off the
+        # multiplicity spaces and solve no d * d system.
         def refuse(*args, **kwargs):
             raise AssertionError("span_equal called")
 
@@ -228,7 +230,8 @@ class TestOneEqualityRule:
         monkeypatch.setattr(duality, "commutant", recording)
         rep = verify_duality(family, n, r, s, mode=mode)
         assert rep.verified
-        assert bases == [False, False]
+        assert bases == ([False, False] if family == "o" else [])
+        assert rep.extra == ({} if family == "o" else {"group_image_via": "highest weights"})
         assert rep.equal_a == (rep.dims["group_image"] == rep.dims["commutant_of_diagram"])
         assert rep.equal_b == (rep.dims["diagram_image"] == rep.dims["commutant_of_group"])
 
@@ -251,6 +254,9 @@ class TestModularTags:
 
 
 class TestBoundedClosure:
+    """o is the span family that still runs the closure, bounded by its
+    diagram commutant (o(3,2): 35, group commutant 3)."""
+
     def test_inflated_bound_falls_back_to_the_exact_image(self, monkeypatch):
         # a diagram commutant one too large: the residues stop short of the
         # bound, the exact saturation reports the true image, equal_a fails
@@ -267,10 +273,10 @@ class TestBoundedClosure:
             return span, res
 
         monkeypatch.setattr(duality, "commutant", inflated)
-        rep = verify_duality("sp", 4, 2)
-        assert calls == [126, 3]
-        assert rep.dims["group_image"] == 126
-        assert rep.dims["commutant_of_diagram"] == 127
+        rep = verify_duality("o", 3, 2)
+        assert calls == [35, 3]
+        assert rep.dims["group_image"] == 35
+        assert rep.dims["commutant_of_diagram"] == 36
         assert rep.equal_a is False and rep.equal_b is True
 
     @pytest.mark.parametrize("mode", ["auto", "exact"])
@@ -283,9 +289,11 @@ class TestBoundedClosure:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(duality, "algebra_closure", recording)
-        rep = verify_duality("sp", 4, 2, mode=mode)
+        rep = verify_duality("o", 3, 2, mode=mode)
         assert rep.verified
-        assert bounds == [rep.dims["commutant_of_diagram"]] == [126]
+        assert bounds == [rep.dims["commutant_of_diagram"]] == [35]
+        assert verify_duality("sp", 4, 2, mode=mode).verified
+        assert len(bounds) == 1
 
 
 class TestGlAClosedForms:
@@ -357,7 +365,19 @@ GOLDEN_POINTS = [_verify_point(argv) for argv in COMMANDS if "verify" in argv]
 EXTRA_POINTS = [(family, n, r, s, "auto", DEFAULT_UNKNOWN_CAP) for family, n, r, s in [
     ("o", 2, 2, None), ("o", 4, 2, None), ("o", 2, 3, None), ("sp", 6, 2, None),
     ("sp", 4, 3, None), ("walled", 2, 2, 2), ("walled", 3, 2, 1), ("so-direct", 4, 2, None),
-    ("deranged", 3, 1, None), ("deranged", 4, 1, None), ("deranged", 6, 1, None)]]
+    ("deranged", 3, 1, None), ("deranged", 4, 1, None), ("deranged", 6, 1, None),
+    ("sp", 6, 1, None), ("sp", 2, 4, None), ("glA", 2, 5, None), ("glA", 3, 3, None),
+    ("glA", 4, 2, None), ("walled", 2, 0, 1), ("walled", 2, 2, 0), ("walled", 3, 0, 2),
+    ("walled", 2, 1, 2)]]
+# the families verified through their multiplicity spaces, and the order of
+# strength of the method tags they may carry
+ROUTE_FAMILIES = ("glA", "sp", "walled")
+STRENGTH = {"exact": 2, "mod-p-confirmed-exact": 1}
+
+
+def _route_space(family, n, r, s):
+    """(kind, space) of a glA, sp or walled point."""
+    return "sp" if family == "sp" else "gl", TensorSpace(n, r) if s is None else MixedSpace(n, r, s)
 
 
 class TestGeneratorRoute:
@@ -375,7 +395,13 @@ class TestGeneratorRoute:
             except CapExceededError as exc:
                 return str(exc)
 
-        assert report(verify_duality) == report(full_basis_verify)
+        ours, ref = report(verify_duality), report(full_basis_verify)
+        if family in ROUTE_FAMILIES and isinstance(ref, dict):
+            # the same dimensions and flags through the multiplicity spaces;
+            # the method tag may only get stronger, and the report names the route
+            assert STRENGTH[ours.pop("method")] >= STRENGTH[ref.pop("method")]
+            assert ours.pop("group_image_via") == "highest weights"
+        assert ours == ref
 
     @pytest.mark.parametrize("family,n,r,s", [
         *[(family, n, r, None) for family, ns in (("glA", (2, 3)), ("o", (2, 3)), ("sp", (2, 4)))
@@ -396,8 +422,12 @@ class TestGeneratorRoute:
         ("sp", 4, 2, None), ("glA", 3, 2, None), ("walled", 3, 1, 1), ("deranged", 8, 1, None),
     ])
     def test_solve_sizes_equal_the_full_basis_route(self, monkeypatch, family, n, r, s):
-        # the Cartan elements keep the torus restriction: same unknowns
-        # in every commutant solve (lie_basis's own solve is not one)
+        # o and deranged: the Cartan elements keep the torus restriction, so
+        # every commutant solve has the unknowns of the full-basis route
+        # (lie_basis's own solve is not one).  glA, sp and walled: one solve
+        # per dominant weight on exactly its weight space, then one Hom
+        # solve per pair of nonzero multiplicities, of at most m_nu * m_mu
+        # unknowns.
         basis = lie_basis("sp" if family == "sp" else "gl", n)
         monkeypatch.setattr(oracles, "lie_basis", lambda kind, n: basis)
         sizes = []
@@ -408,8 +438,22 @@ class TestGeneratorRoute:
             return original(rows, ncols, *args, **kwargs)
 
         monkeypatch.setattr(linalg, "solve_sparse_system", spy)
+        monkeypatch.setattr(duality, "solve_sparse_system", spy)
         assert verify_duality(family, n, r, s).verified
         ours, sizes[:] = sizes[:], []
+        if family in ROUTE_FAMILIES:
+            kind, space = _route_space(family, n, r, s)
+            m = n // 2
+            weights = [w if kind == "gl" else tuple(w[i] - w[m + i] for i in range(m))
+                       for w in weight_vectors(space)]
+            dominant = sorted((w for w in set(weights) if list(w) == sorted(w, reverse=True)
+                               and (kind == "gl" or min(w) >= 0)), reverse=True)
+            assert ours[:len(dominant)] == [weights.count(w) for w in dominant]
+            ms = list(multiplicities(family, n, r, s).values())
+            homs = ours[len(dominant):]
+            assert len(homs) == len(ms) ** 2
+            assert all(c <= a * b for c, (a, b) in zip(homs, itertools.product(ms, repeat=2)))
+            return
         assert full_basis_verify(family, n, r, s).verified
         assert ours == sizes and len(ours) == (1 if family == "deranged" else 2)
 
@@ -418,19 +462,136 @@ class TestGeneratorRoute:
     ])
     def test_closure_seed_is_the_roots_and_the_reflection(self, monkeypatch, family, n, r, s,
                                                           roots):
-        seeds = []
+        # o: the closure is seeded with the roots and the reflection.  glA,
+        # sp and walled run no closure: their highest-weight equations are
+        # the raising half of those roots, restricted to each weight.
+        seeds, equations = [], []
         original = duality.algebra_closure
+        original_equations = duality._highest_weight_equations
 
         def spy(seed, d, **kwargs):
             seeds.append(list(seed))
             return original(seed, d, **kwargs)
 
+        def spy_equations(*args):
+            equations.append(original_equations(*args))
+            return equations[-1]
+
         monkeypatch.setattr(duality, "algebra_closure", spy)
+        monkeypatch.setattr(duality, "_highest_weight_equations", spy_equations)
         assert verify_duality(family, n, r, s).verified
+        if family in ROUTE_FAMILIES:
+            kind, space = _route_space(family, n, r, s)
+            _, ops = duality._generators(kind, space)
+            assert seeds == [] and len(ops) == roots and equations
+            for rows, support in equations:
+                want = [{k: row[j] for k, j in enumerate(support) if j in row}
+                        for op in ops[:roots // 2] for row in op.rows]
+                assert [row for row in rows if row] == [row for row in want if row]
+            return
         (seed,) = seeds
         diagonal = [op.rows for op in seed if op.diagonal_vector() is not None]
         reflection = [reflection_op(n, r).rows] if family == "o" else []
         assert diagonal == reflection and len(seed) == roots + len(reflection)
+
+
+def multiplicities(family, n, r, s):
+    """{mu: m_mu} over the dominant weights of a glA, sp or walled point with
+    m_mu > 0, in the route's order."""
+    kind, space = _route_space(family, n, r, s)
+    blocks, _ = duality._multiplicity_spaces(space, kind, [], "auto", DEFAULT_UNKNOWN_CAP)
+    return {mu: m for mu, _, m, _ in blocks}
+
+
+class TestMultiplicitySpaces:
+    """glA, sp and walled read their four dimensions off V = sum V_mu (x) M_mu:
+    the closed forms, and the mutations that must break the route."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gl_weyl_dimensions_are_the_hook_content_formula(self, n):
+        for r in range(7):
+            for shape in partitions(r, n):
+                mu = tuple(shape) + (0,) * (n - len(shape))
+                assert duality._weyl_dim("gl", mu) == gl_irrep_dim(shape, n)
+                # a twist by a power of the determinant keeps the dimension
+                assert duality._weyl_dim("gl", tuple(x - 2 for x in mu)) == gl_irrep_dim(shape, n)
+
+    def test_sp_weyl_dimensions(self):
+        # sp_2 = sl_2; sp_4: 4, 5, 10 and 16; sp_6: 6, 14, 14' and 21
+        assert [duality._weyl_dim("sp", (k,)) for k in range(5)] == [1, 2, 3, 4, 5]
+        assert [duality._weyl_dim("sp", mu) for mu in [(1, 0), (1, 1), (2, 0), (2, 1)]] == [
+            4, 5, 10, 16]
+        assert [duality._weyl_dim("sp", mu) for mu in [(1, 0, 0), (1, 1, 0), (1, 1, 1),
+                                                       (2, 0, 0)]] == [6, 14, 14, 21]
+
+    @pytest.mark.parametrize("n,r", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2), (2, 5)])
+    def test_gl_multiplicities_are_standard_tableaux(self, n, r):
+        assert multiplicities("glA", n, r, None) == {
+            tuple(la) + (0,) * (n - len(la)): standard_tableaux(la) for la in partitions(r, n)}
+
+    @pytest.mark.parametrize("n,r", [(4, 2), (6, 3)])
+    def test_faithful_sp_group_commutant_is_the_brauer_count(self, n, r):
+        rep = verify_duality("sp", n, r)
+        assert rep.verified and rep.faithful
+        assert sum(m * m for m in multiplicities("sp", n, r, None).values()) == math.prod(
+            range(1, 2 * r, 2))
+        assert rep.dims["commutant_of_group"] == rep.dims["diagram_image"] == math.prod(
+            range(1, 2 * r, 2))
+
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    def test_every_solve_follows_the_mode(self, monkeypatch, mode):
+        # weight spaces past EXACT_UNKNOWN_CAP take the certified lift under
+        # auto; the Hom systems go through intertwiner_kernel in the same mode
+        modes = []
+        for module in (duality, linalg):
+            original = module.solve_sparse_system
+
+            def spy(*args, original=original, **kwargs):
+                modes.append(kwargs["mode"])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "solve_sparse_system", spy)
+        assert verify_duality("walled", 2, 2, 1, mode=mode).verified
+        assert len(modes) > 2 and set(modes) == {mode}
+
+    @pytest.mark.parametrize("family,n,r,s", [
+        ("glA", 2, 2, None), ("glA", 3, 2, None), ("sp", 4, 2, None), ("walled", 3, 1, 1)])
+    def test_a_missing_raising_operator_breaks_the_dimension_count(self, monkeypatch, capsys,
+                                                                   family, n, r, s):
+        # too few raising equations leave more highest-weight vectors than
+        # V holds: an internal error, exit 4, never a report.  The first
+        # simple root is dropped; at glA(3, 2) no dominant weight sees the last.
+        from diagramalg import cli, tensor
+
+        original = tensor.raising_units
+        monkeypatch.setattr(tensor, "raising_units", lambda kind, n: original(kind, n)[1:])
+        with pytest.raises(ArithmeticError, match="do not account for every dimension"):
+            verify_duality(family, n, r, s)
+        argv = ["verify", "--duality", family, "--n", str(n), "--r", str(r)]
+        assert cli.main(argv + (["--s", str(s)] if s is not None else [])) == 4
+        assert capsys.readouterr().out == ""
+
+    def test_without_the_wall_generator_h_is_not_the_identity(self, monkeypatch):
+        homs = []
+        original = duality.intertwiner_kernel
+
+        def spy(*args, **kwargs):
+            result, support = original(*args, **kwargs)
+            homs.append(result.nullity)
+            return result, support
+
+        monkeypatch.setattr(duality, "intertwiner_kernel", spy)
+        rep = verify_duality("walled", 3, 2, 2)
+        k = math.isqrt(len(homs))
+        assert rep.verified and homs == [int(i == j) for i in range(k) for j in range(k)]
+        homs.clear()
+        generators = duality._diagram_generators
+        monkeypatch.setattr(duality, "_diagram_generators",
+                            lambda family, r, s: generators(family, r, s)[:-1])
+        rep = verify_duality("walled", 3, 2, 2)
+        assert len(homs) == k * k and homs != [int(i == j) for i in range(k) for j in range(k)]
+        assert rep.equal_a is False and rep.equal_b is True
+        assert rep.dims["commutant_of_diagram"] > rep.dims["group_image"] == 994
 
 
 class TestCartanFromWeights:

@@ -454,7 +454,7 @@ class TestBatchedModRref:
             assert np.array_equal(acc.kernel_basis(), kern)
 
     def test_lifted_kernel_of_invariant_equations_is_the_exact_one(self):
-        rows, support = _highest_weight_equations(5, 3, (0,) * 5)
+        rows, support = _highest_weight_equations(AdjointSpace(5, 3), (0,) * 5)
         lifted = solve_sparse_system(rows, len(support), mode="auto")
         exact = solve_sparse_system(rows, len(support), mode="exact")
         assert (lifted.method, exact.method) == ("mod-p-confirmed-exact", "exact")
@@ -666,7 +666,7 @@ class TestSparseExactRref:
             [[row.get(j, 0) for j in range(12)] for row in rows], 12)[0])
 
     def test_exact_solve_of_invariant_equations(self):
-        rows, support = _highest_weight_equations(4, 3, (0,) * 4)
+        rows, support = _highest_weight_equations(AdjointSpace(4, 3), (0,) * 4)
         result = solve_sparse_system(rows, len(support), mode="exact", want_kernel=False)
         assert (result.nullity, result.method) == (2, "exact")
 

@@ -121,9 +121,10 @@ def zero_and_highest_root(n):
 class TestZeroWeightSupport:
     @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
     def test_matches_weight_filter(self, n, r):
-        weights = weight_vectors(AdjointSpace(n, r))
+        space = AdjointSpace(n, r)
+        weights = weight_vectors(space)
         for mu in zero_and_highest_root(n):
-            assert _weight_support(n, r, mu) == [i for i, w in enumerate(weights) if w == mu]
+            assert _weight_support(space, mu) == [i for i, w in enumerate(weights) if w == mu]
 
     @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3), (4, 2)])
     def test_equation_rows_unchanged(self, n, r):
@@ -140,7 +141,7 @@ class TestZeroWeightSupport:
                 lifted, _ = _lift_entries([rows_from_dense(dense_ad_action(x, n).T)] * r,
                                           [n * n - 1] * r, columns=support)
                 want.extend(lifted)
-            rows, got_support = _highest_weight_equations(n, r, mu)
+            rows, got_support = _highest_weight_equations(space, mu)
             assert got_support == support
             assert rows == want
             assert [list(row.items()) for row in rows] == [list(row.items()) for row in want]

@@ -27,6 +27,7 @@ from diagramalg.tensor import (
     TensorSpace,
     _element_rows,
     _walled_rows,
+    _weight_support,
     ad_action,
     adjoint_transport,
     deranged_matrix,
@@ -497,6 +498,27 @@ class TestWeights:
     def test_mixed_weights_subtract_duals(self):
         space = MixedSpace(2, 1, 1)
         assert weight_vectors(space) == [(0, 0), (1, -1), (-1, 1), (0, 0)]
+
+    @pytest.mark.parametrize("space", [TensorSpace(4, 2), MixedSpace(4, 1, 1), MixedSpace(2, 2, 1),
+                                       AdjointSpace(4, 1)], ids=repr)
+    def test_sp_weights_are_the_gl_ones_projected(self, space):
+        # the sp_n coordinates w_i - w_(m+i) of the gl_n weight w
+        m = space.n // 2
+        assert weight_vectors(space, "sp") == [tuple(w[i] - w[m + i] for i in range(m))
+                                               for w in weight_vectors(space)]
+
+    @pytest.mark.parametrize("kind,space", [
+        ("gl", TensorSpace(3, 2)), ("gl", MixedSpace(3, 2, 1)), ("gl", MixedSpace(2, 0, 3)),
+        ("sp", TensorSpace(4, 3)), ("sp", MixedSpace(4, 1, 1)), ("sp", AdjointSpace(2, 2))],
+        ids=repr)
+    def test_weight_support_is_the_weight_filter(self, kind, space):
+        weights = weight_vectors(space, kind)
+        for mu in set(weights):
+            want = [i for i, w in enumerate(weights) if w == mu]
+            assert _weight_support(space, mu, kind) == want
+            if len(want) > 1:
+                with pytest.raises(CapExceededError, match="solver cap"):
+                    _weight_support(space, mu, kind, cap=len(want) - 1)
 
     def test_adjoint_weights_match_diagonal_derivations(self):
         space = AdjointSpace(2, 1)
