@@ -16,7 +16,7 @@ from math import comb, factorial
 import numpy as np
 
 from .diagrams import CapExceededError, double_factorial_odd
-from .linalg import DEFAULT_UNKNOWN_CAP, solve_sparse_system
+from .linalg import solve_sparse_system
 
 ENUMERATION_CAP = 8
 # N(1558), with 4299 digits, is the last N(k) that CPython's default
@@ -133,15 +133,14 @@ def walled_count(r: int, s: int) -> int:
     return factorial(r + s)
 
 
-def _highest_weight_equations(space, weight: tuple, kind: str = "gl",
-                              cap: int = DEFAULT_UNKNOWN_CAP) -> tuple[list[dict], list[int]]:
-    """Equation rows and unknowns (the indices of that weight, ascending,
-    at most ``cap``) of the highest-weight vectors of a weight of gl_n or
-    sp_n (``kind``) on a tensor, mixed or adjoint space: one Leibniz lift
-    of each simple raising operator onto those indices."""
+def _highest_weight_equations(space, weight, kind: str = "gl") -> tuple[list[dict], list[int]]:
+    """Equation rows and unknowns (the indices of that weight, ascending)
+    of the highest-weight vectors of a weight of gl_n or sp_n (``kind``) on
+    a tensor, mixed or adjoint space: one Leibniz lift of each simple
+    raising operator onto those indices."""
     from .tensor import _lift_entries, _position_actions, _weight_support, raising_units
 
-    support, rows = _weight_support(space, weight, kind, cap), []
+    support, rows = _weight_support(space, weight, kind), []
     for x in raising_units(kind, space.n):
         rows += _lift_entries(*_position_actions(x, space), columns=support)[0]
     return rows, support

@@ -1,8 +1,8 @@
 """Double-centralizer verification.
 
 For each family the engine builds the group side (the derived action of
-Cartan elements and root vectors, plus one reflection for the full
-orthogonal group) and the diagram side (the matrices of every diagram).
+root vectors, plus one reflection for the full orthogonal group) and the
+diagram side (the matrices of every diagram).
 Each equality is one containment plus a dimension count.  Both
 containments hold exactly when the group generators commute with every
 diagram matrix, which is checked exactly, once, on sparse rows (a
@@ -105,22 +105,22 @@ def _combine_methods(*labels: str) -> str:
     return mods[0] if mods else "mod-p"
 
 
-def _generators(kind: str, space) -> tuple[list[LinOp], list[LinOp]]:
-    """Derived actions on ``space`` of (Cartan elements, root vectors) of
-    gl_n, sp_n (block Gram, m = n/2) or so_n (identity Gram: no Cartan,
-    adjacent rotations).  Commutants take both, keeping their torus
-    restriction; a closure takes the roots alone, whose words span H = EF - FE.
-
-    The Cartan elements E_aa of gl_n and E_ii - E_(m+i)(m+i) of sp_n act on
-    a basis vector by the coordinates of its torus weight, so they are
-    diagonal ``LinOp``s read off ``weight_vectors(space, kind)``; the roots
-    are Leibniz sums."""
-    weights = weight_vectors(space, kind) if kind != "so" else []
-    torus = [LinOp(space.dim, [{i: v} if v else {} for i, v in enumerate(col)])
-             for col in zip(*weights)]
+def _generators(kind: str, space) -> list[LinOp]:
+    """Derived actions on ``space``, as Leibniz sums, of the simple root
+    vectors of gl_n or sp_n (block Gram, m = n/2), or of so_n's adjacent
+    rotations (identity Gram).  Their brackets give the Cartan elements, so
+    whatever commutes with these commutes with the whole Lie algebra and
+    preserves torus weights; with o's reflection, words in them span the
+    group image."""
     raising = raising_units(kind, space.n)
     roots = [x - x.T for x in raising] if kind == "so" else raising + [x.T for x in raising]
-    return torus, [derivation_ops_sparse(x, space) for x in roots]
+    return [derivation_ops_sparse(x, space) for x in roots]
+
+
+def _torus(weights: list[tuple[int, ...]]) -> list[LinOp]:
+    """Cartan elements, diagonal: each acts by one coordinate of the weights."""
+    return [LinOp(len(weights), [{i: v} if v else {} for i, v in enumerate(col)])
+            for col in zip(*weights)]
 
 
 def _diagram_generators(family: str, r: int, s: int | None) -> list:
@@ -163,7 +163,7 @@ def _weyl_dim(kind: str, mu: tuple) -> int:
             // math.prod(rho[i] + c * rho[j] for i, j, c in roots))
 
 
-def _multiplicity_spaces(space, kind: str, diagram_gens, mode: str, cap: int):
+def _multiplicity_spaces(space, kind: str, diagram_gens, mode: str):
     """(mu, dim V_mu, m_mu, [A_mu(g) for each g]) for each dominant weight mu
     with m_mu > 0, decreasing, and the solve tags.  M_mu is the kernel of the
     raising equations on the weight-mu indices; each kernel vector is 1 at
@@ -173,7 +173,7 @@ def _multiplicity_spaces(space, kind: str, diagram_gens, mode: str, cap: int):
     for mu in sorted(set(weight_vectors(space, kind)), reverse=True):
         if any(a < b for a, b in zip(mu, mu[1:] + (0,) * (kind == "sp"))):
             continue
-        rows, support = _highest_weight_equations(space, mu, kind, cap)
+        rows, support = _highest_weight_equations(space, mu, kind)
         res = solve_sparse_system(rows, len(support), mode=mode)
         methods.append(res.method)
         if res.nullity:
@@ -190,10 +190,9 @@ def _verify_span_family(family, n, r, s, mode, solver_cap):
     space = TensorSpace(n, r) if s is None else MixedSpace(n, r, s)
     check_dim(space, DENSE_DIM_CAP)  # the diagram span has d * d columns
     diagrams, kind = _SIDES[family]
-    cartan, seed = _generators(kind, space)
+    d, gen_ops = space.dim, _generators(kind, space)
     if family == "o":
-        seed.append(reflection_op(n, r))
-    d, gen_ops = space.dim, cartan + seed
+        gen_ops.append(reflection_op(n, r))
     form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
     diagram_ops, diagram_gens = ([LinOp(d, _diagram_rows(x, n, form)) for x in xs]
                                  for xs in (diagrams(r, s), _diagram_generators(family, r, s)))
@@ -208,18 +207,18 @@ def _verify_span_family(family, n, r, s, mode, solver_cap):
         # The group image lies in the commutant of every diagram, inside
         # that of the generators, whose nullity is a proven bound for the closure.
         diag_result = solve(diagram_gens)[1]
-        group_image = algebra_closure(seed, d, bound=diag_result.nullity).dim
+        group_image = algebra_closure(gen_ops, d, bound=diag_result.nullity).dim
         group_result = solve(gen_ops)[1]
         comm_diag, comm_group = diag_result.nullity, group_result.nullity
         methods, extra = [diag_result.method, group_result.method], {}
     else:
-        blocks, methods = _multiplicity_spaces(space, kind, diagram_gens, mode, solver_cap)
+        blocks, methods = _multiplicity_spaces(space, kind, diagram_gens, mode)
         if sum(dim_v * m for _, dim_v, m, _ in blocks) != d:
             raise ArithmeticError("the highest-weight vectors do not account for every dimension")
-        homs = [(dim_mu * dim_nu, intertwiner_kernel(
-            a_nu, a_mu, m_nu, m_mu, mode=mode, want_kernel=False, unknown_cap=solver_cap)[0])
-            for (_, dim_mu, m_mu, a_mu), (_, dim_nu, m_nu, a_nu) in
-            itertools.product(blocks, repeat=2)]
+        homs = [(dim_mu * dim_nu, intertwiner_kernel(a_nu, a_mu, m_nu, m_mu, mode=mode,
+                                                     want_kernel=False)[0])
+                for (_, dim_mu, m_mu, a_mu), (_, dim_nu, m_nu, a_nu) in
+                itertools.product(blocks, repeat=2)]
         group_image = sum(dim_v * dim_v for _, dim_v, _, _ in blocks)
         comm_diag = sum(k * hom.nullity for k, hom in homs)
         comm_group = sum(m * m for _, _, m, _ in blocks)
@@ -237,7 +236,7 @@ def _verify_so_direct(n, r, mode, solver_cap):
     orthogonal commutant inside the rotation-only commutant is computed."""
     space = TensorSpace(n, r)
     check_dim(space, DENSE_DIM_CAP)
-    _, rotations = _generators("so", space)
+    rotations = _generators("so", space)
     _, so_comm = commutant(rotations, space.dim, mode=mode, want_basis=False,
                            unknown_cap=solver_cap)
     _, o_comm = commutant(rotations + [reflection_op(n, r)], space.dim, mode=mode,
@@ -285,7 +284,8 @@ def _verify_deranged(n, r, mode, solver_cap):
                                 for el in elements], n, r)
     diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
 
-    gens = sum(_generators("gl", space), [])  # Cartan elements, then roots
+    weights = weight_vectors(space)
+    gens = _torus(weights) + _generators("gl", space)  # Cartan elements E_aa, then roots
 
     # Commutant of the group side: sparse and torus-reduced.  Its basis
     # realizes End of the group action, and the span check reads it.
@@ -301,7 +301,6 @@ def _verify_deranged(n, r, mode, solver_cap):
 
     # The commutant of the diagram image lives in a 50625-unknown matrix
     # space at n=4, r=2; the torus grading splits it into small blocks.
-    weights = weight_vectors(space)
     graded_mode = "exact" if mode == "exact" else "modular"
     comm_diag_dim, graded_method = graded_commutant_dim(diagram_ops, weights, mode=graded_mode)
 

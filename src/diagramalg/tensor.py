@@ -472,20 +472,20 @@ def _position_weights(space, kind: str = "gl") -> list[list[tuple[int, ...]]]:
     return per_pos
 
 
-def _weight_support(space, weight: tuple[int, ...], kind: str = "gl",
-                    cap: int = DEFAULT_UNKNOWN_CAP) -> list[int]:
+def _weight_support(space, weight: tuple[int, ...], kind: str = "gl") -> list[int]:
     """Indices of the basis vectors of ``space`` of the given weight,
     ascending, without listing every weight: the other factors fix a weight,
     and only the last factors of the missing weight complete it.  Listing
-    stops once the indices outnumber ``cap``."""
+    stops once the indices outnumber the solver cap."""
     *head, last = _position_weights(space, kind)
     complete = {w: [k for k, v in enumerate(last) if v == w] for w in set(last)}
     support: list[int] = []
     for p, ws in enumerate(itertools.product(*head)):
         missing = tuple(t - sum(cs) for t, cs in zip(weight, zip((0,) * len(weight), *ws)))
         support += (p * len(last) + k for k in complete.get(missing, ()))
-        if len(support) > cap:
-            raise CapExceededError(f"weight {weight} has more than {cap} unknowns, the solver cap")
+        if len(support) > DEFAULT_UNKNOWN_CAP:
+            raise CapExceededError(f"weight {weight} has more than {DEFAULT_UNKNOWN_CAP} "
+                                   f"unknowns, the solver cap")
     return support
 
 

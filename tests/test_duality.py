@@ -422,8 +422,8 @@ class TestGeneratorRoute:
         ("sp", 4, 2, None), ("glA", 3, 2, None), ("walled", 3, 1, 1), ("deranged", 8, 1, None),
     ])
     def test_solve_sizes_equal_the_full_basis_route(self, monkeypatch, family, n, r, s):
-        # o and deranged: the Cartan elements keep the torus restriction, so
-        # every commutant solve has the unknowns of the full-basis route
+        # deranged: the Cartan elements keep the torus restriction, so its
+        # commutant solve has the unknowns of the full-basis route
         # (lie_basis's own solve is not one).  glA, sp and walled: one solve
         # per dominant weight on exactly its weight space, then one Hom
         # solve per pair of nonzero multiplicities, of at most m_nu * m_mu
@@ -482,7 +482,7 @@ class TestGeneratorRoute:
         assert verify_duality(family, n, r, s).verified
         if family in ROUTE_FAMILIES:
             kind, space = _route_space(family, n, r, s)
-            _, ops = duality._generators(kind, space)
+            ops = duality._generators(kind, space)
             assert seeds == [] and len(ops) == roots and equations
             for rows, support in equations:
                 want = [{k: row[j] for k, j in enumerate(support) if j in row}
@@ -499,7 +499,7 @@ def multiplicities(family, n, r, s):
     """{mu: m_mu} over the dominant weights of a glA, sp or walled point with
     m_mu > 0, in the route's order."""
     kind, space = _route_space(family, n, r, s)
-    blocks, _ = duality._multiplicity_spaces(space, kind, [], "auto", DEFAULT_UNKNOWN_CAP)
+    blocks, _ = duality._multiplicity_spaces(space, kind, [], "auto")
     return {mu: m for mu, _, m, _ in blocks}
 
 
@@ -595,8 +595,10 @@ class TestMultiplicitySpaces:
 
 
 class TestCartanFromWeights:
-    """``_generators`` reads the Cartan operators off the torus weights;
-    ``oracles.derived_cartan_ops`` builds them as Leibniz sums."""
+    """``_torus`` reads the Cartan operators off the torus weights;
+    ``oracles.derived_cartan_ops`` builds them as Leibniz sums.  Deranged
+    solves on the gl_n ones, and the sp_n weights index the highest-weight
+    solves of sp."""
 
     @pytest.mark.parametrize("kind,space", [
         *[("gl", space) for space in (TensorSpace(3, 1), TensorSpace(4, 2), MixedSpace(3, 1, 1),
@@ -605,13 +607,32 @@ class TestCartanFromWeights:
                                       MixedSpace(2, 2, 1), AdjointSpace(4, 1), AdjointSpace(2, 2))],
     ], ids=lambda x: repr(x))
     def test_rows_equal_the_derived_actions(self, kind, space):
-        cartan, _ = duality._generators(kind, space)
+        cartan = duality._torus(weight_vectors(space, kind))
         ref = oracles.derived_cartan_ops(kind, space)
         assert [op.rows for op in cartan] == [op.rows for op in ref]
         assert ([[type(c) for row in op.rows for c in row.values()] for op in cartan]
                 == [[type(c) for row in op.rows for c in row.values()] for op in ref])
 
     def test_so_builds_no_weights(self, monkeypatch):
+        # the generators are root vectors only, for every kind
         monkeypatch.setattr(duality, "weight_vectors", None)
-        cartan, rotations = duality._generators("so", TensorSpace(3, 2))
-        assert cartan == [] and len(rotations) == 2
+        assert len(duality._generators("so", TensorSpace(3, 2))) == 2
+        assert len(duality._generators("sp", TensorSpace(4, 2))) == 4
+        assert len(duality._generators("gl", TensorSpace(3, 2))) == 4
+
+    def test_deranged_adds_the_cartan_operators(self, monkeypatch):
+        # the commutant of the deranged group side is solved on the gl_n
+        # Cartan operators, then the roots
+        seen = []
+        original = duality.commutant
+
+        def spy(ops, *args, **kwargs):
+            seen.append(list(ops))
+            return original(ops, *args, **kwargs)
+
+        monkeypatch.setattr(duality, "commutant", spy)
+        space = AdjointSpace(3, 1)
+        assert verify_duality("deranged", 3, 1).verified
+        (ops,) = seen
+        assert [op.rows for op in ops] == [op.rows for op in (
+            oracles.derived_cartan_ops("gl", space) + duality._generators("gl", space))]

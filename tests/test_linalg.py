@@ -1049,7 +1049,8 @@ class TestSupportByWeightClass:
         # the gl_8 generators on sl_8: 105 of the 3969 entries survive
         from diagramalg import duality
 
-        gens = sum(duality._generators("gl", AdjointSpace(8, 1)), [])
+        space = AdjointSpace(8, 1)
+        gens = oracles.derived_cartan_ops("gl", space) + duality._generators("gl", space)
         _, support = intertwiner_kernel(gens, gens, 63, 63, want_kernel=False)
         assert support == oracles.scanned_support(gens, gens, 63, 63)
         assert len(support) == 105

@@ -516,9 +516,6 @@ class TestWeights:
         for mu in set(weights):
             want = [i for i, w in enumerate(weights) if w == mu]
             assert _weight_support(space, mu, kind) == want
-            if len(want) > 1:
-                with pytest.raises(CapExceededError, match="solver cap"):
-                    _weight_support(space, mu, kind, cap=len(want) - 1)
 
     def test_adjoint_weights_match_diagonal_derivations(self):
         space = AdjointSpace(2, 1)
