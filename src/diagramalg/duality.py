@@ -5,7 +5,8 @@ root vectors, plus one reflection for the full orthogonal group) and the
 diagram side (the matrices of every diagram).
 Each equality is one containment plus a dimension count.  Both
 containments hold exactly when the group generators commute with every
-diagram matrix, which is checked exactly, once, on sparse rows (a
+diagram matrix, which, a commutator being linear in the diagram, is
+checked exactly, once, on a basis of their span, on sparse rows (a
 failure raises ArithmeticError); the report carries all four dimensions.
 
 glA, walled and sp read them off V = sum V_mu (x) M_mu, a sum of pairwise
@@ -167,7 +168,7 @@ def _multiplicity_spaces(space, kind: str, diagram_gens, mode: str):
     """(mu, dim V_mu, m_mu, [A_mu(g) for each g]) for each dominant weight mu
     with m_mu > 0, decreasing, and the solve tags.  M_mu is the kernel of the
     raising equations on the weight-mu indices; each kernel vector is 1 at
-    its own free column (its last nonzero) and 0 at the others, so A_mu(g)
+    its own free column (its first key) and 0 at the others, so A_mu(g)
     is read off the free-column entries of g v."""
     blocks, methods = [], []
     for mu in sorted(set(weight_vectors(space, kind)), reverse=True):
@@ -178,10 +179,10 @@ def _multiplicity_spaces(space, kind: str, diagram_gens, mode: str):
         methods.append(res.method)
         if res.nullity:
             pos = {j: k for k, j in enumerate(support)}
-            free = [support[max(j for j, x in enumerate(v) if x)] for v in res.kernel]
+            free = [support[next(iter(v))] for v in res.kernel]
             blocks.append((mu, _weyl_dim(kind, mu), res.nullity, [LinOp(res.nullity, [
                 {k: c for k, v in enumerate(res.kernel)
-                 if (c := sum(x * v[pos[j]] for j, x in g.rows[f].items()))} for f in free])
+                 if (c := sum(x * v.get(pos[j], 0) for j, x in g.rows[f].items()))} for f in free])
                 for g in diagram_gens]))
     return blocks, methods
 
@@ -196,11 +197,12 @@ def _verify_span_family(family, n, r, s, mode, solver_cap):
     form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
     diagram_ops, diagram_gens = ([LinOp(d, _diagram_rows(x, n, form)) for x in xs]
                                  for xs in (diagrams(r, s), _diagram_generators(family, r, s)))
-    # both containments at once; each equality is then a dimension count
-    if not _commute(gen_ops, diagram_ops):
-        raise ArithmeticError("group and diagram actions fail to commute")
     check_unknowns(d * d, solver_cap)
     diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
+    # both containments at once, on the span's basis (a commutator is linear
+    # in the diagram); each equality is then a dimension count
+    if not _commute(gen_ops, diagram_span.basis):
+        raise ArithmeticError("group and diagram actions fail to commute")
     if family == "o":
         solve = functools.partial(commutant, d=d, mode=mode, want_basis=False,
                                   unknown_cap=solver_cap)
@@ -295,8 +297,8 @@ def _verify_deranged(n, r, mode, solver_cap):
     # the generators commuting with the diagram matrices.  equal_b proves
     # it: every diagram matrix is then a combination of the commutant
     # basis, which was checked exactly against the generators.  Otherwise
-    # check the products exactly.
-    if not equal_b and not _commute(gens, diagram_ops):
+    # check the products exactly, on the span's basis.
+    if not equal_b and not _commute(gens, diagram_span.basis):
         raise ArithmeticError("group and diagram actions fail to commute")
 
     # The commutant of the diagram image lives in a 50625-unknown matrix

@@ -13,8 +13,9 @@ prime, and the modular answer is certified exactly:
 The verified kernel dimension and the modular rank then add up to the
 number of unknowns, so both bounds are tight and the result is exact.
 There is one echelon form per field, ``ExactRref`` over Q and ``ModRref``
-over GF(p), and both keep sparse ``{col: value}`` pivot rows, for the
-few nonzeros per row of the systems they see.
+over GF(p).  Both keep sparse ``{col: value}`` pivot rows, for the few
+nonzeros per row of the systems they see, and read off them their rank,
+pivot columns and kernel, one sparse vector per free column for every caller.
 When the lift or its check fails (an unlucky prime or a large entry),
 the exact engine answers instead.  Uncertified modular counts use two
 primes that agree on the result; a prime that disagrees is skipped.  The
@@ -29,7 +30,6 @@ through ``LinOp.to_dense``; the graded solve reads its small blocks off the rows
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,9 +139,35 @@ def _int_scaled(row: dict) -> tuple[int, dict[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# exact reduced row echelon form
+# reduced row echelon forms
 
-class ExactRref:
+class _Echelon:
+    """What both echelon forms read off ``_row_of``, which maps each pivot
+    column to its sparse pivot row, zero in every other pivot column;
+    ``_ratio(a, b)`` is a / b in the form's field."""
+
+    @property
+    def rank(self) -> int:
+        return len(self._row_of)
+
+    @property
+    def pivot_cols(self) -> list[int]:
+        """Pivot columns in increasing order."""
+        return sorted(self._row_of)
+
+    def kernel_vectors(self) -> list[dict[int, int | Fraction]]:
+        """The kernel of the row span seen as a matrix: one ``{col: value}``
+        vector per free column, in free-column order, 1 at that column (its
+        first key) and nonzero elsewhere only at pivot columns."""
+        out = {f: {f: 1} for f in range(self.ncols) if f not in self._row_of}
+        for pc, row in self._row_of.items():
+            for j, x in row.items():
+                if j != pc:
+                    out[j][pc] = self._ratio(-x, row[pc])
+        return list(out.values())
+
+
+class ExactRref(_Echelon):
     """Incremental reduced row echelon form over Q, kept over Z.
 
     Rows (sequences or ``{col: value}`` dicts of ints and Fractions) are
@@ -155,12 +181,11 @@ class ExactRref:
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_cols: list[int] = []
         self._row_of: dict[int, dict[int, int]] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_cols)
+    @staticmethod
+    def _ratio(a: int, b: int) -> int | Fraction:
+        return exactify(Fraction(a, b))
 
     @property
     def rows(self) -> list[dict[int, int | Fraction]]:
@@ -192,24 +217,11 @@ class ExactRref:
             if c := prow.get(pc):
                 _clear(prow, [(c, v, pc)])
                 _make_primitive(prow)
-        bisect.insort(self.pivot_cols, pc)
         self._row_of[pc] = v
         return True
 
     def contains(self, row) -> bool:
         return not self._reduced(row)[0]
-
-    def kernel_basis(self) -> list[list[Fraction]]:
-        """Kernel of the row span seen as a matrix, one vector per free
-        column, in free-column order."""
-        out = {f: [0] * self.ncols for f in range(self.ncols) if f not in self._row_of}
-        for f, vec in out.items():
-            vec[f] = 1
-        for pc, prow in self._row_of.items():
-            for j, x in prow.items():
-                if j != pc:
-                    out[j][pc] = exactify(Fraction(-x, prow[pc]))
-        return list(out.values())
 
 
 def _clear(v: dict[int, int], hits) -> int:
@@ -247,7 +259,7 @@ def _make_primitive(v: dict[int, int], negate: bool = False) -> None:
 # ---------------------------------------------------------------------------
 # modular echelon form (one prime, sparse dict rows)
 
-class ModRref:
+class ModRref(_Echelon):
     """Streaming reduced row echelon form over GF(p).
 
     It keeps its form the way ``ExactRref`` does over Z: ``_row_of`` maps
@@ -264,8 +276,10 @@ class ModRref:
     def __init__(self, ncols: int, p: int):
         self.ncols = ncols
         self.p = p
-        self.rank = 0
         self._row_of: dict[int, dict[int, int]] = {}
+
+    def _ratio(self, a: int, b: int) -> int:
+        return a % self.p  # b is a pivot row's leading entry, 1
 
     def _install(self, items) -> bool:
         """Clear the row given by (column, value) pairs and keep what is
@@ -291,7 +305,6 @@ class ModRref:
                     else:
                         del prow[j]
         row_of[pc] = v
-        self.rank += 1
         return True
 
     def insert(self, v: np.ndarray) -> bool:
@@ -303,40 +316,16 @@ class ModRref:
         """Insert a row given as (column, residue) pairs."""
         return self._install(items)
 
-    @property
-    def pivot_cols(self) -> tuple[int, ...]:
-        """Pivot columns in increasing order."""
-        return tuple(sorted(self._row_of))
 
-    def kernel_vectors(self) -> list[dict[int, int]]:
-        """The kernel of the row span seen as a matrix, one ``{col:
-        residue}`` vector per free column, in free-column order."""
-        out = {f: {f: 1} for f in range(self.ncols) if f not in self._row_of}
-        for pc, row in self._row_of.items():
-            for j, x in row.items():
-                if j != pc:
-                    out[j][pc] = self.p - x
-        return list(out.values())
-
-    def kernel_basis(self) -> np.ndarray:
-        """The vectors of ``kernel_vectors`` as the columns of an
-        (ncols x nullity) array."""
-        vecs = self.kernel_vectors()
-        out = np.zeros((self.ncols, len(vecs)), dtype=np.int64)
-        for k, vec in enumerate(vecs):
-            out[list(vec), k] = list(vec.values())
-        return out
-
-
-def kernel_modp_dense(mat: np.ndarray, p: int) -> np.ndarray:
-    """Kernel of a dense 2-D int64 matrix over GF(p), laid out as
-    ``ModRref.kernel_basis``; rows after the form saturates are skipped."""
+def kernel_modp_dense(mat: np.ndarray, p: int) -> list[dict[int, int]]:
+    """The ``kernel_vectors`` of a dense 2-D int64 matrix over GF(p); rows
+    after the form saturates are skipped."""
     acc = ModRref(mat.shape[1], p)
     for row in mat:
         if acc.rank == acc.ncols:
             break
         acc.insert(row)
-    return acc.kernel_basis()
+    return acc.kernel_vectors()
 
 
 def _agreeing_primes(run, count: int, key) -> list[tuple[int, object]]:
@@ -379,20 +368,19 @@ def rational_reconstruct(a: int, modulus: int) -> Fraction | None:
 class SolveResult:
     nullity: int
     rank: int
-    kernel: list[list[Fraction]] | None
+    kernel: list[dict[int, int | Fraction]] | None
     method: str
 
 
-def _kernel_vanishes(rows: list[dict[int, Fraction]], kernel: list) -> bool:
-    """Exact test of ``A K == 0`` for sparse equation rows and kernel
-    vectors (lists or dicts).  Each row and each vector is scaled once to
-    integers by the lcm of its denominators; nonzero scales do not change
-    which entries of the product vanish, and the product itself is sparse
-    int arithmetic over the nonzeros of K's rows."""
+def _kernel_vanishes(rows: list[dict[int, Fraction]], kernel: list[dict]) -> bool:
+    """Exact test of ``A K == 0`` for sparse equation rows and sparse kernel
+    vectors.  Each row and each vector is scaled once to integers by the
+    lcm of its denominators; nonzero scales do not change which entries of
+    the product vanish, and the product itself is sparse int arithmetic
+    over the nonzeros of K's rows."""
     k_rows: dict[int, list[tuple[int, int]]] = {}
     for k, vec in enumerate(kernel):
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        for j, x in _int_scaled({j: x for j, x in items if x})[1].items():
+        for j, x in _int_scaled(vec)[1].items():
             k_rows.setdefault(j, []).append((k, x))
     for row in rows:
         acc: dict[int, int] = {}
@@ -434,7 +422,7 @@ def solve_sparse_system(
         return acc
 
     if mode == "modular":
-        (p1, acc), (p2, _) = _agreeing_primes(eliminate, 2, lambda t: (t.rank, t.pivot_cols))
+        (p1, acc), (p2, _) = _agreeing_primes(eliminate, 2, lambda t: tuple(t.pivot_cols))
         return SolveResult(ncols - acc.rank, acc.rank, None, f"mod-p({p1},{p2})")
     if mode == "auto" and ncols > EXACT_UNKNOWN_CAP:
         # The lifted vectors are independent (one per free column) and
@@ -444,14 +432,14 @@ def solve_sparse_system(
         kernel = [{j: rational_reconstruct(a, p) for j, a in vec.items()}
                   for vec in acc.kernel_vectors()]
         if all(None not in vec.values() for vec in kernel) and _kernel_vanishes(rows, kernel):
-            dense = [[v.get(j, 0) for j in range(ncols)] for v in kernel] if want_kernel else None
-            return SolveResult(ncols - acc.rank, acc.rank, dense, "mod-p-confirmed-exact")
+            return SolveResult(ncols - acc.rank, acc.rank, kernel if want_kernel else None,
+                               "mod-p-confirmed-exact")
     acc = ExactRref(ncols)
     for row in rows:
         if acc.rank == ncols:
             break
         acc.insert(row)
-    kernel = acc.kernel_basis() if want_kernel else None
+    kernel = acc.kernel_vectors() if want_kernel else None
     return SolveResult(ncols - acc.rank, acc.rank, kernel, "exact")
 
 
@@ -635,9 +623,9 @@ def commutant(
         basis = []
         for vec in result.kernel:
             rows: list[dict] = [{} for _ in range(d)]
-            for (i, j), x in zip(support, vec):
-                if x:
-                    rows[i][j] = x
+            for k, x in vec.items():
+                i, j = support[k]
+                rows[i][j] = x
             basis.append(LinOp(d, rows))
         span = MatrixSpan.from_matrices(basis, d)
         if span.dim != result.nullity:
@@ -689,7 +677,7 @@ def graded_commutant_dim(
 
     def modular_total(p: int) -> int:
         return _graded_total([(count, mat_to_modp(g, p)) for count, g in kinds.values()],
-                             lambda m: kernel_modp_dense(m, p).shape[1])
+                             lambda m: len(kernel_modp_dense(m, p)))
 
     (p1, total), (p2, _) = _agreeing_primes(modular_total, 2, lambda t: t)
     return total, f"mod-p({p1},{p2})"

@@ -218,7 +218,7 @@ def _element_rows(el: AlgebraElement, n: int, form: BilinearForm) -> list[dict[i
     """Sparse rows of a specialized element: its diagrams' rows, summed."""
     acc: list[dict[int, Fraction]] = [{} for _ in range(n ** el.m)]
     for d, c in sorted(el.items(), key=lambda t: t[0].edges):
-        sparse_scale_add(acc, Fraction(c), _diagram_rows(d, n, form))
+        sparse_scale_add(acc, exactify(c), _diagram_rows(d, n, form))
     return acc
 
 

@@ -13,7 +13,8 @@ The tensor multiplicities are solved against the whole sl_n basis, the
 route the highest-weight solve replaced, and the closed forms they are
 checked against are plain integer recurrences.  The glA dimensions are
 checked against the hook length and hook-content formulas over the
-partitions of r.  The duality verify is
+partitions of r, and the walled multiplicities against their closed
+form in the stable range n >= r + s.  The duality verify is
 solved on bases, the route the generator solves replaced: every element
 of ``lie_basis`` on the group side and every diagram on the diagram side.
 The routes that reading the torus off the weights replaced are kept too:
@@ -27,6 +28,7 @@ random diagrams (``random_diagram``).
 """
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -121,7 +123,8 @@ def lie_basis(family: str, n: int) -> list[np.ndarray]:
                     row[k * n + j] += gram[i, k]
                 rows.append(row)
         kernel = solve_sparse_system(rows, n * n, mode="exact").kernel
-        return [frac_matrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in kernel]
+        return [frac_matrix([[v.get(i * n + j, 0) for j in range(n)] for i in range(n)])
+                for v in kernel]
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -483,6 +486,23 @@ def gl_irrep_dim(shape, n: int) -> int:
     return math.prod(n + c for _, c in boxes) // math.prod(h for h, _ in boxes)
 
 
+def walled_multiplicities(n: int, r: int, s: int) -> dict[tuple, int]:
+    """The multiplicity of each irreducible of gl_n in V^(x r) (x) V*^(x s),
+    keyed by highest weight, for n >= r + s (Benkart et al. 1994): for each
+    k <= min(r, s), lambda |- r - k and mu |- s - k, the weight (lambda,
+    0, ..., 0, -mu reversed) occurs C(r, k) C(s, k) k! f^lambda f^mu times."""
+    if n < r + s:
+        raise ValueError(f"the closed form needs n >= r + s, got n={n}, r + s={r + s}")
+    out = {}
+    for k in range(min(r, s) + 1):
+        for la in partitions(r - k, r - k):
+            for mu in partitions(s - k, s - k):
+                weight = la + (0,) * (n - len(la) - len(mu)) + tuple(-x for x in reversed(mu))
+                out[weight] = (math.comb(r, k) * math.comb(s, k) * math.factorial(k)
+                               * standard_tableaux(la) * standard_tableaux(mu))
+    return out
+
+
 def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",
                       solver_cap: int = DEFAULT_UNKNOWN_CAP) -> DualityReport:
     """``verify_duality`` solved on bases: the derived action of every
@@ -564,8 +584,10 @@ def derived_cartan_ops(kind: str, space) -> list[LinOp]:
 
 def fraction_deranged_ops(els, n: int, r: int) -> list[LinOp]:
     """``deranged_ops`` multiplied in Fractions: the coordinate map times
-    each element's mixed rows times the inclusion."""
+    each element's mixed rows, every entry made a Fraction, times the
+    inclusion."""
     incl, coords = adjoint_transport_rows(n, r)
     space = MixedSpace(n, r, r)
-    return [LinOp(len(coords), sparse_matmul(sparse_matmul(coords, _walled_rows(el, space)),
-                                             incl)) for el in els]
+    return [LinOp(len(coords), sparse_matmul(sparse_matmul(
+        coords, [{j: Fraction(c) for j, c in row.items()} for row in _walled_rows(el, space)]),
+        incl)) for el in els]

@@ -507,6 +507,36 @@ class TestMultiplicitySpaces:
     """glA, sp and walled read their four dimensions off V = sum V_mu (x) M_mu:
     the closed forms, and the mutations that must break the route."""
 
+    @pytest.mark.parametrize("n,r,s", [(2, 1, 1), (3, 1, 1), (3, 2, 1), (3, 1, 2), (4, 2, 2),
+                                       (4, 3, 1), (5, 3, 2)])
+    def test_walled_multiplicities_are_the_closed_form(self, n, r, s):
+        # n >= r + s: the walled Brauer algebra, of dimension (r + s)!, acts faithfully
+        got = multiplicities("walled", n, r, s)
+        assert got == oracles.walled_multiplicities(n, r, s)
+        assert sum(m * m for m in got.values()) == math.factorial(r + s)
+
+    @pytest.mark.parametrize("family,n,r", [("glA", 2, 4), ("sp", 2, 3)])
+    def test_commutation_is_checked_on_the_span_basis(self, monkeypatch, family, n, r):
+        # a commutator is linear in the diagram, so the generators meet the
+        # diagram span's basis only, not every diagram
+        seen = []
+        original = duality._commute
+
+        def spy(gens, mats):
+            seen.append(list(mats))
+            return original(gens, mats)
+
+        monkeypatch.setattr(duality, "_commute", spy)
+        rep = verify_duality(family, n, r)
+        _, space = _route_space(family, n, r, None)
+        form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
+        diagrams = [LinOp(space.dim, _diagram_rows(x, n, form))
+                    for x in duality._SIDES[family][0](r, None)]
+        (mats,) = seen
+        assert rep.verified and len(mats) == rep.dims["diagram_image"] < len(diagrams)
+        assert [m.rows for m in mats] == [
+            m.rows for m in MatrixSpan.from_matrices(diagrams, space.dim).basis]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_gl_weyl_dimensions_are_the_hook_content_formula(self, n):
         for r in range(7):

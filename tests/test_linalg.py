@@ -62,6 +62,27 @@ def random_rational_matrix(rng, rows, cols, den=5):
                          for _ in range(cols)] for _ in range(rows)])
 
 
+def dense_kernel(vecs, ncols):
+    """Sparse kernel vectors as dense lists, for the reference routines."""
+    return [[vec.get(j, 0) for j in range(ncols)] for vec in vecs]
+
+
+def kernel_columns(vecs, ncols):
+    """Sparse kernel vectors mod p as the columns of an (ncols x nullity)
+    int64 array, the layout of ``oracles.gauss_jordan_modp``."""
+    return np.array(dense_kernel(vecs, ncols), dtype=np.int64).reshape(len(vecs), ncols).T
+
+
+def assert_kernel_form(vecs, pivots, ncols):
+    """One vector per free column, in free-column order, whose first key is
+    that column, where it is 1; its other keys are pivot columns, and no
+    entry is zero."""
+    assert [next(iter(vec)) for vec in vecs] == [f for f in range(ncols) if f not in pivots]
+    for vec in vecs:
+        f, *rest = vec
+        assert vec[f] == 1 and set(rest) <= set(pivots) and all(vec.values())
+
+
 class TestRref:
     def test_identity(self):
         acc = echelon(identity_matrix(3))
@@ -105,7 +126,8 @@ class TestExactRref:
         acc = ExactRref(3)
         acc.insert([1, 1, 1])
         acc.insert([1, 0, -1])
-        (vec,) = acc.kernel_basis()
+        (vec,) = acc.kernel_vectors()
+        assert list(vec) == [2, 0, 1]
         assert vec[0] == vec[2]
         assert vec[1] == -2 * vec[0]
 
@@ -120,7 +142,7 @@ class TestExactRref:
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(6)] for _ in range(3)]
         for vec in solve_sparse_system(rows, 6, mode="exact").kernel:
             for row in rows:
-                assert sum(c * v for c, v in zip(row, vec)) == 0
+                assert sum(row[j] * x for j, x in vec.items()) == 0
 
 
 class TestReconstruction:
@@ -229,7 +251,8 @@ class TestPrimeRule:
         rows = [{i: Fraction(1), i + 1: Fraction(-1)} for i in range(n)]
         res = solve_sparse_system(rows, n + 1, mode=mode)
         assert (res.nullity, res.method) == (1, method)
-        assert res.kernel == [[1] * (n + 1)]
+        assert dense_kernel(res.kernel, n + 1) == [[1] * (n + 1)]
+        assert next(iter(res.kernel[0])) == n
         assert len(built) == tables
 
     def test_running_out_of_primes_raises(self):
@@ -377,8 +400,8 @@ class TestKernelModP:
         p = DEFAULT_PRIMES[0]
         mat = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.int64)
         kern = kernel_modp_dense(mat, p)
-        assert kern.shape == (3, 1)
-        assert (mat @ kern % p == 0).all()
+        assert len(kern) == 1
+        assert (mat @ kernel_columns(kern, 3) % p == 0).all()
 
 
 class TestLinOp:
@@ -426,8 +449,9 @@ class TestBatchedModRref:
             for row in mat:
                 assert type(acc.insert(row)) is bool
             pivots, kern = gauss_jordan_modp(mat, ncols, p)
-            assert (acc.rank, acc.pivot_cols) == (len(pivots), tuple(pivots))
-            assert np.array_equal(acc.kernel_basis(), kern)
+            assert (acc.rank, acc.pivot_cols) == (len(pivots), pivots)
+            assert_kernel_form(acc.kernel_vectors(), pivots, ncols)
+            assert np.array_equal(kernel_columns(acc.kernel_vectors(), ncols), kern)
             assert not (mat @ kern % p).any()
             ranks.append(acc.rank)
         assert ranks[0] == 0 and ranks[-1] == min(nrows, ncols)
@@ -450,8 +474,8 @@ class TestBatchedModRref:
                 assert acc.rank == rank
                 assert not (grew and i >= nrows)
             pivots, kern = gauss_jordan_modp(mat, ncols, p)
-            assert acc.pivot_cols == tuple(pivots)
-            assert np.array_equal(acc.kernel_basis(), kern)
+            assert acc.pivot_cols == pivots
+            assert np.array_equal(kernel_columns(acc.kernel_vectors(), ncols), kern)
 
     def test_lifted_kernel_of_invariant_equations_is_the_exact_one(self):
         rows, support = _highest_weight_equations(AdjointSpace(5, 3), (0,) * 5)
@@ -464,7 +488,9 @@ class TestBatchedModRref:
     def test_two_dimensional_kernel_layout(self):
         p = DEFAULT_PRIMES[0]
         mat = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.int64)
-        assert kernel_modp_dense(mat, p).tolist() == [[p - 1], [1], [0]]
+        (vec,) = kernel_modp_dense(mat, p)
+        assert list(vec.items()) == [(1, 1), (0, p - 1)]
+        assert kernel_columns([vec], 3).tolist() == [[p - 1], [1], [0]]
 
 
 def graded_cases():
@@ -588,7 +614,9 @@ class TestSparseExactRref:
         padded = reduced + [[0] * ncols] * (nrows - dense.rank)
         assert matrices_equal(dense_from_rows(dense.rows + [{}] * (nrows - dense.rank), ncols),
                               frac_matrix(padded))
-        assert acc.kernel_basis() == nullspace_from_rref(pivots, reduced, ncols)
+        assert_kernel_form(acc.kernel_vectors(), pivots, ncols)
+        assert dense_kernel(acc.kernel_vectors(), ncols) == nullspace_from_rref(
+            pivots, reduced, ncols)
         coeffs = [rng.randint(-2, 2) for _ in rows]
         member = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
         assert acc.contains(row_forms(member)[form])
@@ -626,7 +654,9 @@ class TestSparseExactRref:
             acc.insert(row)
         assert acc.rank == len(pivots) and acc.pivot_cols == pivots
         assert acc.rows == [{j: x for j, x in enumerate(r) if x} for r in reduced]
-        assert acc.kernel_basis() == nullspace_from_rref(pivots, reduced, ncols)
+        assert_kernel_form(acc.kernel_vectors(), pivots, ncols)
+        assert dense_kernel(acc.kernel_vectors(), ncols) == nullspace_from_rref(
+            pivots, reduced, ncols)
         probe = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
                  for _ in range(ncols)]
         residue = acc.reduce(probe)
@@ -685,9 +715,34 @@ class TestKernelCertificate:
         assert kernel and linalg._kernel_vanishes(sparse, kernel)
         assert linalg._kernel_vanishes(sparse, [])
         col = next(j for j in range(8) if any(row[j] for row in rows))
-        broken = [list(vec) for vec in kernel]
-        broken[-1][col] += Fraction(1, 7)
+        broken = [dict(vec) for vec in kernel]
+        broken[-1][col] = broken[-1].get(col, 0) + Fraction(1, 7)
         assert not linalg._kernel_vanishes(sparse, broken)
+
+
+class TestOneKernelForm:
+    """Both echelon forms build their kernels by one routine: on an integer
+    system they give the same vectors, over Q and modulo p."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_and_modular_kernels_share_keys_and_agree_mod_p(self, seed):
+        rng = random.Random(300 + seed)
+        nrows, ncols = rng.randint(2, 9), rng.randint(2, 9)
+        rows = rank_deficient(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)),
+                              fractions=False)
+        p = DEFAULT_PRIMES[0]
+        exact, modular = ExactRref(ncols), ModRref(ncols, p)
+        for row in rows:
+            exact.insert(row)
+            modular.insert_sparse(enumerate(row))
+        assert (exact.rank, exact.pivot_cols) == (modular.rank, modular.pivot_cols)
+        over_q, mod_p = exact.kernel_vectors(), modular.kernel_vectors()
+        assert len(over_q) == ncols - exact.rank
+        assert [list(vec) for vec in over_q] == [list(vec) for vec in mod_p]
+        for vq, vp in zip(over_q, mod_p):
+            for j, x in vq.items():
+                q = Fraction(x)
+                assert (q.numerator - vp[j] * q.denominator) % p == 0
 
 
 def gl2_closure_seed():
@@ -762,7 +817,7 @@ class TestExactGradedCountsNullity:
         def refuse(self):
             raise AssertionError("kernel built only to be counted")
 
-        monkeypatch.setattr(ExactRref, "kernel_basis", refuse)
+        monkeypatch.setattr(ExactRref, "kernel_vectors", refuse)
         for mats, space, dim in graded_cases():
             assert graded_commutant_dim(mats, weight_vectors(space), mode="exact") == (dim, "exact")
 
