@@ -9,6 +9,7 @@ orchestrates the multiplicity computations; the heavy lifting happens in
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -162,15 +163,41 @@ def multiplicity_trivial(n: int, r: int, mode: str = "auto") -> int:
     return _highest_weight_multiplicity(n, r, (0,) * n, mode)
 
 
+def _invariants_by_characters(n: int, k: int) -> int:
+    """Invariants of GL_n in sl_n^(x k) from characters, with no linear
+    algebra (Weyl; Fulton-Harris, Lectures 24-25): the weights of sl_n
+    convolved k times give multiplicities m, and the count is the sum of
+    sign(w) m(w(rho) - rho) over w in S_n, rho = (n-1, ..., 0).  Over w and
+    its inverse that is m at the weight i - w(i), so it runs over m."""
+    from .tensor import _sl_weights
+
+    step = Counter(_sl_weights(n)).items()
+    m = {(0,) * n: 1}
+    for _ in range(k):
+        out: dict[tuple, int] = {}
+        for mu, a in m.items():
+            for alpha, b in step:
+                key = tuple([x + y for x, y in zip(mu, alpha)])
+                out[key] = out.get(key, 0) + a * b
+        m = out
+    total = 0
+    for weight, count in m.items():
+        w = [i - x for i, x in enumerate(weight)]
+        if sorted(w) == list(range(n)):
+            inversions = sum(a > b for i, a in enumerate(w) for b in w[i + 1:])
+            total += (-1) ** inversions * count
+    return total
+
+
 @dataclass(frozen=True)
 class AdjointMultiplicityReport:
     """Multiplicity of the adjoint module in its own r-th tensor power.
 
     ``computed`` counts the highest-weight vectors of the highest root
-    e_1 - e_n (sl_n is irreducible of that weight), ``cross_check`` the
-    invariants of the (r+1)-st power via self-duality of the adjoint
-    module, and ``derangement_reference`` records N(r-1) for comparison
-    without asserting it."""
+    e_1 - e_n (sl_n is irreducible of that weight) in the caller's mode,
+    ``cross_check`` the invariants of the (r+1)-st power (self-duality of
+    the adjoint module) from characters, and ``derangement_reference``
+    records N(r-1) for comparison without asserting it."""
 
     n: int
     r: int
@@ -184,8 +211,8 @@ class AdjointMultiplicityReport:
 
 
 def multiplicity_adjoint(n: int, r: int, mode: str = "auto") -> AdjointMultiplicityReport:
-    """One highest-weight solve at e_1 - e_n, cross-checked by the
-    invariants of the (r+1)-st power."""
+    """One highest-weight solve at e_1 - e_n in ``mode``, cross-checked by
+    the invariants of the (r+1)-st power counted from characters."""
     computed = _highest_weight_multiplicity(n, r, (1,) + (0,) * (n - 2) + (-1,), mode)
-    return AdjointMultiplicityReport(n, r, computed, multiplicity_trivial(n, r + 1, mode=mode),
+    return AdjointMultiplicityReport(n, r, computed, _invariants_by_characters(n, r + 1),
                                      derangements(r - 1))

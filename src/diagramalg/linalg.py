@@ -269,14 +269,16 @@ class ModRref(_Echelon):
     graded blocks) are sparse or small, so its storage grows with the rank
     and the fill of the rows, not with ncols**2.  An incoming row is
     cleared in one pass over the pivot columns it touches, and a new pivot
-    rewrites only the rows that are nonzero in its column.  Entries are
-    Python ints, which cannot wrap.
+    rewrites only the rows that ``_rows_at`` names for its column: it maps
+    each free column to the pivot columns whose row is nonzero there.
+    Entries are Python ints, which cannot wrap.
     """
 
     def __init__(self, ncols: int, p: int):
         self.ncols = ncols
         self.p = p
         self._row_of: dict[int, dict[int, int]] = {}
+        self._rows_at: dict[int, set[int]] = {}
 
     def _ratio(self, a: int, b: int) -> int:
         return a % self.p  # b is a pivot row's leading entry, 1
@@ -284,26 +286,35 @@ class ModRref(_Echelon):
     def _install(self, items) -> bool:
         """Clear the row given by (column, value) pairs and keep what is
         left, if anything, as a new pivot row."""
-        p, row_of = self.p, self._row_of
+        p, row_of, rows_at = self.p, self._row_of, self._rows_at
         v = {j: x % p for j, x in items if x % p}
-        # each hit clears its own pivot column and no other
+        # each hit clears its own pivot column and no other (c * x != 0 mod p)
         for pc in [j for j in v if j in row_of]:
             c = v[pc]
             for j, x in row_of[pc].items():
-                v[j] = v.get(j, 0) - c * x
-        v = {j: x % p for j, x in v.items() if x % p}
+                if s := (v.get(j, 0) - c * x) % p:
+                    v[j] = s
+                else:
+                    del v[j]
         if not v:
             return False
         pc = min(v)
         inv = pow(v[pc], -1, p)
         v = {j: x * inv % p for j, x in v.items()}
-        for prow in row_of.values():
-            if c := prow.get(pc):
-                for j, x in v.items():
-                    if s := (prow.get(j, 0) - c * x) % p:
-                        prow[j] = s
-                    else:
-                        del prow[j]
+        for j in v:
+            rows_at.setdefault(j, set()).add(pc)
+        for q in rows_at.pop(pc) - {pc}:
+            prow = row_of[q]
+            c = prow[pc]
+            for j, x in v.items():
+                if s := (prow.get(j, 0) - c * x) % p:
+                    if j not in prow:
+                        rows_at[j].add(q)
+                    prow[j] = s
+                else:
+                    del prow[j]
+                    if j != pc:
+                        rows_at[j].discard(q)
         row_of[pc] = v
         return True
 
@@ -418,7 +429,8 @@ def solve_sparse_system(
         acc = ModRref(ncols, p)
         cache: dict = {}
         for row in rows:
-            acc.insert_sparse([(j, _residue(c, p, cache)) for j, c in row.items()])
+            acc.insert_sparse([(j, c if type(c) is int else _residue(c, p, cache))
+                               for j, c in row.items()])
         return acc
 
     if mode == "modular":

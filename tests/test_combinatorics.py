@@ -7,6 +7,7 @@ from diagramalg import tensor
 from diagramalg.combinatorics import (
     AdjointMultiplicityReport,
     _highest_weight_multiplicity,
+    _invariants_by_characters,
     _permutation_table,
     DerangementTable,
     derangement_table,
@@ -200,3 +201,40 @@ class TestHighestWeightMultiplicities:
         monkeypatch.setattr(tensor, "_lift_entries", refuse)
         with pytest.raises(CapExceededError):
             multiplicity_trivial(2, 12)
+
+
+class TestCharacterCount:
+    """The adjoint cross-check counts invariants from characters, with no
+    solve; on a grid where the solve is cheap the two counts agree, also
+    in the unstable range n < r."""
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 6) for r in range(1, 5)
+                                     if (n, r) != (5, 4)])
+    def test_equals_the_highest_weight_solve(self, n, r):
+        assert _invariants_by_characters(n, r) == multiplicity_trivial(n, r)
+
+    @pytest.mark.parametrize("n,r,want", [(4, 4, 9), (5, 5, 44), (4, 5, 43)])
+    def test_closed_values(self, n, r, want):
+        # N(r) once n >= r; at n = 4 < r = 5 the count falls below N(5) = 44
+        assert _invariants_by_characters(n, r) == want
+        assert (want == derangements(r)) == (n >= r)
+
+    def test_sl2_riordan_numbers(self):
+        assert [_invariants_by_characters(2, r) for r in range(7)] == [1, 0, 1, 1, 3, 6, 15]
+
+    def test_adjoint_solves_once_and_cross_checks_in_every_mode(self, monkeypatch):
+        from diagramalg import combinatorics
+
+        solve, calls = combinatorics.solve_sparse_system, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(combinatorics, "solve_sparse_system", spy)
+        reports = []
+        for mode in ("auto", "exact", "modular"):
+            calls.clear()
+            reports.append(multiplicity_adjoint(4, 3, mode=mode))
+            assert len(calls) == 1
+        assert {(rep.computed, rep.cross_check) for rep in reports} == {(9, 9)}

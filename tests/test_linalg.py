@@ -1022,6 +1022,70 @@ class TestModRrefWideSums:
             assert acc.rank == 6
 
 
+class TestModRrefColumnIndex:
+    """``_rows_at`` maps each free column to the pivot columns whose row is
+    nonzero there; a new pivot rewrites only the rows it names, so after
+    every insert it must equal the map read off ``_row_of``, and the form
+    must stay the plain Gauss-Jordan one."""
+
+    @staticmethod
+    def index_from_rows(acc):
+        out = {}
+        for pc, row in acc._row_of.items():
+            for j in row:
+                if j != pc:
+                    out.setdefault(j, set()).add(pc)
+        return out
+
+    @staticmethod
+    def random_rows(rng, p, ncols, count):
+        """Sparse rows with repeats, zero rows (also entries that vanish mod
+        p) and combinations of earlier rows."""
+        rows = []
+        for _ in range(count):
+            kind = rng.random()
+            if rows and kind < 0.15:
+                row = list(rng.choice(rows))
+            elif kind < 0.25:
+                row = [(j, p * rng.randrange(3)) for j in rng.sample(range(ncols), 2)]
+            elif len(rows) > 1 and kind < 0.45:
+                a, b = rng.sample(rows, 2)
+                ca, cb = rng.randrange(1, p), rng.randrange(p)
+                acc = {}
+                for coef, other in ((ca, a), (cb, b)):
+                    for j, x in other:
+                        acc[j] = (acc.get(j, 0) + coef * x) % p
+                row = list(acc.items())
+            else:
+                row = [(j, rng.choice([1, -1, 2, rng.randrange(p)]))
+                       for j in rng.sample(range(ncols), rng.randint(1, 4))]
+            rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("p", DEFAULT_PRIMES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_index_and_form_after_every_insert(self, p, seed):
+        rng = random.Random(seed)
+        ncols = 20
+        acc, dense = ModRref(ncols, p), []
+        for row in self.random_rows(rng, p, ncols, 40):
+            vec = [0] * ncols
+            for j, x in row:
+                vec[j] = x
+            dense.append(vec)
+            before = acc.rank
+            if rng.random() < 0.5:
+                grew = acc.insert_sparse(row)
+            else:
+                grew = acc.insert(np.array(vec, dtype=np.int64))
+            assert acc._rows_at == self.index_from_rows(acc)
+            pivots, kern = gauss_jordan_modp(dense, ncols, p)
+            assert grew == (len(pivots) > before)
+            assert acc.pivot_cols == pivots
+            assert_kernel_form(acc.kernel_vectors(), pivots, ncols)
+            assert np.array_equal(kernel_columns(acc.kernel_vectors(), ncols), kern)
+
+
 class TestSparseModRrefMemory:
     """The single form stores its pivot rows sparsely: at the width of the
     deranged(4,2) matrix space (50625 unknowns) a dense ncols x ncols
