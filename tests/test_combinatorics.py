@@ -228,7 +228,7 @@ class TestCharacterCount:
         solve, calls = combinatorics.solve_sparse_system, []
 
         def spy(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args)
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(combinatorics, "solve_sparse_system", spy)

@@ -1051,11 +1051,11 @@ class TestModRrefColumnIndex:
             elif len(rows) > 1 and kind < 0.45:
                 a, b = rng.sample(rows, 2)
                 ca, cb = rng.randrange(1, p), rng.randrange(p)
-                acc = {}
+                mix = {}
                 for coef, other in ((ca, a), (cb, b)):
                     for j, x in other:
-                        acc[j] = (acc.get(j, 0) + coef * x) % p
-                row = list(acc.items())
+                        mix[j] = (mix.get(j, 0) + coef * x) % p
+                row = list(mix.items())
             else:
                 row = [(j, rng.choice([1, -1, 2, rng.randrange(p)]))
                        for j in rng.sample(range(ncols), rng.randint(1, 4))]
