@@ -9,10 +9,9 @@ orchestrates the multiplicity computations; the heavy lifting happens in
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -163,30 +162,32 @@ def multiplicity_trivial(n: int, r: int, mode: str = "auto") -> int:
     return _highest_weight_multiplicity(n, r, (0,) * n, mode)
 
 
+def _shapes(j: int, rows: int, largest: int):
+    """Partitions of j into at most ``rows`` parts, none above ``largest``."""
+    if j == 0:
+        yield ()
+    elif rows:
+        for first in range(min(j, largest), 0, -1):
+            for rest in _shapes(j - first, rows - 1, first):
+                yield (first, *rest)
+
+
+def _standard_tableaux(shape: tuple) -> int:
+    """f^shape by the hook length formula: |shape|! over the product of the hooks."""
+    cols = [sum(part > c for part in shape) for c in range(shape[0] if shape else 0)]
+    return factorial(sum(shape)) // prod(part - c + cols[c] - i - 1
+                                         for i, part in enumerate(shape) for c in range(part))
+
+
 def _invariants_by_characters(n: int, k: int) -> int:
     """Invariants of GL_n in sl_n^(x k) from characters, with no linear
-    algebra (Weyl; Fulton-Harris, Lectures 24-25): the weights of sl_n
-    convolved k times give multiplicities m, and the count is the sum of
-    sign(w) m(w(rho) - rho) over w in S_n, rho = (n-1, ..., 0).  Over w and
-    its inverse that is m at the weight i - w(i), so it runs over m."""
-    from .tensor import _sl_weights
-
-    step = Counter(_sl_weights(n)).items()
-    m = {(0,) * n: 1}
-    for _ in range(k):
-        out: dict[tuple, int] = {}
-        for mu, a in m.items():
-            for alpha, b in step:
-                key = tuple([x + y for x, y in zip(mu, alpha)])
-                out[key] = out.get(key, 0) + a * b
-        m = out
-    total = 0
-    for weight, count in m.items():
-        w = [i - x for i, x in enumerate(weight)]
-        if sorted(w) == list(range(n)):
-            inversions = sum(a > b for i, a in enumerate(w) for b in w[i + 1:])
-            total += (-1) ** inversions * count
-    return total
+    algebra.  By Schur-Weyl duality gl_n^(x j) = End(V^(x j)) has sum of
+    (f^lambda)^2 invariants, over the partitions of j with at most n rows;
+    gl_n = sl_n + C gives sl_n^(x k) by binomial inversion, as in
+    :func:`derangements` (there the inner sum is j!).  The work grows with
+    the partitions of k, not with n."""
+    squares = [sum(_standard_tableaux(s) ** 2 for s in _shapes(j, n, j)) for j in range(k + 1)]
+    return sum((-1) ** (k - j) * comb(k, j) * squares[j] for j in range(k + 1))
 
 
 @dataclass(frozen=True)

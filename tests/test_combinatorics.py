@@ -206,7 +206,8 @@ class TestHighestWeightMultiplicities:
 class TestCharacterCount:
     """The adjoint cross-check counts invariants from characters, with no
     solve; on a grid where the solve is cheap the two counts agree, also
-    in the unstable range n < r."""
+    in the unstable range n < r.  Its work is bounded by the partitions of
+    r, whatever n is."""
 
     @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 6) for r in range(1, 5)
                                      if (n, r) != (5, 4)])
@@ -221,6 +222,26 @@ class TestCharacterCount:
 
     def test_sl2_riordan_numbers(self):
         assert [_invariants_by_characters(2, r) for r in range(7)] == [1, 0, 1, 1, 3, 6, 15]
+
+    def test_work_does_not_grow_with_n(self, monkeypatch):
+        from diagramalg import combinatorics
+
+        tableaux, calls = combinatorics._standard_tableaux, []
+        monkeypatch.setattr(combinatorics, "_standard_tableaux",
+                            lambda shape: calls.append(shape) or tableaux(shape))
+        counts = []
+        for n in (8, 60):
+            calls.clear()
+            assert _invariants_by_characters(n, 8) == derangements(8)
+            counts.append(len(calls))
+        # one shape per partition of j = 0..8: 1+1+2+3+5+7+11+15+22
+        assert counts == [67, 67]
+
+    def test_wide_adjoint_report_is_answered(self):
+        # sl_30^(x 3) has about 1.5e5 zero-weight unknowns and about 2e7
+        # distinct weights; the count reads neither
+        report = multiplicity_adjoint(30, 2)
+        assert (report.computed, report.cross_check) == (2, 2)
 
     def test_adjoint_solves_once_and_cross_checks_in_every_mode(self, monkeypatch):
         from diagramalg import combinatorics
