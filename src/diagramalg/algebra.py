@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .diagrams import (
@@ -41,6 +42,26 @@ def _coerce_coeff(c, x0):
     if isinstance(c, QPoly):
         raise RingMismatchError("polynomial coefficient in a specialized element")
     return Fraction(c)
+
+
+def _int_terms(el) -> tuple[int, list]:
+    """``(s, [(d, s * c), ...])``: the terms of ``el`` times s, the lcm of the
+    denominators of their coefficients, so every coefficient is integral."""
+    if el.x0 is None:
+        s = lcm(*(q.denominator for c in el._terms.values() for q in c.coeffs))
+        return s, [(d, QPoly([q.numerator * (s // q.denominator) for q in c.coeffs]))
+                   for d, c in el._terms.items()]
+    s = lcm(*(c.denominator for c in el._terms.values()))
+    return s, [(d, c.numerator * (s // c.denominator)) for d, c in el._terms.items()]
+
+
+def _horner(row: list[int], p: int, q: int) -> int:
+    """The sum of ``row[i] * p**i * q**(len(row) - 1 - i)``."""
+    v, qk = 0, 1
+    for c in reversed(row):
+        v = v * p + c * qk
+        qk *= q
+    return v
 
 
 class AlgebraElement:
@@ -141,18 +162,23 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_compatible(other)
-        rows: dict[BrauerDiagram, list] = {}  # x-coefficients per composite, at offset loops
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
+        (s1, left), (s2, right) = _int_terms(self), _int_terms(other)
+        rows: dict[BrauerDiagram, list[int]] = {}  # x-coefficients per composite, at offset loops
+        for d1, c1 in left:
+            for d2, c2 in right:
                 res = compose(d1, d2)
                 coeffs = (c1 * c2).coeffs if self.x0 is None else (c1 * c2,)
                 row = rows.setdefault(res.composite, [])
                 row += [0] * (res.loops + len(coeffs) - len(row))
                 for i, c in enumerate(coeffs, res.loops):
-                    row[i] = row[i] + c if row[i] else c
-        terms = ((d, QPoly(row)) for d, row in rows.items())
-        if self.x0 is not None:
-            terms = ((d, p.evaluate(self.x0)) for d, p in terms)
+                    row[i] += c
+        scale = s1 * s2
+        if self.x0 is None:
+            terms = ((d, QPoly([Fraction(c, scale) for c in row])) for d, row in rows.items())
+        else:
+            p, q = self.x0.numerator, self.x0.denominator
+            terms = ((d, Fraction(_horner(row, p, q), scale * q ** (len(row) - 1)))
+                     for d, row in rows.items())
         return AlgebraElement._reduced(self.m, {d: c for d, c in terms if c}, self.x0)
 
     def __rmul__(self, other):

@@ -130,14 +130,6 @@ class Wall:
         return self.r + self.s
 
 
-def _from_edges(m: int, edge_pairs) -> BrauerDiagram:
-    partner = [-1] * (2 * m)
-    for v, w in edge_pairs:
-        partner[v] = w
-        partner[w] = v
-    return BrauerDiagram(m, tuple(partner))
-
-
 def identity_diagram(m: int) -> BrauerDiagram:
     """The all-vertical diagram joining top i to bottom i."""
     return BrauerDiagram(m, tuple(range(m, 2 * m)) + tuple(range(m)))
@@ -301,18 +293,21 @@ def _matchings(m: int, allowed=None) -> Iterator[BrauerDiagram]:
     if m <= 0:
         raise DiagramError(f"need at least one column, got m={m}")
 
-    def matchings(verts: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
-        if not verts:
-            yield []
-            return
-        a = verts[0]
-        for k in range(1, len(verts)):
-            if allowed is None or allowed(a, verts[k]):
-                for tail in matchings(verts[1:k] + verts[k + 1:]):
-                    yield [(a, verts[k])] + tail
+    partner = [-1] * (2 * m)  # filled in place by backtracking
 
-    for pairs in matchings(tuple(range(2 * m))):
-        yield _from_edges(m, pairs)
+    def matchings(a: int) -> Iterator[BrauerDiagram]:
+        while a < 2 * m and partner[a] >= 0:
+            a += 1
+        if a == 2 * m:
+            yield BrauerDiagram(m, tuple(partner))
+            return
+        for w in range(a + 1, 2 * m):
+            if partner[w] < 0 and (allowed is None or allowed(a, w)):
+                partner[a], partner[w] = w, a
+                yield from matchings(a + 1)
+                partner[a] = partner[w] = -1
+
+    yield from matchings(0)
 
 
 def enumerate_diagrams(m: int) -> Iterator[BrauerDiagram]:

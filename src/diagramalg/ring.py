@@ -15,12 +15,13 @@ DIGITS_CAP = 4300
 
 
 class QPoly:
-    """Immutable dense polynomial over Q, coefficients constant-first."""
+    """Immutable dense polynomial over Q, coefficients constant-first: Fractions,
+    or ints kept as given (an int and an equal Fraction compare and hash alike)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction or type(c) is int else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -49,7 +50,7 @@ class QPoly:
         x0 = Fraction(x0)
         out = Fraction(0)
         for c in reversed(self.coeffs):
-            out = out * x0 + c if out else c
+            out = out * x0 + c if out else Fraction(c)
         return out
 
     def __add__(self, other) -> "QPoly":

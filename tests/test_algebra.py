@@ -64,6 +64,14 @@ class TestQPoly:
         assert str(QPoly([Fraction(1, 2), 0, -1])) == "1/2 - x^2"
         assert str(QPoly()) == "0"
 
+    def test_int_coefficients_kept_and_indistinguishable(self):
+        ints, fracs = QPoly([1, 2]), QPoly([Fraction(1), Fraction(2)])
+        assert [type(c) for c in ints.coeffs] == [int, int]
+        assert ints == fracs
+        assert hash(ints) == hash(fracs)
+        assert str(ints) == str(fracs) == "1 + 2*x"
+        assert type(QPoly([3]).evaluate(2)) is Fraction
+
 
 class TestProduct:
     def test_cup_cap_is_x_times_itself(self):
@@ -243,6 +251,30 @@ class TestGenericProductMatchesReference:
                 cases += 1
                 zeros += got.is_zero()
         assert cases == 24 and zeros >= 8
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_product_needs_no_fraction_arithmetic(self, monkeypatch, m):
+        # both operands are scaled to integers once and each output
+        # coefficient is divided once, so the loop runs in ints only
+        rng = random.Random(70 + m)
+        pairs = [(random_element(m, rng, nterms=4), random_element(m, rng, nterms=5))
+                 for _ in range(4)]
+        points = (Fraction(-2), Fraction(0), Fraction(1, 3), Fraction(5, 7))
+        cases = [(a, b, reference_generic_product(a, b),
+                  [(a.specialize(x0), b.specialize(x0), reference_generic_product(a, b)
+                    .specialize(x0)) for x0 in points]) for a, b in pairs]
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic in the product loop")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        for a, b, want, specialized in cases:
+            assert a * b == want
+            for sa, sb, swant in specialized:
+                assert sa * sb == swant
+        monkeypatch.undo()
+        assert any(not want.is_zero() for _, _, want, _ in cases)
 
     def test_scale_by_zero_drops_every_term(self):
         rng = random.Random(5)

@@ -1129,6 +1129,48 @@ class TestSparseLift:
         assert peak < 4 * 2 ** 20
 
 
+class TestLastLeadFirst:
+    """The modular eliminations read their rows by leading column,
+    descending, so a new pivot mostly lies left of every kept row; the
+    reduced form of a row space is unique, so no result depends on the
+    order the rows come in."""
+
+    @staticmethod
+    def system():
+        rows, support = _highest_weight_equations(AdjointSpace(5, 3), (0,) * 5)
+        return rows, len(support)
+
+    @pytest.mark.parametrize("mode", ["modular", "auto"])
+    def test_leading_columns_never_increase(self, monkeypatch, mode):
+        rows, ncols = self.system()
+        assert ncols > linalg.EXACT_UNKNOWN_CAP  # 'auto' takes the lift
+        leads = []
+        insert = ModRref.insert_sparse
+
+        def spy(self, items):
+            items = list(items)
+            leads.append(min((j for j, x in items if x), default=ncols))
+            return insert(self, items)
+
+        monkeypatch.setattr(ModRref, "insert_sparse", spy)
+        res = solve_sparse_system(rows, ncols, mode=mode)
+        assert res.method != "exact"
+        assert leads and len(leads) % len(rows) == 0  # one pass per prime
+        for k in range(0, len(leads), len(rows)):
+            run = leads[k:k + len(rows)]
+            assert run == sorted(run, reverse=True)
+
+    @pytest.mark.parametrize("mode", ["auto", "exact", "modular"])
+    def test_row_order_changes_no_result(self, mode):
+        rows, ncols = self.system()
+        want = solve_sparse_system(rows, ncols, mode=mode)
+        for seed in range(3):
+            shuffled = list(rows)
+            random.Random(seed).shuffle(shuffled)
+            assert shuffled != rows
+            assert solve_sparse_system(shuffled, ncols, mode=mode) == want
+
+
 class TestSupportByWeightClass:
     """``intertwiner_kernel`` reads its unknowns off the diagonal
     signatures; ``oracles.scanned_support`` tests every entry."""
