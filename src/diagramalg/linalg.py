@@ -13,9 +13,9 @@ prime, and the modular answer is certified exactly:
 The verified kernel dimension and the modular rank then add up to the
 number of unknowns, so both bounds are tight and the result is exact.
 There is one echelon form per field, ``ExactRref`` over Q and ``ModRref``
-over GF(p).  Both keep sparse ``{col: value}`` pivot rows, for the few
-nonzeros per row of the systems they see, and read off them their rank,
-pivot columns and kernel, one sparse vector per free column for every caller.
+over GF(p), and one elimination for both (``_Echelon``): a field supplies
+only its arithmetic.  Both keep sparse ``{col: value}`` pivot rows and read
+off them their rank, pivot columns and kernel, one vector per free column.
 When the lift or its check fails (an unlucky prime or a large entry),
 the exact engine answers instead.  Uncertified modular counts use two
 primes that agree on the result; a prime that disagrees is skipped.  The
@@ -31,6 +31,7 @@ through ``LinOp.to_dense``; the graded solve reads its small blocks off the rows
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -142,18 +143,50 @@ def _int_scaled(row: dict) -> tuple[int, dict[int, int]]:
 # reduced row echelon forms
 
 class _Echelon:
-    """What both echelon forms read off ``_row_of``, which maps each pivot
-    column to its sparse pivot row, zero in every other pivot column;
-    ``_ratio(a, b)`` is a / b in the form's field."""
+    """A reduced row echelon form and the elimination both fields share.
+
+    ``_row_of`` maps each pivot column to its sparse ``{col: value}`` row,
+    zero left of that column and at every other pivot column; ``_pivots``
+    lists the pivot columns in order.  A field supplies ``_clear(v, row,
+    pc)``, which clears column pc of v by the pivot row of pc and returns
+    the scale it applied to v, ``_lead(v, pc)``, which normalises a new
+    pivot row, and ``_ratio(a, b)``, a / b."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self._row_of: dict[int, dict] = {}
+        self._pivots: list[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self._row_of)
+        return len(self._pivots)
 
     @property
     def pivot_cols(self) -> list[int]:
         """Pivot columns in increasing order."""
-        return sorted(self._row_of)
+        return list(self._pivots)
+
+    def _reduce(self, v: dict) -> int:
+        """Clear in place each pivot column that v hits, one at a time (no
+        pivot row makes a new hit), and return the scale applied to v."""
+        scale, row_of = 1, self._row_of
+        for pc in [j for j in v if j in row_of]:
+            scale *= self._clear(v, row_of[pc], pc)
+        return scale
+
+    def _keep(self, v: dict) -> bool:
+        """Keep the reduced row v, if nonzero, as a pivot row; True if it was.
+        Only the kept rows whose pivot lies left of v's can hold v's pivot."""
+        if not v:
+            return False
+        pc, row_of = min(v), self._row_of
+        self._lead(v, pc)
+        for q in [q for q in self._pivots[:bisect_left(self._pivots, pc)] if pc in row_of[q]]:
+            self._clear(row_of[q], v, pc)
+            self._lead(row_of[q], q)
+        row_of[pc] = v
+        insort(self._pivots, pc)
+        return True
 
     def kernel_vectors(self) -> list[dict[int, int | Fraction]]:
         """The kernel of the row span seen as a matrix: one ``{col: value}``
@@ -173,15 +206,33 @@ class ExactRref(_Echelon):
     Rows (sequences or ``{col: value}`` dicts of ints and Fractions) are
     inserted one at a time, with deterministic leftmost pivoting.  Each is
     scaled once to integers, and elimination is fraction-free (Bareiss):
-    ``_row_of`` maps each pivot column to a primitive ``{col: int}`` row
-    with a positive leading entry, zero in every other pivot column, so
-    one pass clears a row (``_clear``).  ``rows`` gives the usual
-    leading-1 form, sorted by pivot column.
+    a pivot row is a primitive ``{col: int}`` row with a positive leading
+    entry.  ``rows`` gives the usual leading-1 form, by pivot column.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._row_of: dict[int, dict[int, int]] = {}
+    @staticmethod
+    def _clear(v: dict[int, int], row: dict[int, int], pc: int) -> int:
+        """Set v to m v - (m v[pc] / row[pc]) row, least m > 0 keeping it integral; return m."""
+        c, b = v[pc], row[pc]
+        m = b // gcd(b, c)
+        if m != 1:
+            for j in v:
+                v[j] *= m
+        f = m * c // b
+        for j, x in row.items():
+            if s := v.get(j, 0) - f * x:
+                v[j] = s
+            else:
+                del v[j]
+        return m
+
+    @staticmethod
+    def _lead(v: dict[int, int], pc: int) -> None:
+        """Divide v in place by its content, signed to make v[pc] positive."""
+        g = -gcd(*v.values()) if v[pc] < 0 else gcd(*v.values())
+        if g != 1:
+            for j in v:
+                v[j] //= g
 
     @staticmethod
     def _ratio(a: int, b: int) -> int | Fraction:
@@ -197,9 +248,7 @@ class ExactRref(_Echelon):
         """``(v, scale)``, v integer: ``row`` with its pivot columns cleared is v / scale."""
         items = row.items() if isinstance(row, dict) else enumerate(row)
         scale, v = _int_scaled({j: x for j, x in items if x})
-        row_of = self._row_of
-        scale *= _clear(v, [(v[pc], row_of[pc], pc) for pc in v if pc in row_of])
-        return v, scale
+        return v, scale * self._reduce(v)
 
     def reduce(self, row) -> list:
         """Residue of ``row`` after clearing every pivot column (dense)."""
@@ -208,52 +257,10 @@ class ExactRref(_Echelon):
 
     def insert(self, row) -> bool:
         """Reduce and keep ``row``; True if it added a new pivot."""
-        v, _ = self._reduced(row)
-        if not v:
-            return False
-        pc = min(v)
-        _make_primitive(v, v[pc] < 0)
-        for prow in self._row_of.values():
-            if c := prow.get(pc):
-                _clear(prow, [(c, v, pc)])
-                _make_primitive(prow)
-        self._row_of[pc] = v
-        return True
+        return self._keep(self._reduced(row)[0])
 
     def contains(self, row) -> bool:
         return not self._reduced(row)[0]
-
-
-def _clear(v: dict[int, int], hits) -> int:
-    """Clear in place the pivot columns of the integer row ``v`` named by
-    ``hits``, ``(v[pc], row, pc)`` for the pivot row of column pc: v becomes
-    ``m v - sum (m v[pc] / row[pc]) row`` for the least m > 0 keeping it
-    integral, and m is returned.  Pivot rows vanish in each other's pivot
-    columns, so each term clears its own column only."""
-    m = 1
-    for c, row, pc in hits:
-        if c % row[pc]:
-            m = lcm(m, row[pc] // gcd(row[pc], c))
-    if m != 1:
-        for j in v:
-            v[j] *= m
-    for c, row, pc in hits:
-        f = m * c // row[pc]
-        for j, x in row.items():
-            s = v.get(j, 0) - f * x
-            if s:
-                v[j] = s
-            else:
-                del v[j]
-    return m
-
-
-def _make_primitive(v: dict[int, int], negate: bool = False) -> None:
-    """Divide the integer row ``v`` in place by its content (negated if asked)."""
-    g = -gcd(*v.values()) if negate else gcd(*v.values())
-    if g != 1:
-        for j in v:
-            v[j] //= g
 
 
 # ---------------------------------------------------------------------------
@@ -262,61 +269,41 @@ def _make_primitive(v: dict[int, int], negate: bool = False) -> None:
 class ModRref(_Echelon):
     """Streaming reduced row echelon form over GF(p).
 
-    It keeps its form the way ``ExactRref`` does over Z: ``_row_of`` maps
-    each pivot column to a ``{col: residue}`` dict of the nonzeros of its
-    row, which has leading entry 1 and is zero in every other pivot
-    column.  The rows fed to it (invariant equations, closure residues,
+    A pivot row is a ``{col: residue}`` dict of its nonzeros, with leading
+    entry 1.  The rows fed to it (invariant equations, closure residues,
     graded blocks) are sparse or small, so its storage grows with the rank
-    and the fill of the rows, not with ncols**2.  An incoming row is
-    cleared in one pass over the pivot columns it touches, and a new pivot
-    rewrites only the rows that ``_rows_at`` names for its column: it maps
-    each free column to the pivot columns whose row is nonzero there.
-    Entries are Python ints, which cannot wrap.
-    """
+    and the fill of the rows, not with ncols**2.  Entries are Python ints,
+    which cannot wrap."""
 
     def __init__(self, ncols: int, p: int):
-        self.ncols = ncols
+        super().__init__(ncols)
         self.p = p
-        self._row_of: dict[int, dict[int, int]] = {}
-        self._rows_at: dict[int, set[int]] = {}
+
+    def _clear(self, v: dict[int, int], row: dict[int, int], pc: int) -> int:
+        """v becomes ``v - v[pc] row`` mod p (row[pc] is 1); returns 1."""
+        p, c = self.p, v[pc]
+        for j, x in row.items():
+            if s := (v.get(j, 0) - c * x) % p:
+                v[j] = s
+            else:
+                del v[j]
+        return 1
+
+    def _lead(self, v: dict[int, int], pc: int) -> None:
+        """Scale v in place to v[pc] == 1."""
+        if (c := v[pc]) != 1:
+            inv = pow(c, -1, self.p)
+            for j in v:
+                v[j] = v[j] * inv % self.p
 
     def _ratio(self, a: int, b: int) -> int:
         return a % self.p  # b is a pivot row's leading entry, 1
 
     def _install(self, items) -> bool:
-        """Clear the row given by (column, value) pairs and keep what is
-        left, if anything, as a new pivot row."""
-        p, row_of, rows_at = self.p, self._row_of, self._rows_at
-        v = {j: x % p for j, x in items if x % p}
-        # each hit clears its own pivot column and no other (c * x != 0 mod p)
-        for pc in [j for j in v if j in row_of]:
-            c = v[pc]
-            for j, x in row_of[pc].items():
-                if s := (v.get(j, 0) - c * x) % p:
-                    v[j] = s
-                else:
-                    del v[j]
-        if not v:
-            return False
-        pc = min(v)
-        inv = pow(v[pc], -1, p)
-        v = {j: x * inv % p for j, x in v.items()}
-        for j in v:
-            rows_at.setdefault(j, set()).add(pc)
-        for q in rows_at.pop(pc) - {pc}:
-            prow = row_of[q]
-            c = prow[pc]
-            for j, x in v.items():
-                if s := (prow.get(j, 0) - c * x) % p:
-                    if j not in prow:
-                        rows_at[j].add(q)
-                    prow[j] = s
-                else:
-                    del prow[j]
-                    if j != pc:
-                        rows_at[j].discard(q)
-        row_of[pc] = v
-        return True
+        """Reduce and keep the row given by (column, value) pairs."""
+        v = {j: x % self.p for j, x in items if x % self.p}
+        self._reduce(v)
+        return self._keep(v)
 
     def insert(self, v: np.ndarray) -> bool:
         """Reduce and keep the dense row ``v``; True if it added a pivot."""
@@ -412,25 +399,27 @@ def solve_sparse_system(
     """Rank and kernel of a sparse system of exact linear equations.
 
     Mode 'exact' eliminates in exact arithmetic at every size; its rows
-    may also be dense sequences, which ``ExactRref`` takes as they are,
-    and it stops reading rows once the rank reaches ``ncols``.  Mode
-    'auto' does so up to ``EXACT_UNKNOWN_CAP`` unknowns; above it, it
+    may also be dense sequences, which ``ExactRref`` takes as they are.
+    Mode 'auto' does so up to ``EXACT_UNKNOWN_CAP`` unknowns; above it, it
     eliminates modulo one prime and certifies the result by an exactly
     checked lift of the kernel (see the module docstring), falling back
     to exact elimination when the lift or its check fails.  Both return
     unconditionally exact answers.  Mode 'modular', which the library's
     multiplicities take and no verify route passes, skips certification
-    and reports the dimensions on which two primes agree.
+    and reports the dimensions on which two primes agree.  Modes 'auto'
+    and 'modular' sort their ``{col: value}`` rows once, last leading
+    column first, so a new pivot mostly lies left of every kept one;
+    'exact' reads them as given.  Exact elimination stops at full rank.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if mode != "exact":
+        rows = sorted(rows, key=lambda row: min(row, default=ncols), reverse=True)
 
     def eliminate(p: int) -> ModRref:
-        # Last leading column first: a new pivot then mostly lies left of every
-        # kept one, so few rows are rewritten; the unique reduced form is the same.
         acc = ModRref(ncols, p)
         cache: dict = {}
-        for row in sorted(rows, key=lambda row: min(row, default=ncols), reverse=True):
+        for row in rows:
             acc.insert_sparse([(j, c if type(c) is int else _residue(c, p, cache))
                                for j, c in row.items()])
         return acc

@@ -8,7 +8,8 @@ sorted edge list, the orthogonal diagram action is the edge-by-edge delta
 product rather than a permute-contract-permute factorization, the
 adjoint action forms every commutator as a dense matrix product, the
 generic product adds one shifted polynomial per pair of terms, and the
-modular echelon form is a whole-matrix Gauss-Jordan over GF(p) on lists.
+echelon forms are whole-matrix Gauss-Jordan over Q in Fractions and over
+GF(p) on lists.
 The tensor multiplicities are solved against the whole sl_n basis, the
 route the highest-weight solve replaced, and the closed forms they are
 checked against are plain integer recurrences.  The glA dimensions are
@@ -360,6 +361,25 @@ def reference_generic_product(a, b):
             else:
                 out.pop(res.composite, None)
     return AlgebraElement(a.m, out)
+
+
+def gauss_jordan_exact(rows, ncols: int):
+    """Plain dense Gauss-Jordan over Q in Fractions on the whole matrix at
+    once: (pivot columns, nonzero reduced rows)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m[:len(pivots)]
 
 
 def gauss_jordan_modp(rows, ncols: int, p: int):

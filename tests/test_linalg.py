@@ -46,7 +46,8 @@ from diagramalg.tensor import (
 )
 
 import oracles
-from oracles import frac_matrix, gauss_jordan_modp, identity_matrix, lie_basis, matrices_equal
+from oracles import (frac_matrix, gauss_jordan_exact, gauss_jordan_modp, identity_matrix,
+                     lie_basis, matrices_equal)
 
 
 def echelon(mat) -> ExactRref:
@@ -549,24 +550,6 @@ class TestBatchedGradedCommutant:
         assert graded_commutant_dim([gen], [(0,), (1,)], mode=mode)[0] == dim
 
 
-def gauss_jordan(rows, ncols):
-    """Plain dense Gauss-Jordan over Q: (pivot columns, nonzero reduced rows)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        k = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if k is None:
-            continue
-        m[r], m[k] = m[k], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    return pivots, m[:len(pivots)]
-
-
 def rank_deficient(rng, nrows, ncols, rank, fractions):
     """An nrows x ncols product of random factors, rank at most ``rank``."""
     def entry():
@@ -604,7 +587,7 @@ class TestSparseExactRref:
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
         rows = rank_deficient(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)),
                               fractions=seed % 2 == 1)
-        pivots, reduced = gauss_jordan(rows, ncols)
+        pivots, reduced = gauss_jordan_exact(rows, ncols)
         acc = ExactRref(ncols)
         grew = [acc.insert(row_forms(row)[form]) for row in rows]
         assert sum(grew) == acc.rank == len(pivots)
@@ -622,7 +605,7 @@ class TestSparseExactRref:
         assert acc.contains(row_forms(member)[form])
         probe = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ncols)]
         assert acc.contains(row_forms(probe)[form]) == (
-            len(gauss_jordan(rows + [probe], ncols)[0]) == len(pivots))
+            len(gauss_jordan_exact(rows + [probe], ncols)[0]) == len(pivots))
         residue = acc.reduce(row_forms(probe)[form])
         assert len(residue) == ncols and all(residue[pc] == 0 for pc in pivots)
         assert acc.contains([p - q for p, q in zip(probe, residue)])
@@ -648,7 +631,7 @@ class TestSparseExactRref:
         rows += [[a - 3 * b for a, b in zip(*rng.sample(rows, 2))]]  # a dependent row
         rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
         dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-        pivots, reduced = gauss_jordan(dense, ncols)
+        pivots, reduced = gauss_jordan_exact(dense, ncols)
         acc = ExactRref(ncols)
         for row in rows:
             acc.insert(row)
@@ -665,7 +648,8 @@ class TestSparseExactRref:
             expected = [a - probe[pc] * b for a, b in zip(expected, r)]
         assert residue == expected
         assert acc.contains(dense[-1])
-        assert acc.contains(probe) == (len(gauss_jordan(dense + [probe], ncols)[0]) == len(pivots))
+        assert acc.contains(probe) == (
+            len(gauss_jordan_exact(dense + [probe], ncols)[0]) == len(pivots))
 
     def test_pivot_rows_are_primitive_integer_rows(self):
         acc = ExactRref(10)
@@ -692,7 +676,7 @@ class TestSparseExactRref:
             acc.insert(row)
             assert acc.contains(row)
         monkeypatch.undo()
-        assert acc.rank == len(gauss_jordan(
+        assert acc.rank == len(gauss_jordan_exact(
             [[row.get(j, 0) for j in range(12)] for row in rows], 12)[0])
 
     def test_exact_solve_of_invariant_equations(self):
@@ -1022,25 +1006,17 @@ class TestModRrefWideSums:
             assert acc.rank == 6
 
 
-class TestModRrefColumnIndex:
-    """``_rows_at`` maps each free column to the pivot columns whose row is
-    nonzero there; a new pivot rewrites only the rows it names, so after
-    every insert it must equal the map read off ``_row_of``, and the form
-    must stay the plain Gauss-Jordan one."""
-
-    @staticmethod
-    def index_from_rows(acc):
-        out = {}
-        for pc, row in acc._row_of.items():
-            for j in row:
-                if j != pc:
-                    out.setdefault(j, set()).add(pc)
-        return out
+class TestEchelonForm:
+    """Both echelon forms run one elimination.  After every insert each
+    must hold the reduced form of the rows so far: its pivot list sorted,
+    each pivot row zero left of its pivot and at every other pivot column,
+    with lead 1 mod p or positive and primitive over Z, and the rank,
+    pivot columns and kernel of plain Gauss-Jordan on the whole matrix."""
 
     @staticmethod
     def random_rows(rng, p, ncols, count):
         """Sparse rows with repeats, zero rows (also entries that vanish mod
-        p) and combinations of earlier rows."""
+        p) and combinations of earlier rows mod p."""
         rows = []
         for _ in range(count):
             kind = rng.random()
@@ -1062,28 +1038,65 @@ class TestModRrefColumnIndex:
             rows.append(row)
         return rows
 
-    @pytest.mark.parametrize("p", DEFAULT_PRIMES)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_index_and_form_after_every_insert(self, p, seed):
+    @staticmethod
+    def assert_reduced(acc):
+        assert acc._pivots == sorted(acc._row_of)
+        for pc, row in acc._row_of.items():
+            assert min(row) == pc and all(row.values())
+            assert not set(row) & set(acc._pivots) - {pc}
+
+    def check_each_insert(self, acc, p, seed, insert, lead_ok, oracle):
+        """Feed ``acc`` the random rows of ``seed`` by ``insert(acc, pairs,
+        dense, sparse)``, ``sparse`` chosen at random, checking the form
+        after each: ``lead_ok(row, pc)`` for every pivot row, and
+        ``oracle(dense rows, ncols) -> (pivots, dense kernel)``."""
         rng = random.Random(seed)
-        ncols = 20
-        acc, dense = ModRref(ncols, p), []
+        ncols, dense = acc.ncols, []
         for row in self.random_rows(rng, p, ncols, 40):
             vec = [0] * ncols
             for j, x in row:
                 vec[j] = x
             dense.append(vec)
             before = acc.rank
-            if rng.random() < 0.5:
-                grew = acc.insert_sparse(row)
-            else:
-                grew = acc.insert(np.array(vec, dtype=np.int64))
-            assert acc._rows_at == self.index_from_rows(acc)
-            pivots, kern = gauss_jordan_modp(dense, ncols, p)
+            grew = insert(acc, row, vec, rng.random() < 0.5)
+            self.assert_reduced(acc)
+            assert all(lead_ok(row, pc) for pc, row in acc._row_of.items())
+            pivots, kern = oracle(dense, ncols)
             assert grew == (len(pivots) > before)
             assert acc.pivot_cols == pivots
             assert_kernel_form(acc.kernel_vectors(), pivots, ncols)
-            assert np.array_equal(kernel_columns(acc.kernel_vectors(), ncols), kern)
+            assert dense_kernel(acc.kernel_vectors(), ncols) == kern
+
+    @pytest.mark.parametrize("p", DEFAULT_PRIMES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_modular_form_after_every_insert(self, p, seed):
+        def insert(acc, row, vec, sparse):
+            return acc.insert_sparse(row) if sparse else acc.insert(np.array(vec, dtype=np.int64))
+
+        def oracle(dense, ncols):
+            pivots, kern = gauss_jordan_modp(dense, ncols, p)
+            return pivots, kern.T.tolist()
+
+        def unit_lead(row, pc):
+            return row[pc] == 1 and all(0 < x < p for x in row.values())
+
+        self.check_each_insert(ModRref(20, p), p, seed, insert, unit_lead, oracle)
+
+    @pytest.mark.parametrize("p", DEFAULT_PRIMES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_form_after_every_insert(self, p, seed):
+        def insert(acc, row, vec, sparse):
+            return acc.insert(dict(row) if sparse else vec)
+
+        def oracle(dense, ncols):
+            pivots, reduced = gauss_jordan_exact(dense, ncols)
+            return pivots, nullspace_from_rref(pivots, reduced, ncols)
+
+        def primitive(row, pc):
+            return (all(type(x) is int for x in row.values()) and row[pc] > 0
+                    and math.gcd(*row.values()) == 1)
+
+        self.check_each_insert(ExactRref(20), p, seed, insert, primitive, oracle)
 
 
 class TestSparseModRrefMemory:
@@ -1130,14 +1143,22 @@ class TestSparseLift:
 
 
 class TestLastLeadFirst:
-    """The modular eliminations read their rows by leading column,
-    descending, so a new pivot mostly lies left of every kept row; the
-    reduced form of a row space is unique, so no result depends on the
-    order the rows come in."""
+    """Modes 'auto' and 'modular' read their rows by leading column,
+    descending, in every elimination, so a new pivot mostly lies left of
+    every kept row; the reduced form of a row space is unique, so no
+    result depends on the order the rows come in, above the cap (the
+    lift) or below it (the exact branch of 'auto')."""
 
     @staticmethod
     def system():
         rows, support = _highest_weight_equations(AdjointSpace(5, 3), (0,) * 5)
+        return rows, len(support)
+
+    @staticmethod
+    def small_system():
+        """The invariant equations of sl_4^(x 3), below the cap."""
+        rows, support = _highest_weight_equations(AdjointSpace(4, 3), (0,) * 4)
+        assert len(support) == 183 <= linalg.EXACT_UNKNOWN_CAP
         return rows, len(support)
 
     @pytest.mark.parametrize("mode", ["modular", "auto"])
@@ -1162,13 +1183,26 @@ class TestLastLeadFirst:
 
     @pytest.mark.parametrize("mode", ["auto", "exact", "modular"])
     def test_row_order_changes_no_result(self, mode):
-        rows, ncols = self.system()
-        want = solve_sparse_system(rows, ncols, mode=mode)
-        for seed in range(3):
-            shuffled = list(rows)
-            random.Random(seed).shuffle(shuffled)
-            assert shuffled != rows
-            assert solve_sparse_system(shuffled, ncols, mode=mode) == want
+        for rows, ncols in (self.system(), self.small_system()):
+            want = solve_sparse_system(rows, ncols, mode=mode)
+            for seed in range(3):
+                shuffled = list(rows)
+                random.Random(seed).shuffle(shuffled)
+                assert shuffled != rows
+                assert solve_sparse_system(shuffled, ncols, mode=mode) == want
+
+    def test_exact_branch_of_auto_reads_last_lead_first(self, monkeypatch):
+        rows, ncols = self.small_system()
+        leads = []
+        insert = ExactRref.insert
+
+        def spy(self, row):
+            leads.append(min(row, default=ncols))
+            return insert(self, row)
+
+        monkeypatch.setattr(ExactRref, "insert", spy)
+        assert solve_sparse_system(rows, ncols, mode="auto").method == "exact"
+        assert leads and leads == sorted(leads, reverse=True)
 
 
 class TestSupportByWeightClass:
