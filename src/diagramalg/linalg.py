@@ -398,23 +398,22 @@ def solve_sparse_system(
 ) -> SolveResult:
     """Rank and kernel of a sparse system of exact linear equations.
 
-    Mode 'exact' eliminates in exact arithmetic at every size; its rows
-    may also be dense sequences, which ``ExactRref`` takes as they are.
-    Mode 'auto' does so up to ``EXACT_UNKNOWN_CAP`` unknowns; above it, it
-    eliminates modulo one prime and certifies the result by an exactly
-    checked lift of the kernel (see the module docstring), falling back
-    to exact elimination when the lift or its check fails.  Both return
-    unconditionally exact answers.  Mode 'modular', which the library's
-    multiplicities take and no verify route passes, skips certification
-    and reports the dimensions on which two primes agree.  Modes 'auto'
-    and 'modular' sort their ``{col: value}`` rows once, last leading
-    column first, so a new pivot mostly lies left of every kept one;
-    'exact' reads them as given.  Exact elimination stops at full rank.
+    Each row is a ``{col: value}`` dict of its nonzero ints and Fractions.
+    Mode 'exact' eliminates in exact arithmetic at every size.  Mode 'auto'
+    does so up to ``EXACT_UNKNOWN_CAP`` unknowns; above it, it eliminates
+    modulo one prime and certifies the result by an exactly checked lift of
+    the kernel (see the module docstring), falling back to exact elimination
+    when the lift or its check fails.  Both return unconditionally exact
+    answers.  Mode 'modular', which the library's multiplicities take and no
+    verify route passes, skips certification and reports the dimensions on
+    which two primes agree.  Every mode sorts the rows once, last leading
+    column first, so a new pivot mostly lies left of every kept one; the
+    reduced form of a row space is unique, so no result depends on the row
+    order.  Exact elimination stops at full rank.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode != "exact":
-        rows = sorted(rows, key=lambda row: min(row, default=ncols), reverse=True)
+    rows = sorted(rows, key=lambda row: min(row, default=ncols), reverse=True)
 
     def eliminate(p: int) -> ModRref:
         acc = ModRref(ncols, p)
@@ -573,7 +572,8 @@ def intertwiner_kernel(
                     row = equations.setdefault((g, i, u), {})
                     row[idx] = row.get(idx, 0) - c
 
-    rows = [equations[key] for key in sorted(equations)]
+    # drop the entries where L and R cancel: a 0 left behind would pass for the row's lead
+    rows = [{j: c for j, c in row.items() if c} for row in equations.values()]
     rows = [r for r in rows if r]
     result = solve_sparse_system(rows, len(support), mode=mode, want_kernel=want_kernel)
     return result, support
@@ -676,7 +676,7 @@ def graded_commutant_dim(
         kinds.setdefault((len(c), *g.ravel().tolist()), [0, g])[0] += 1
     if mode == "exact":
         return _graded_total(kinds.values(), lambda m: solve_sparse_system(
-            m.tolist(), m.shape[1], mode="exact", want_kernel=False).nullity), "exact"
+            rows_from_dense(m), m.shape[1], mode="exact", want_kernel=False).nullity), "exact"
 
     def modular_total(p: int) -> int:
         return _graded_total([(count, mat_to_modp(g, p)) for count, g in kinds.values()],

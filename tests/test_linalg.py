@@ -189,14 +189,20 @@ class TestSolveSparse:
         assert res.nullity == res_exact.nullity
         assert res.kernel == res_exact.kernel
 
-    def test_exact_stops_at_full_rank(self):
+    def test_exact_stops_at_full_rank(self, monkeypatch):
         # once the rank reaches ncols the remaining rows lie in the span
-        class Sentinel:
-            def __iter__(self):
-                raise AssertionError("row read after full rank")
+        ranks = []
+        insert = ExactRref.insert
 
-        res = solve_sparse_system([{0: 1}, {1: 1}, Sentinel()], 2, mode="exact")
+        def spy(self, row):
+            ranks.append(self.rank)
+            return insert(self, row)
+
+        monkeypatch.setattr(ExactRref, "insert", spy)
+        res = solve_sparse_system([{0: 1}, {1: 1}, {0: 1, 1: 1}, {1: 2}], 2, mode="exact")
         assert (res.rank, res.nullity) == (2, 0)
+        # read last lead first: {1: 1}, {1: 2}, {0: 1}; {0: 1, 1: 1} comes after full rank
+        assert ranks == [0, 1, 1]
 
 
 class TestPrimeRule:
@@ -806,21 +812,22 @@ class TestExactGradedCountsNullity:
             assert graded_commutant_dim(mats, weight_vectors(space), mode="exact") == (dim, "exact")
 
     def test_blocks_reach_the_solver_as_integers(self, monkeypatch):
-        # the deranged(3, 1) operators carry Fractions; each is scaled once
-        # to integers, so every block row the solver sees is integral
-        ops = deranged_ops([el.element for el in deranged_basis(1, 3)], 3, 1)
-        assert any(type(x) is Fraction for op in ops for x in op.entries().values())
+        # the S_3 permutations on TensorSpace(2, 3), halved, carry Fractions;
+        # each is scaled once to integers, so every block row the solver
+        # sees is an integral {col: value} dict, and some are nonzero
+        _, (mats, space, dim), _ = graded_cases()
+        ops = [m * Fraction(1, 2) for m in mats]
+        assert any(type(x) is Fraction for m in ops for x in m.ravel())
         seen = []
         original = linalg.solve_sparse_system
 
         def spy(rows, ncols, **kwargs):
-            seen.extend({*map(type, row)} for row in rows)
+            seen.extend({*map(type, row.values())} for row in rows)
             return original(rows, ncols, **kwargs)
 
         monkeypatch.setattr(linalg, "solve_sparse_system", spy)
-        assert graded_commutant_dim(ops, weight_vectors(AdjointSpace(3, 1)), mode="exact") == (
-            64, "exact")
-        assert seen and set().union(*seen) == {int}
+        assert graded_commutant_dim(ops, weight_vectors(space), mode="exact") == (dim, "exact")
+        assert any(seen) and set().union(*seen) == {int}
 
 
 class TestGradedReadsSparseBlocks:
@@ -1143,11 +1150,11 @@ class TestSparseLift:
 
 
 class TestLastLeadFirst:
-    """Modes 'auto' and 'modular' read their rows by leading column,
-    descending, in every elimination, so a new pivot mostly lies left of
-    every kept row; the reduced form of a row space is unique, so no
-    result depends on the order the rows come in, above the cap (the
-    lift) or below it (the exact branch of 'auto')."""
+    """Every mode reads its rows by leading column, descending, in every
+    elimination, so a new pivot mostly lies left of every kept row; the
+    reduced form of a row space is unique, so no result depends on the
+    order the rows come in, above the cap (the lift) or below it (mode
+    'exact' and the exact branch of 'auto')."""
 
     @staticmethod
     def system():
@@ -1191,7 +1198,8 @@ class TestLastLeadFirst:
                 assert shuffled != rows
                 assert solve_sparse_system(shuffled, ncols, mode=mode) == want
 
-    def test_exact_branch_of_auto_reads_last_lead_first(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    def test_exact_elimination_reads_last_lead_first(self, monkeypatch, mode):
         rows, ncols = self.small_system()
         leads = []
         insert = ExactRref.insert
@@ -1201,7 +1209,7 @@ class TestLastLeadFirst:
             return insert(self, row)
 
         monkeypatch.setattr(ExactRref, "insert", spy)
-        assert solve_sparse_system(rows, ncols, mode="auto").method == "exact"
+        assert solve_sparse_system(rows, ncols, mode=mode).method == "exact"
         assert leads and leads == sorted(leads, reverse=True)
 
 
@@ -1239,6 +1247,23 @@ class TestSupportByWeightClass:
         _, support = intertwiner_kernel(left, right, 3, 4, want_kernel=False)
         assert support == oracles.scanned_support(left, right, 3, 4)
         assert support == [(i, u) for i in range(3) for u in range(4)]
+
+    @pytest.mark.parametrize("family,n,r,s", [("o", 3, 3, None), ("walled", 3, 2, 2)])
+    def test_no_zero_entry_reaches_the_solver(self, monkeypatch, family, n, r, s):
+        # an L entry that an R entry cancels is dropped, not kept as a 0
+        # that the solver's sort could read as a row's lead
+        from diagramalg.duality import verify_duality
+
+        seen = []
+        original = linalg.solve_sparse_system
+
+        def spy(rows, ncols, **kwargs):
+            seen.extend(rows)
+            return original(rows, ncols, **kwargs)
+
+        monkeypatch.setattr(linalg, "solve_sparse_system", spy)
+        assert verify_duality(family, n, r, s).verified
+        assert seen and all(row and all(row.values()) for row in seen)
 
     def test_deranged_group_commutant(self):
         # the gl_8 generators on sl_8: 105 of the 3969 entries survive
