@@ -543,7 +543,8 @@ def intertwiner_kernel(
     diag_pairs = []
     general_pairs = []
     for l, r in pairs:
-        dl, dr = l.diagonal_vector(), r.diagonal_vector()
+        dl = l.diagonal_vector()
+        dr = dl if r is l else r.diagonal_vector()
         if dl is not None and dr is not None:
             diag_pairs.append((dl, dr))
         else:

@@ -25,9 +25,10 @@ Conventions, fixed once and pinned by the multiplicativity tests:
   inverse word, and multiplicative for the usual composition
   (v o w)(i) = v(w(i)).
 * Derived Lie algebra actions are Leibniz sums of one action per tensor
-  position, built by one lift from sparse columns.  On adjoint positions
-  [x, -] is read from the sparse structure of the sl_n basis, without
-  dense commutators.
+  position, built by one lift over each position's nonzeros: a digit with
+  a nonzero action walks the settings of the other digits, and no column
+  is decoded.  On adjoint positions [x, -] is read from the sparse
+  structure of the sl_n basis, without dense commutators.
 """
 from __future__ import annotations
 
@@ -154,15 +155,11 @@ class BilinearForm:
     def gram_inv(self) -> np.ndarray:
         return self.gram if self.flavor == "symmetric" else -self.gram
 
-
-# ---------------------------------------------------------------------------
-# index bookkeeping
-
-def _flat(digits, base: int) -> int:
-    out = 0
-    for d in digits:
-        out = out * base + d
-    return out
+    @functools.cached_property
+    def nonzeros(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Nonzero (row, column, value) triples of ``gram`` and ``gram_inv``, read once."""
+        return tuple(tuple((u, v, c) for u, row in enumerate(mat.tolist())
+                           for v, c in enumerate(row) if c) for mat in (self.gram, self.gram_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +182,7 @@ def _diagram_rows(d: BrauerDiagram, n: int, form: BilinearForm) -> list[dict[int
         raise ValueError(f"form on n={form.n} does not match space n={n}")
     m = d.m
     stride = [n ** (m - 1 - k) for k in range(m)]
-
-    def nonzeros(mat):
-        return [(u, v, c) for u, row in enumerate(mat.tolist())
-                for v, c in enumerate(row) if c]
-
-    pair, emit = nonzeros(form.gram), nonzeros(form.gram_inv)
+    pair, emit = form.nonzeros
     terms = [(0, 0, 1)]
     top_word, bot_word, free_top, free_bot = [], [], [], []
     for v, w in d.edges:
@@ -291,25 +283,32 @@ def _ad_cols(x: np.ndarray, n: int) -> list[dict[int, object]]:
     row b of b_j, and column b of b_j x gains v times column a of b_j."""
     if x.shape != (n, n):
         raise ValueError(f"x of shape {x.shape} does not act on sl_{n}")
-    brackets: dict[int, dict[tuple[int, int], object]] = {}
+    h = n * n - n
+    # the bracket of column j: off-diagonal entries by sl coordinate, diagonal ones by index
+    brackets: dict[int, tuple[dict[int, object], dict[int, object]]] = {}
+
+    def add(j, i, k, v):
+        off, diag = brackets.setdefault(j, ({}, {}))
+        e, key = (off, _sl_off(n, i, k)) if i != k else (diag, i)
+        e[key] = e.get(key, 0) + v
+
     for k, v in _nonzeros(x).items():
         a, b = divmod(k, n)
         v = exactify(v)
         for j, c, w in _sl_line(n, b):
-            e = brackets.setdefault(j, {})
-            e[a, c] = e.get((a, c), 0) + v * w
+            add(j, a, c, v * w)
         for j, i, w in _sl_line(n, a, column=True):
-            e = brackets.setdefault(j, {})
-            e[i, b] = e.get((i, b), 0) - w * v
+            add(j, i, b, -w * v)
     cols: list[dict[int, object]] = [{} for _ in range(n * n - 1)]
-    for j, bracket in brackets.items():
-        coords = {_sl_off(n, i, k): v for (i, k), v in bracket.items() if i != k}
-        diag = {i: v for (i, k), v in bracket.items() if i == k}
-        acc = 0
+    for j, (off, diag) in brackets.items():
+        col, acc = cols[j], 0
+        for i in sorted(off):
+            if off[i]:
+                col[i] = exactify(off[i])
         for a in range(min(diag, default=n), n - 1):
             acc += diag.get(a, 0)
-            coords[n * n - n + a] = acc
-        cols[j] = {i: exactify(v) for i, v in sorted(coords.items()) if v}
+            if acc:
+                col[h + a] = exactify(acc)
     return cols
 
 
@@ -317,35 +316,43 @@ def _lift_entries(action_cols, dims, columns=None):
     """Leibniz sum of per-position actions, each given by its sparse
     columns, returned as sparse rows of nonzeros.
 
-    ``columns`` restricts the sum to those source columns, renumbered in
-    the given order; then only the rows it touches come back, in target
-    order."""
-    total = 1
-    for d in dims:
-        total *= d
-    rows: dict[int, dict[int, Fraction]] = {}
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides.reverse()
-    npos = len(dims)
-    for col, flat in enumerate(range(total) if columns is None else columns):
-        digs = [(flat // strides[k]) % dims[k] for k in range(npos)]
-        for k in range(npos):
-            base = flat - digs[k] * strides[k]
-            for i, v in action_cols[k][digs[k]].items():
-                dst = base + i * strides[k]
-                row = rows.get(dst)
-                if row is None:
-                    row = rows[dst] = {}
-                row[col] = row.get(col, 0) + v
-                if not row[col]:
-                    del row[col]
+    Each position k and digit t with a nonzero action walks the settings
+    of the other digits; an entry off the diagonal is reached once, and a
+    diagonal entry that cancels across positions is dropped.  ``columns``
+    restricts the sum to those source columns, renumbered in the given
+    order; then only the rows it touches come back, in target order."""
+    strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    total = strides[0] * dims[0]
+    # moves[k][t]: (target offset, value) of position k's action on digit t
+    moves = [[[((i - t) * s, v) for i, v in col.items() if v] for t, col in enumerate(cols)]
+             for cols, s in zip(action_cols, strides)]
     if columns is not None:
-        return [rows[dst] for dst in sorted(rows)], total
-    return [rows.get(dst, {}) for dst in range(total)], total
+        touched: dict[int, dict[int, Fraction]] = {}
+        for col, flat in enumerate(columns):
+            for k, s in enumerate(strides):
+                for delta, v in moves[k][flat // s % dims[k]]:
+                    row = touched.get(flat + delta)
+                    if row is None:
+                        row = touched[flat + delta] = {}
+                    row[col] = row.get(col, 0) + v
+                    if not row[col]:
+                        del row[col]
+        return [touched[dst] for dst in sorted(touched)], total
+    rows: list[dict[int, Fraction]] = [{} for _ in range(total)]
+    for k, s in enumerate(strides):
+        others = [hi + lo for hi in range(0, total, dims[k] * s) for lo in range(s)]
+        for t, pairs in enumerate(moves[k]):
+            flats = [f + t * s for f in others] if pairs else ()
+            for delta, v in pairs:
+                if delta:
+                    for f in flats:
+                        rows[f + delta][f] = v
+                    continue
+                for f in flats:
+                    rows[f][f] = rows[f].get(f, 0) + v
+                    if not rows[f][f]:
+                        del rows[f][f]
+    return rows, total
 
 
 def _sparse_cols(x: np.ndarray) -> list[dict[int, object]]:
@@ -404,6 +411,17 @@ def _gl_sl_cols(n: int) -> tuple[list[dict], list[dict]]:
     return s_cols, t_cols
 
 
+def _power_cols(cols: list[dict], offsets: list[list[int]]) -> list[list[tuple]]:
+    """Sparse columns of a tensor power, built position by position from the
+    factor's nonzeros: a (flat row, value) list per column, columns in
+    lexicographic order, row i of position j at flat offset ``offsets[j][i]``."""
+    power = [[(0, 1)]]
+    for offs in offsets:
+        power = [[(f + offs[i], c * w) for f, c in col for i, w in factor.items()]
+                 for col in power for factor in cols]
+    return power
+
+
 def adjoint_transport_rows(n: int, r: int) -> tuple[list[dict], list[dict]]:
     """(inclusion, coordinates) between the adjoint power and mixed
     (r, r) tensor space as sparse rows, using the equivariant
@@ -413,17 +431,20 @@ def adjoint_transport_rows(n: int, r: int) -> tuple[list[dict], list[dict]]:
     space, d = MixedSpace(n, r, r), n * n - 1
     check_dim(space)
     s_cols, t_cols = _gl_sl_cols(n)
+    # the mixed offset of gl index a * n + b in position j: V digit a, V* digit b
+    gl_offsets = [[a * n ** (2 * r - 1 - j) + b * n ** (r - 1 - j)
+                   for a in range(n) for b in range(n)] for j in range(r)]
     incl: list[dict] = [{} for _ in range(space.dim)]
     coords: list[dict] = [{} for _ in range(d ** r)]
-    for aflat, ks in enumerate(itertools.product(range(d), repeat=r)):
-        for picks in itertools.product(*(s_cols[k].items() for k in ks)):
-            gs = [g for g, _ in picks]
-            row = _flat([g // n for g in gs] + [g % n for g in gs], n)
-            incl[row][aflat] = math.prod(c for _, c in picks)
-    for mflat, digs in enumerate(itertools.product(range(n), repeat=2 * r)):
-        gls = [digs[j] * n + digs[r + j] for j in range(r)]
-        for picks in itertools.product(*(t_cols[g].items() for g in gls)):
-            coords[_flat([k for k, _ in picks], d)][mflat] = math.prod(c for _, c in picks)
+    for aflat, col in enumerate(_power_cols(s_cols, gl_offsets)):
+        for row, c in col:
+            incl[row][aflat] = c
+    # the mixed flat of each gl column, read off the power of the identity
+    mixed = [col[0][0] for col in _power_cols([{g: 1} for g in range(n * n)], gl_offsets)]
+    t_power = _power_cols(t_cols, [[k * d ** (r - 1 - j) for k in range(d)] for j in range(r)])
+    for mflat, col in zip(mixed, t_power):
+        for row, c in col:
+            coords[row][mflat] = c
     return incl, coords
 
 

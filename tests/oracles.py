@@ -20,13 +20,17 @@ solved on bases, the route the generator solves replaced: every element
 of ``lie_basis`` on the group side and every diagram on the diagram side.
 The routes that reading the torus off the weights replaced are kept too:
 the Cartan operators as Leibniz sums, the commutant support by a scan of
-every entry, and the adjoint transport multiplied in Fractions.
+every entry, and the adjoint transport multiplied in Fractions.  So are
+the builders that reading nonzeros replaced: the Leibniz lift that
+decodes every column's digits and scans every position, and the adjoint
+transport that multiplies one pick per factor with ``itertools.product``.
 
 The tests' dense inputs live here as well, since no command builds them:
 exact object arrays (``frac_matrix``, ``identity_matrix``,
 ``matrices_equal``), the Lie algebra bases (``lie_basis``) and uniformly
 random diagrams (``random_diagram``).
 """
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -58,7 +62,7 @@ from diagramalg.tensor import (
     MixedSpace,
     TensorSpace,
     _diagram_rows,
-    _lift_entries,
+    _gl_sl_cols,
     _walled_rows,
     adjoint_transport_rows,
     deranged_ops,
@@ -425,7 +429,7 @@ def full_basis_trivial_multiplicity(n: int, r: int, mode: str) -> int:
                 x = zeros_matrix(n, n)
                 x[a, b] = 1
                 cols = rows_from_dense(dense_ad_action(x, n).T)
-                rows += _lift_entries([cols] * r, [n * n - 1] * r, columns=support)[0]
+                rows += column_scan_lift_entries([cols] * r, [n * n - 1] * r, columns=support)[0]
     return solve_sparse_system(rows, len(support), mode=mode, want_kernel=False).nullity
 
 
@@ -611,3 +615,47 @@ def fraction_deranged_ops(els, n: int, r: int) -> list[LinOp]:
     return [LinOp(len(coords), sparse_matmul(sparse_matmul(
         coords, [{j: Fraction(c) for j, c in row.items()} for row in _walled_rows(el, space)]),
         incl)) for el in els]
+
+
+def column_scan_lift_entries(action_cols, dims, columns=None):
+    """``tensor._lift_entries`` by a scan of every column: decode its
+    digits, then add each position's action on its digit, cancelled
+    entries dropped.  Rows come back as that function returns them."""
+    total = math.prod(dims)
+    strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    rows: dict[int, dict] = {}
+    for col, flat in enumerate(range(total) if columns is None else columns):
+        digs = [(flat // strides[k]) % dims[k] for k in range(len(dims))]
+        for k, dig in enumerate(digs):
+            base = flat - dig * strides[k]
+            for i, v in action_cols[k][dig].items():
+                row = rows.setdefault(base + i * strides[k], {})
+                row[col] = row.get(col, 0) + v
+                if not row[col]:
+                    del row[col]
+    if columns is not None:
+        return [rows[dst] for dst in sorted(rows)], total
+    return [rows.get(dst, {}) for dst in range(total)], total
+
+
+def itertools_transport_rows(n: int, r: int) -> tuple[list[dict], list[dict]]:
+    """``tensor.adjoint_transport_rows`` by one pick per factor: every
+    adjoint (mixed) basis index, every product of one nonzero of S (T)
+    per position, its flat index recomputed from the digits."""
+    def flat(digits, base):
+        return functools.reduce(lambda acc, dig: acc * base + dig, digits, 0)
+
+    d = n * n - 1
+    s_cols, t_cols = _gl_sl_cols(n)
+    incl: list[dict] = [{} for _ in range(n ** (2 * r))]
+    coords: list[dict] = [{} for _ in range(d ** r)]
+    for aflat, ks in enumerate(itertools.product(range(d), repeat=r)):
+        for picks in itertools.product(*(s_cols[k].items() for k in ks)):
+            gs = [g for g, _ in picks]
+            incl[flat([g // n for g in gs] + [g % n for g in gs], n)][aflat] = \
+                math.prod(c for _, c in picks)
+    for mflat, digs in enumerate(itertools.product(range(n), repeat=2 * r)):
+        gls = [digs[j] * n + digs[r + j] for j in range(r)]
+        for picks in itertools.product(*(t_cols[g].items() for g in gls)):
+            coords[flat([k for k, _ in picks], d)][mflat] = math.prod(c for _, c in picks)
+    return incl, coords

@@ -392,6 +392,23 @@ class TestGradedCommutant:
             graded_commutant_dim([mat], [(0,), (1,)])
 
 
+class TestDiagonalScans:
+    def test_commutant_scans_each_generator_once(self, monkeypatch):
+        # commutant passes the same operators on both sides, so each
+        # diagonal is read once; distinct sides are read once each
+        calls = []
+        original = LinOp.diagonal_vector
+        monkeypatch.setattr(LinOp, "diagonal_vector", lambda op: calls.append(op) or original(op))
+        gens = [LinOp.from_dense(frac_matrix([[1, 0], [0, 2]])),
+                LinOp.from_dense(frac_matrix([[0, 1], [0, 0]]))]
+        _, res = commutant(gens, 2)
+        assert res.nullity == 1
+        assert calls == gens
+        calls.clear()
+        intertwiner_kernel(gens, [LinOp(2, [dict(row) for row in g.rows]) for g in gens], 2, 2)
+        assert len(calls) == 4
+
+
 class TestInvariantVectors:
     def test_trivial_isotypic_of_group_algebra(self):
         # invariants of the swap on 2 tensor factors: symmetric part, dim 3

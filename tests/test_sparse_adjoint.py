@@ -16,16 +16,22 @@ from diagramalg.linalg import (
 )
 from diagramalg.tensor import (
     AdjointSpace,
+    MixedSpace,
+    TensorSpace,
     _lift_entries,
+    _position_actions,
     _weight_support,
     ad_action,
     adjoint_transport,
+    adjoint_transport_rows,
     derivation_action,
     derivation_ops_sparse,
+    raising_units,
     weight_vectors,
 )
 
-from oracles import dense_ad_action, identity_matrix, lie_basis, matrices_equal, sl_coordinates
+from oracles import (column_scan_lift_entries, dense_ad_action, identity_matrix,
+                     itertools_transport_rows, lie_basis, matrices_equal, sl_coordinates)
 
 
 def random_fraction_matrix(n, rng):
@@ -145,6 +151,58 @@ class TestZeroWeightSupport:
             assert got_support == support
             assert rows == want
             assert [list(row.items()) for row in rows] == [list(row.items()) for row in want]
+
+
+def typed(rows):
+    """Rows as dicts of (value, type): equal as dicts, entry types included."""
+    return [{j: (c, type(c)) for j, c in row.items()} for row in rows]
+
+
+def ordered(rows):
+    """Rows as lists of (key, value, type): key order included."""
+    return [[(j, c, type(c)) for j, c in row.items()] for row in rows]
+
+
+class TestBuiltFromNonzeros:
+    """The Leibniz lift over each position's nonzeros and the transport
+    built position by position equal the column-scan references."""
+
+    @pytest.mark.parametrize("space", [AdjointSpace(2, 3), AdjointSpace(3, 3), AdjointSpace(4, 2),
+                                       AdjointSpace(8, 1), MixedSpace(2, 2, 1),
+                                       MixedSpace(3, 2, 2), TensorSpace(2, 7)],
+                             ids=str)
+    def test_full_lift(self, space):
+        for x in sample_matrices(space.n):
+            cols, dims = _position_actions(x, space)
+            got, total = _lift_entries(cols, dims)
+            want, want_total = column_scan_lift_entries(cols, dims)
+            assert total == want_total == space.dim
+            assert typed(got) == typed(want)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_full_lift_of_sp_raising_units(self, n):
+        for space in (TensorSpace(n, 3), MixedSpace(n, 1, 2)):
+            for x in raising_units("sp", n):
+                cols, dims = _position_actions(x, space)
+                assert typed(_lift_entries(cols, dims)[0]) == \
+                    typed(column_scan_lift_entries(cols, dims)[0])
+
+    @pytest.mark.parametrize("n,r", [(3, 3), (4, 2), (5, 3)])
+    def test_columns_branch_key_order(self, n, r):
+        space = AdjointSpace(n, r)
+        for mu in zero_and_highest_root(n):
+            support = _weight_support(space, mu)
+            for x in raising_units("gl", n):
+                cols, dims = _position_actions(x, space)
+                got, total = _lift_entries(cols, dims, columns=support)
+                want, want_total = column_scan_lift_entries(cols, dims, columns=support)
+                assert total == want_total
+                assert ordered(got) == ordered(want)
+
+    @pytest.mark.parametrize("n,r", [(n, 1) for n in range(2, 9)] + [(3, 2), (4, 2), (5, 2)])
+    def test_transport(self, n, r):
+        for got, want in zip(adjoint_transport_rows(n, r), itertools_transport_rows(n, r)):
+            assert ordered(got) == ordered(want)
 
 
 class TestSparseDerangedPath:

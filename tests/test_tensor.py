@@ -146,6 +146,17 @@ class TestContraction:
         with pytest.raises(ValueError):
             BilinearForm("symplectic", 3)
 
+    @pytest.mark.parametrize("flavor,n", [("symmetric", 3), ("symplectic", 4)])
+    def test_nonzeros_read_once(self, flavor, n):
+        # the (row, column, value) triples of gram and gram_inv, cached as
+        # tuples on the form
+        form = BilinearForm(flavor, n)
+        want = tuple(tuple((u, v, mat[u, v]) for u in range(n) for v in range(n) if mat[u, v])
+                     for mat in (form.gram, form.gram_inv))
+        assert form.nonzeros == want
+        assert form.nonzeros is form.nonzeros
+        assert all(type(part) is tuple for part in form.nonzeros)
+
 
 class TestDiagramMatrix:
     def test_crossing_generator_matches_contraction(self):
