@@ -2,21 +2,30 @@
 
 For each family the engine builds the group side (the derived action of
 root vectors, plus one reflection for the full orthogonal group) and the
-diagram side (the matrices of every diagram).
-Each equality is one containment plus a dimension count.  Both
-containments hold exactly when the group generators commute with every
-diagram matrix, which, a commutator being linear in the diagram, is
-checked exactly, once, on a basis of their span, on sparse rows (a
-failure raises ArithmeticError); the report carries all four dimensions.
+diagram side.  glA, o, sp and walled build only the images of the diagram
+algebra's generators, which generate the diagram image: a diagram acts
+multiplicatively and a closed loop scales by +-n, never 0.  Both
+containments hold exactly when the group generators commute with these
+images, checked exactly, once, on sparse rows (a failure raises
+ArithmeticError).  Both images are semisimple, being closed under
+transpose: the group image is sum End(V_mu) (for o, generated by
+antisymmetric rotations and a symmetric reflection), the diagram image is
+generated by symmetric matrices.  So for A inside B', A = B' exactly when
+B = A', and then dim B = dim A' (double commutant theorem; Goodman and
+Wallach, GTM 255, 4.1-4.2).  One rule gives the report: ``equal_a`` and
+``equal_b`` are both group_image == commutant_of_diagram, diagram_image is
+commutant_of_group where that holds (else None), and ``faithful`` compares
+it with the number of diagrams, r!, (2r-1)!! or (r+s)!.
 
-glA, walled and sp read them off V = sum V_mu (x) M_mu, a sum of pairwise
-distinct irreducibles V_mu of gl_n or sp_n (dimension by Weyl's formula)
-with M_mu their highest-weight vectors: the group commutant is sum m_mu^2,
-the group image sum (dim V_mu)^2, and End_A(V) of the diagram image A is
-sum Hom(V_mu, V_nu) (x) Hom_A(M_mu, M_nu), solved on small matrices.  The
-identity Gram of o has no rational raising operator: there both
-commutants are solved on generators, and the diagram one bounds the
-closure of the group image (residues modulo one prime, then exact).
+glA, walled and sp read the other three off V = sum V_mu (x) M_mu, a sum
+of pairwise distinct irreducibles V_mu of gl_n or sp_n (dimension by
+Weyl's formula) with M_mu their highest-weight vectors: the group
+commutant is sum m_mu^2, the group image sum (dim V_mu)^2, and End_A(V)
+of the diagram image A is sum Hom(V_mu, V_nu) (x) Hom_A(M_mu, M_nu),
+solved on small matrices.  The identity Gram of o has no rational raising
+operator: there both commutants are solved on generators, and the
+diagram one bounds the closure of the group image (residues modulo one
+prime, then exact).  ``solver_cap`` bounds the unknowns of each system.
 
 The deranged family is too large for span saturation of the group image
 (it has dimension 11732 inside 225 x 225 matrices at n=4, r=2).  There
@@ -30,15 +39,13 @@ exact mode is requested, and the report carries its method tag.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, field
 
-from .diagrams import (CapExceededError, Wall, c_generator, enumerate_diagrams,
-                       enumerate_walled, permutation_to_diagram, wall_generator)
-from .combinatorics import _highest_weight_equations
+from .diagrams import CapExceededError, Wall, c_generator, permutation_to_diagram, wall_generator
+from .combinatorics import _highest_weight_equations, diagram_count, walled_count
 from .linalg import (
     DEFAULT_UNKNOWN_CAP,
     LinOp,
@@ -138,16 +145,13 @@ def _diagram_generators(family: str, r: int, s: int | None) -> list:
     return gens
 
 
-# family -> (its diagrams, a basis of the abstract diagram algebra; the
-# Lie algebra of ``_generators`` for the group side).  Walled acts on
-# mixed tensor space, the sp diagrams by the symplectic form, and o adds
-# the reflection to the roots.  Names resolve at call time, so a test may
-# patch them on this module.
+# family -> (its number of diagrams, the Lie algebra of ``_generators``).  Walled
+# acts on mixed tensor space, sp by the symplectic form; o adds the reflection.
 _SIDES = {
-    "glA": (lambda r, s: map(permutation_to_diagram, itertools.permutations(range(r))), "gl"),
-    "o": (lambda r, s: enumerate_diagrams(r), "so"),
-    "sp": (lambda r, s: enumerate_diagrams(r), "sp"),
-    "walled": (lambda r, s: enumerate_walled(Wall(r, s)), "gl"),
+    "glA": (lambda r, s: math.factorial(r), "gl"),
+    "o": (lambda r, s: diagram_count(r), "so"),
+    "sp": (lambda r, s: diagram_count(r), "sp"),
+    "walled": (walled_count, "gl"),
 }
 
 
@@ -164,7 +168,7 @@ def _weyl_dim(kind: str, mu: tuple) -> int:
             // math.prod(rho[i] + c * rho[j] for i, j, c in roots))
 
 
-def _multiplicity_spaces(space, kind: str, diagram_gens, mode: str):
+def _multiplicity_spaces(space, kind: str, diagram_gens, mode: str, solver_cap: int):
     """(mu, dim V_mu, m_mu, [A_mu(g) for each g]) for each dominant weight mu
     with m_mu > 0, decreasing, and the solve tags.  M_mu is the kernel of the
     raising equations on the weight-mu indices; each kernel vector is 1 at
@@ -175,6 +179,7 @@ def _multiplicity_spaces(space, kind: str, diagram_gens, mode: str):
         if any(a < b for a, b in zip(mu, mu[1:] + (0,) * (kind == "sp"))):
             continue
         rows, support = _highest_weight_equations(space, mu, kind)
+        check_unknowns(len(support), solver_cap)
         res = solve_sparse_system(rows, len(support), mode=mode)
         methods.append(res.method)
         if res.nullity:
@@ -189,36 +194,29 @@ def _multiplicity_spaces(space, kind: str, diagram_gens, mode: str):
 
 def _verify_span_family(family, n, r, s, mode, solver_cap):
     space = TensorSpace(n, r) if s is None else MixedSpace(n, r, s)
-    check_dim(space, DENSE_DIM_CAP)  # the diagram span has d * d columns
-    diagrams, kind = _SIDES[family]
+    check_dim(space, DENSE_DIM_CAP)  # every operator has d rows, every weight space <= d unknowns
+    count, kind = _SIDES[family]
     d, gen_ops = space.dim, _generators(kind, space)
     if family == "o":
         gen_ops.append(reflection_op(n, r))
     form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
-    diagram_ops, diagram_gens = ([LinOp(d, _diagram_rows(x, n, form)) for x in xs]
-                                 for xs in (diagrams(r, s), _diagram_generators(family, r, s)))
-    check_unknowns(d * d, solver_cap)
-    diagram_span = MatrixSpan.from_matrices(diagram_ops, d)
-    # both containments at once, on the span's basis (a commutator is linear
-    # in the diagram); each equality is then a dimension count
-    if not _commute(gen_ops, diagram_span.basis):
+    diagram_gens = [LinOp(d, _diagram_rows(x, n, form)) for x in _diagram_generators(family, r, s)]
+    if not _commute(gen_ops, diagram_gens):
         raise ArithmeticError("group and diagram actions fail to commute")
     if family == "o":
-        solve = functools.partial(commutant, d=d, mode=mode, want_basis=False,
-                                  unknown_cap=solver_cap)
-        # The group image lies in the commutant of every diagram, inside
-        # that of the generators, whose nullity is a proven bound for the closure.
-        diag_result = solve(diagram_gens)[1]
+        diag_result, group_result = (commutant(ops, d, mode=mode, want_basis=False,
+                                               unknown_cap=solver_cap)[1]
+                                     for ops in (diagram_gens, gen_ops))
+        # the commutant of the diagram generators holds the group image: a proven bound
         group_image = algebra_closure(gen_ops, d, bound=diag_result.nullity).dim
-        group_result = solve(gen_ops)[1]
         comm_diag, comm_group = diag_result.nullity, group_result.nullity
         methods, extra = [diag_result.method, group_result.method], {}
     else:
-        blocks, methods = _multiplicity_spaces(space, kind, diagram_gens, mode)
+        blocks, methods = _multiplicity_spaces(space, kind, diagram_gens, mode, solver_cap)
         if sum(dim_v * m for _, dim_v, m, _ in blocks) != d:
             raise ArithmeticError("the highest-weight vectors do not account for every dimension")
         homs = [(dim_mu * dim_nu, intertwiner_kernel(a_nu, a_mu, m_nu, m_mu, mode=mode,
-                                                     want_kernel=False)[0])
+                                                     want_kernel=False, unknown_cap=solver_cap)[0])
                 for (_, dim_mu, m_mu, a_mu), (_, dim_nu, m_nu, a_nu) in
                 itertools.product(blocks, repeat=2)]
         group_image = sum(dim_v * dim_v for _, dim_v, _, _ in blocks)
@@ -226,10 +224,12 @@ def _verify_span_family(family, n, r, s, mode, solver_cap):
         comm_group = sum(m * m for _, _, m, _ in blocks)
         methods += [hom.method for _, hom in homs]
         extra = {"group_image_via": "highest weights"}
-    dims = {"group_image": group_image, "diagram_image": diagram_span.dim,
+    equal = group_image == comm_diag
+    diagram_image = comm_group if equal else None
+    dims = {"group_image": group_image, "diagram_image": diagram_image,
             "commutant_of_diagram": comm_diag, "commutant_of_group": comm_group}
-    return DualityReport(family, n, r, s, dims, group_image == comm_diag,
-                         diagram_span.dim == comm_group, diagram_span.dim == len(diagram_ops),
+    return DualityReport(family, n, r, s, dims, equal, equal,
+                         diagram_image == count(r, s) if equal else None,
                          _combine_methods("exact", *methods), extra=extra)
 
 

@@ -527,6 +527,14 @@ def walled_multiplicities(n: int, r: int, s: int) -> dict[tuple, int]:
     return out
 
 
+def all_diagrams(family: str, r: int, s=None) -> list[BrauerDiagram]:
+    """Every diagram of a span family: the r! permutations for glA, the
+    (2r-1)!! Brauer diagrams for o and sp, the (r+s)! walled diagrams."""
+    if family == "glA":
+        return [permutation_to_diagram(w) for w in itertools.permutations(range(r))]
+    return list(enumerate_walled(Wall(r, s)) if family == "walled" else enumerate_diagrams(r))
+
+
 def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",
                       solver_cap: int = DEFAULT_UNKNOWN_CAP) -> DualityReport:
     """``verify_duality`` solved on bases: the derived action of every
@@ -568,12 +576,8 @@ def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",
                              diagram_span.dim == len(diagram_ops),
                              _combine_methods(comm_group.method, graded_method),
                              extra={"group_image_via": "double commutant"})
-    if family == "glA":
-        diagrams = map(permutation_to_diagram, itertools.permutations(range(r)))
-    else:
-        diagrams = enumerate_walled(Wall(r, s)) if family == "walled" else enumerate_diagrams(r)
     form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
-    diagram_ops = [LinOp(d, _diagram_rows(x, n, form)) for x in diagrams]
+    diagram_ops = [LinOp(d, _diagram_rows(x, n, form)) for x in all_diagrams(family, r, s)]
     if not _commute(gens, diagram_ops):
         raise ArithmeticError("group and diagram actions fail to commute")
     diagram_span = MatrixSpan.from_matrices(diagram_ops, d)

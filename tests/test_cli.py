@@ -271,14 +271,29 @@ class TestVerify:
 
     def test_solver_cap_exit_3(self):
         rc, _, err = run_cli("verify", "--duality", "glA", "--n", "3", "--r", "2",
-                             "--solver-cap", "10")
+                             "--solver-cap", "1")
         assert rc == 3
         assert "cap" in err
 
     @pytest.mark.parametrize("cap,rc,err", [
+        ("2", 3, "diagramalg: cap exceeded: 3 unknowns exceed the solver cap 2; "
+                 "raise it with --solver-cap\n"),
+        ("3", 3, "diagramalg: cap exceeded: 4 unknowns exceed the solver cap 3; "
+                 "raise it with --solver-cap\n"),
+        ("4", 0, ""),
+    ], ids=["weight-space", "hom-system", "verifies"])
+    def test_solver_cap_bounds_each_solve_of_the_route(self, capsys, cap, rc, err):
+        # glA(2,3): the weight space of (2,1) has 3 unknowns, and the Hom
+        # system of its 2-dimensional multiplicity space with itself has 4
+        args = ["verify", "--duality", "glA", "--n", "2", "--r", "3", "--solver-cap", cap]
+        assert cli.main(args) == rc
+        out, got = capsys.readouterr()
+        assert got == err and bool(out) == (rc == 0)
+
+    @pytest.mark.parametrize("cap,rc,err", [
         ("0", 2, "diagramalg: --solver-cap must be at least 1\n"),
         ("-1", 2, "diagramalg: --solver-cap must be at least 1\n"),
-        ("1", 3, "diagramalg: cap exceeded: 16 unknowns exceed the solver cap 1; "
+        ("1", 3, "diagramalg: cap exceeded: 2 unknowns exceed the solver cap 1; "
                  "raise it with --solver-cap\n"),
     ], ids=["0", "-1", "1"])
     def test_solver_cap_below_one_is_a_usage_error(self, capsys, cap, rc, err):

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from diagramalg import duality, linalg
-from diagramalg.diagrams import CapExceededError
+from diagramalg.diagrams import CapExceededError, compose, identity_diagram
 from diagramalg.duality import verify_duality
 from diagramalg.linalg import DEFAULT_UNKNOWN_CAP, LinOp, MatrixSpan, algebra_closure, span_equal
 from diagramalg.tensor import (AdjointSpace, BilinearForm, MixedSpace, TensorSpace, _diagram_rows,
@@ -259,7 +259,9 @@ class TestBoundedClosure:
 
     def test_inflated_bound_falls_back_to_the_exact_image(self, monkeypatch):
         # a diagram commutant one too large: the residues stop short of the
-        # bound, the exact saturation reports the true image, equal_a fails
+        # bound, the exact saturation reports the true image, and both
+        # equalities fail with it (one rule: a semisimple pair is each
+        # other's commutant together or not at all)
         import dataclasses
 
         original = duality.commutant
@@ -277,7 +279,8 @@ class TestBoundedClosure:
         assert calls == [35, 3]
         assert rep.dims["group_image"] == 35
         assert rep.dims["commutant_of_diagram"] == 36
-        assert rep.equal_a is False and rep.equal_b is True
+        assert rep.equal_a is False and rep.equal_b is False
+        assert rep.dims["diagram_image"] is None and rep.faithful is None
 
     @pytest.mark.parametrize("mode", ["auto", "exact"])
     def test_bound_is_the_diagram_commutant(self, monkeypatch, mode):
@@ -396,7 +399,11 @@ class TestGeneratorRoute:
                 return str(exc)
 
         ours, ref = report(verify_duality), report(full_basis_verify)
-        if family in ROUTE_FAMILIES and isinstance(ref, dict):
+        if isinstance(ref, str):
+            # both refuse; they solve different systems, so the counts differ
+            assert isinstance(ours, str)
+            return
+        if family in ROUTE_FAMILIES:
             # the same dimensions and flags through the multiplicity spaces;
             # the method tag may only get stronger, and the report names the route
             assert STRENGTH[ours.pop("method")] >= STRENGTH[ref.pop("method")]
@@ -416,7 +423,7 @@ class TestGeneratorRoute:
             return [LinOp(d, _diagram_rows(x, n, form)) for x in diagrams]
 
         closure = algebra_closure(ops(duality._diagram_generators(family, r, s)), d)
-        assert span_equal(closure, MatrixSpan.from_matrices(ops(duality._SIDES[family][0](r, s)), d))
+        assert span_equal(closure, MatrixSpan.from_matrices(ops(oracles.all_diagrams(family, r, s)), d))
 
     @pytest.mark.parametrize("family,n,r,s", [
         ("sp", 4, 2, None), ("glA", 3, 2, None), ("walled", 3, 1, 1), ("deranged", 8, 1, None),
@@ -499,7 +506,7 @@ def multiplicities(family, n, r, s):
     """{mu: m_mu} over the dominant weights of a glA, sp or walled point with
     m_mu > 0, in the route's order."""
     kind, space = _route_space(family, n, r, s)
-    blocks, _ = duality._multiplicity_spaces(space, kind, [], "auto")
+    blocks, _ = duality._multiplicity_spaces(space, kind, [], "auto", DEFAULT_UNKNOWN_CAP)
     return {mu: m for mu, _, m, _ in blocks}
 
 
@@ -516,9 +523,10 @@ class TestMultiplicitySpaces:
         assert sum(m * m for m in got.values()) == math.factorial(r + s)
 
     @pytest.mark.parametrize("family,n,r", [("glA", 2, 4), ("sp", 2, 3)])
-    def test_commutation_is_checked_on_the_span_basis(self, monkeypatch, family, n, r):
-        # a commutator is linear in the diagram, so the generators meet the
-        # diagram span's basis only, not every diagram
+    def test_commutation_is_checked_on_the_generator_images(self, monkeypatch, family, n, r):
+        # the generators generate the diagram image and a diagram acts
+        # multiplicatively, so the group generators meet the generator
+        # images only, not every diagram
         seen = []
         original = duality._commute
 
@@ -528,14 +536,11 @@ class TestMultiplicitySpaces:
 
         monkeypatch.setattr(duality, "_commute", spy)
         rep = verify_duality(family, n, r)
-        _, space = _route_space(family, n, r, None)
         form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
-        diagrams = [LinOp(space.dim, _diagram_rows(x, n, form))
-                    for x in duality._SIDES[family][0](r, None)]
         (mats,) = seen
-        assert rep.verified and len(mats) == rep.dims["diagram_image"] < len(diagrams)
-        assert [m.rows for m in mats] == [
-            m.rows for m in MatrixSpan.from_matrices(diagrams, space.dim).basis]
+        assert rep.verified and len(mats) < rep.dims["diagram_image"]
+        assert [m.rows for m in mats] == [_diagram_rows(x, n, form)
+                                          for x in duality._diagram_generators(family, r, None)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_gl_weyl_dimensions_are_the_hook_content_formula(self, n):
@@ -601,7 +606,9 @@ class TestMultiplicitySpaces:
         assert cli.main(argv + (["--s", str(s)] if s is not None else [])) == 4
         assert capsys.readouterr().out == ""
 
-    def test_without_the_wall_generator_h_is_not_the_identity(self, monkeypatch):
+    def test_without_the_wall_generator_h_is_not_the_identity(self, monkeypatch, capsys):
+        from diagramalg import cli
+
         homs = []
         original = duality.intertwiner_kernel
 
@@ -620,8 +627,88 @@ class TestMultiplicitySpaces:
                             lambda family, r, s: generators(family, r, s)[:-1])
         rep = verify_duality("walled", 3, 2, 2)
         assert len(homs) == k * k and homs != [int(i == j) for i in range(k) for j in range(k)]
-        assert rep.equal_a is False and rep.equal_b is True
+        # the permutations alone generate a smaller algebra: both equalities
+        # fail, and no diagram image is read off the group commutant
+        assert rep.equal_a is False and rep.equal_b is False
         assert rep.dims["commutant_of_diagram"] > rep.dims["group_image"] == 994
+        assert rep.dims["diagram_image"] is None and rep.faithful is None
+        assert cli.main(["verify", "--duality", "walled", "--n", "3", "--r", "2", "--s", "2"]) == 1
+        assert '"diagram_image":null' in capsys.readouterr().out
+
+
+class TestDiagramSideOnGenerators:
+    """glA, o, sp and walled build only the generator images of the diagram
+    algebra and read the diagram image off the group commutant.  The two
+    premises do not depend on n, so they are certified here: the generators
+    reach every diagram, and each generator image is a symmetric matrix."""
+
+    @pytest.mark.parametrize("family,r,s", [
+        *[("glA", r, None) for r in range(1, 8)],
+        *[(family, r, None) for family in ("o", "sp") for r in range(1, 6)],
+        *[("walled", r, m - r) for m in range(1, 7) for r in range(m + 1)],
+    ])
+    def test_generators_saturate_to_every_diagram(self, family, r, s):
+        # loops are dropped: a closed loop scales by +-n, never 0
+        seen = set()
+
+        def take(x):
+            if x in seen:
+                return False
+            seen.add(x)
+            return True
+
+        kept = linalg.saturate([identity_diagram(r + (s or 0))],
+                               duality._diagram_generators(family, r, s),
+                               lambda g, b: compose(g, b).composite, take)
+        everything = oracles.all_diagrams(family, r, s)
+        assert len(kept) == len(everything) and set(kept) == set(everything)
+
+    @pytest.mark.parametrize("family,n,r,s", [
+        *[(family, n, r, None) for family in ("glA", "o") for n in (2, 3, 4) for r in (2, 3)],
+        *[("sp", n, r, None) for n in (2, 4) for r in (2, 3)],
+        *[("walled", n, r, s) for n in (2, 3, 4) for r, s in ((1, 1), (2, 1), (1, 2), (2, 2))],
+    ])
+    def test_generator_images_are_symmetric(self, family, n, r, s):
+        form = BilinearForm("symplectic" if family == "sp" else "symmetric", n)
+        d = (TensorSpace(n, r) if s is None else MixedSpace(n, r, s)).dim
+        gens = [LinOp(d, _diagram_rows(x, n, form))
+                for x in duality._diagram_generators(family, r, s)]
+        assert gens and all(g.rows == g.cols() for g in gens)
+
+    @pytest.mark.parametrize("family,r", [(family, r) for family in ("glA", "sp")
+                                          for r in range(1, 9)])
+    def test_diagram_image_on_c2_is_temperley_lieb(self, family, r):
+        # on C^2 both diagram images are the Temperley-Lieb algebra, of
+        # dimension Catalan(r): an oracle independent of the group commutant
+        rep = verify_duality(family, 2, r)
+        assert rep.verified and rep.dims["diagram_image"] == math.comb(2 * r, r) // (r + 1)
+        assert rep.faithful == (r <= (2 if family == "glA" else 1))
+
+    def test_walled_4_3_2_verifies_at_the_default_cap(self):
+        # d^2 = 1048576 columns, past the default cap, once kept every diagram's span
+        rep = verify_duality("walled", 4, 3, 2)
+        assert rep.verified and rep.faithful is False and rep.method == "exact"
+        assert rep.dims == {"group_image": 57968, "diagram_image": 119,
+                            "commutant_of_diagram": 57968, "commutant_of_group": 119}
+
+    @pytest.mark.parametrize("family,n,r,s", [
+        ("glA", 2, 4, None), ("o", 3, 3, None), ("sp", 4, 3, None), ("walled", 3, 2, 2)])
+    def test_no_diagram_is_enumerated_and_no_diagram_span_built(self, monkeypatch, family,
+                                                                n, r, s):
+        from diagramalg import diagrams
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("every diagram enumerated or spanned")
+
+        for name in ("enumerate_diagrams", "enumerate_walled", "_matchings"):
+            monkeypatch.setattr(diagrams, name, refuse)
+        monkeypatch.setattr(duality, "MatrixSpan", type("NoSpan", (), {"from_matrices": refuse}))
+        built = []
+        original = duality._diagram_rows
+        monkeypatch.setattr(duality, "_diagram_rows",
+                            lambda x, *args: built.append(x) or original(x, *args))
+        assert verify_duality(family, n, r, s).verified
+        assert built == duality._diagram_generators(family, r, s)
 
 
 class TestCartanFromWeights:

@@ -44,7 +44,7 @@ COMMANDS = [
     ["verify", "--duality", "deranged", "--n", "3", "--r", "1"],
     ["verify", "--duality", "deranged", "--n", "3", "--r", "1", "--mode", "exact"],
     ["--output", "text", "verify", "--duality", "walled", "--n", "2", "--r", "1", "--s", "1"],
-    ["verify", "--duality", "glA", "--n", "3", "--r", "2", "--solver-cap", "10"],
+    ["verify", "--duality", "glA", "--n", "3", "--r", "2", "--solver-cap", "1"],
     ["multiply", "--file", "{file}"],
 ]
 
