@@ -19,10 +19,10 @@ from .diagrams import (
     Wall,
     compose,
     diagram_from_json,
-    diagram_to_json,
     enumerate_walled,
     identity_diagram,
     is_walled,
+    vertex_label,
     wall_generator,
 )
 from .ring import QPoly, fraction_from_str, fraction_to_str
@@ -163,23 +163,27 @@ class AlgebraElement:
             return NotImplemented
         self._check_compatible(other)
         (s1, left), (s2, right) = _int_terms(self), _int_terms(other)
-        rows: dict[BrauerDiagram, list[int]] = {}  # x-coefficients per composite, at offset loops
+        generic = self.x0 is None
+        # x-coefficients per composite at offset loops, of which there are at most m // 2
+        width = self.m // 2 + 1 + sum(max((len(c.coeffs) - 1 for _, c in terms), default=0)
+                                      for terms in (left, right) if generic)
+        rows: dict[BrauerDiagram, list[int]] = {}
         for d1, c1 in left:
             for d2, c2 in right:
                 res = compose(d1, d2)
-                coeffs = (c1 * c2).coeffs if self.x0 is None else (c1 * c2,)
-                row = rows.setdefault(res.composite, [])
-                row += [0] * (res.loops + len(coeffs) - len(row))
-                for i, c in enumerate(coeffs, res.loops):
+                row = rows.setdefault(res.composite, [0] * width)
+                for i, c in enumerate((c1 * c2).coeffs if generic else (c1 * c2,), res.loops):
                     row[i] += c
-        scale = s1 * s2
-        if self.x0 is None:
-            terms = ((d, QPoly([Fraction(c, scale) for c in row])) for d, row in rows.items())
-        else:
-            p, q = self.x0.numerator, self.x0.denominator
-            terms = ((d, Fraction(_horner(row, p, q), scale * q ** (len(row) - 1)))
-                     for d, row in rows.items())
-        return AlgebraElement._reduced(self.m, {d: c for d, c in terms if c}, self.x0)
+        scale, out = s1 * s2, {}
+        p, q = (1, 1) if generic else (self.x0.numerator, self.x0.denominator)
+        for d, row in rows.items():
+            while row and not row[-1]:
+                row.pop()
+            c = row and (QPoly([Fraction(a, scale) for a in row]) if generic else
+                         Fraction(_horner(row, p, q), scale * q ** (len(row) - 1)))
+            if c:
+                out[d] = c
+        return AlgebraElement._reduced(self.m, out, self.x0)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):
@@ -300,22 +304,15 @@ def deranged_basis(r: int, n) -> list[DerangedElement]:
 
 
 def element_to_json(el: AlgebraElement) -> dict:
-    if el.x0 is None:
-        ring = "generic"
-
-        def coeff_json(c):
-            return [fraction_to_str(q) for q in c.coeffs]
-    else:
-        ring = {"x0": fraction_to_str(el.x0)}
-
-        def coeff_json(c):
-            return fraction_to_str(c)
-
-    terms = [
-        {"diagram": diagram_to_json(d), "coeff": coeff_json(c)}
-        for d, c in sorted(el.items(), key=lambda t: t[0].edges)
-    ]
-    return {"m": el.m, "ring": ring, "terms": terms}
+    labels = [vertex_label(v, el.m) for v in range(2 * el.m)]
+    generic = el.x0 is None
+    # partner tables sort as edge lists do: where two first differ, both have an edge's smaller end
+    terms = [{"diagram": {"m": el.m, "edges": [[labels[v], labels[w]]
+                                               for v, w in enumerate(p) if v < w]},
+              "coeff": list(map(fraction_to_str, c.coeffs)) if generic else fraction_to_str(c)}
+             for p, c in sorted((d.partner, c) for d, c in el.items())]
+    return {"m": el.m, "ring": "generic" if generic else {"x0": fraction_to_str(el.x0)},
+            "terms": terms}
 
 
 def element_from_json(obj) -> AlgebraElement:

@@ -59,14 +59,16 @@ class BrauerDiagram:
         if len(self.partner) != n:
             raise DiagramInvariantError(
                 f"partner table has length {len(self.partner)}, expected {n}")
-        for v, w in enumerate(self.partner):
+        partner = self.partner
+        for v, w in enumerate(partner):
+            if w != v and 0 <= w < n and partner[w] == v:
+                continue
             if not 0 <= w < n:
                 raise DiagramInvariantError(f"vertex {v} matched out of range: {w}")
             if w == v:
                 raise DiagramInvariantError(f"fixed point at vertex {v}")
-            if self.partner[w] != v:
-                raise DiagramInvariantError(
-                    f"not an involution: partner[{v}]={w} but partner[{w}]={self.partner[w]}")
+            raise DiagramInvariantError(
+                f"not an involution: partner[{v}]={w} but partner[{w}]={partner[w]}")
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -75,8 +77,7 @@ class BrauerDiagram:
         This is the canonical form used for ordering and serialization,
         built once per diagram; ``==`` and ``hash`` read only the fields.
         """
-        return tuple(sorted((v, w) if v < w else (w, v)
-                            for v, w in enumerate(self.partner) if v < w))
+        return tuple((v, w) for v, w in enumerate(self.partner) if v < w)  # v ascends
 
     def is_horizontal(self, v: int) -> bool:
         """True if the edge at vertex ``v`` stays inside one row."""
@@ -215,7 +216,9 @@ def compose(d1: BrauerDiagram, d2: BrauerDiagram) -> CompositionResult:
     """Stack ``d1`` on top of ``d2`` and follow the strands.
 
     Returns the composite diagram together with the number of closed
-    loops trapped in the identified middle row.
+    loops trapped in the identified middle row.  A strand reaching middle
+    column j from above continues at ``d2.partner[j]``, from below at
+    ``d1.partner[m + j]``; a column no strand crosses lies on a closed loop.
 
     >>> c = c_generator(2, 1, 2)
     >>> compose(c, c)
@@ -223,31 +226,36 @@ def compose(d1: BrauerDiagram, d2: BrauerDiagram) -> CompositionResult:
     """
     if d1.m != d2.m:
         raise SizeMismatchError(f"cannot compose diagrams on {d1.m} and {d2.m} columns")
-    m, two_m = d1.m, 2 * d1.m
-    layers, partner = (d1.partner, d2.partner), [-1] * two_m
+    m, p1, p2 = d1.m, d1.partner, d2.partner
+    partner = [-1] * (2 * m)
     seen = [False] * m  # middle columns that some strand crossed
-    # Layer False is d1, whose bottom row is glued; layer True is d2, whose
-    # top row is.  A strand on a glued vertex crosses to the other layer in
-    # the same middle column and follows the edge there.
-    for start in range(two_m):
-        if partner[start] != -1:
+    for start in range(2 * m):
+        if partner[start] >= 0:
             continue
-        k = start >= m
-        v = layers[k][start]
-        while (v >= m) != k:
-            seen[v % m] = True
-            k = not k
-            v = layers[k][(v + m) % two_m]
+        if start < m:
+            v = p1[start]
+            while v >= m:  # down through middle column v - m
+                seen[v - m] = True
+                v = p2[v - m]
+                if v >= m:
+                    break
+                seen[v] = True  # and up again through column v
+                v = p1[m + v]
+        else:  # every strand from the top row is drawn: this one ends below
+            v = p2[start]
+            while v < m:  # up through middle column v, down again through column u
+                u = p1[m + v] - m
+                seen[v] = seen[u] = True
+                v = p2[u]
         partner[start], partner[v] = v, start
-    # every column left over lies on a closed loop of glued edges only
     loops = 0
     for j in range(m):
         if not seen[j]:
             loops += 1
-            k, v = False, m + j
-            while not seen[v % m]:
-                seen[v % m] = True
-                k, v = not k, (layers[k][v] + m) % two_m
+            while not seen[j]:  # down through column j, up through column k
+                k = p2[j]
+                seen[j] = seen[k] = True
+                j = p1[m + k] - m
     return CompositionResult(BrauerDiagram(m, tuple(partner)), loops)
 
 
@@ -285,29 +293,35 @@ def flip(d: BrauerDiagram, wall: Wall) -> BrauerDiagram:
     return BrauerDiagram(m, tuple(partner))
 
 
-def _matchings(m: int, allowed=None) -> Iterator[BrauerDiagram]:
+def _matchings(m: int, allowed=lambda v, w: True) -> Iterator[BrauerDiagram]:
     # The smallest free vertex takes each free partner in turn (the
     # canonical order), skipping a pair that ``allowed(v, w)`` refuses.
     if m > DEFAULT_ENUM_CAP:
         raise CapExceededError(f"enumeration for m={m} exceeds cap {DEFAULT_ENUM_CAP}")
     if m <= 0:
         raise DiagramError(f"need at least one column, got m={m}")
-
-    partner = [-1] * (2 * m)  # filled in place by backtracking
-
-    def matchings(a: int) -> Iterator[BrauerDiagram]:
-        while a < 2 * m and partner[a] >= 0:
-            a += 1
-        if a == 2 * m:
+    n = 2 * m
+    options = [[w for w in range(v + 1, n) if allowed(v, w)] for v in range(n)]
+    partner = [-1] * n  # filled in place by backtracking
+    levels = [(0, iter(options[0]))]  # the vertex matched at each depth, its untried partners
+    while levels:
+        a, untried = levels[-1]
+        if partner[a] >= 0:  # back at this depth: undo its last match
+            partner[partner[a]] = partner[a] = -1
+        for w in untried:
+            if partner[w] < 0:
+                break
+        else:
+            levels.pop()
+            continue
+        partner[a], partner[w] = w, a
+        b = a + 1
+        while b < n and partner[b] >= 0:
+            b += 1
+        if b == n:
             yield BrauerDiagram(m, tuple(partner))
-            return
-        for w in range(a + 1, 2 * m):
-            if partner[w] < 0 and (allowed is None or allowed(a, w)):
-                partner[a], partner[w] = w, a
-                yield from matchings(a + 1)
-                partner[a] = partner[w] = -1
-
-    yield from matchings(0)
+        else:
+            levels.append((b, iter(options[b])))
 
 
 def enumerate_diagrams(m: int) -> Iterator[BrauerDiagram]:

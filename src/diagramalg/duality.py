@@ -215,6 +215,7 @@ def _verify_span_family(family, n, r, s, mode, solver_cap):
         blocks, methods = _multiplicity_spaces(space, kind, diagram_gens, mode, solver_cap)
         if sum(dim_v * m for _, dim_v, m, _ in blocks) != d:
             raise ArithmeticError("the highest-weight vectors do not account for every dimension")
+        check_unknowns(max(m * m for _, _, m, _ in blocks), solver_cap)  # the largest Hom system
         homs = [(dim_mu * dim_nu, intertwiner_kernel(a_nu, a_mu, m_nu, m_mu, mode=mode,
                                                      want_kernel=False, unknown_cap=solver_cap)[0])
                 for (_, dim_mu, m_mu, a_mu), (_, dim_nu, m_nu, a_nu) in

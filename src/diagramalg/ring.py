@@ -89,8 +89,10 @@ class QPoly:
         for i, a in enumerate(self.coeffs):
             if a:
                 for k, b in enumerate(other.coeffs, i):
-                    out[k] = out[k] + a * b if out[k] else a * b
-        return QPoly(out)
+                    out[k] += a * b
+        prod = object.__new__(QPoly)  # its leading coefficient is nonzero: nothing to trim
+        object.__setattr__(prod, "coeffs", tuple(out))
+        return prod
 
     __rmul__ = __mul__
 
@@ -148,9 +150,8 @@ def exactify(v):
 
 
 def fraction_to_str(q) -> str:
-    """Render a rational as 'p' or 'p/q' in lowest terms."""
-    q = q if type(q) is Fraction else Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """Render a rational as 'p' or 'p/q' in lowest terms, as ``str`` does an int or a Fraction."""
+    return str(q if type(q) is int or type(q) is Fraction else Fraction(q))
 
 
 def fraction_from_str(s: str) -> Fraction:

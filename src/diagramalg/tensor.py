@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -488,26 +489,47 @@ def _position_weights(space, kind: str = "gl") -> list[list[tuple[int, ...]]]:
         per_pos = [_sl_weights(n)] * space.r
     else:
         raise TypeError(f"unknown space {space!r}")
-    if kind == "sp":
-        return [[tuple(w[i] - w[m + i] for i in range(m)) for w in ws] for ws in per_pos]
+    if kind == "sp":  # positions that share a gl list share its projection
+        sp = {id(ws): [tuple(w[i] - w[m + i] for i in range(m)) for w in ws] for ws in per_pos}
+        return [sp[id(ws)] for ws in per_pos]
     return per_pos
 
 
 def _weight_support(space, weight: tuple[int, ...], kind: str = "gl") -> list[int]:
-    """Indices of the basis vectors of ``space`` of the given weight,
-    ascending, without listing every weight: the other factors fix a weight,
-    and only the last factors of the missing weight complete it.  Listing
-    stops once the indices outnumber the solver cap."""
-    *head, last = _position_weights(space, kind)
-    complete = {w: [k for k, v in enumerate(last) if v == w] for w in set(last)}
-    support: list[int] = []
-    for p, ws in enumerate(itertools.product(*head)):
-        missing = tuple(t - sum(cs) for t, cs in zip(weight, zip((0,) * len(weight), *ws)))
-        support += (p * len(last) + k for k in complete.get(missing, ()))
-        if len(support) > DEFAULT_UNKNOWN_CAP:
+    """Indices of the basis vectors of ``space`` of the given weight, ascending:
+    the head positions grouped by partial weight, one position at a time, each
+    group completed by the last factors of its missing weight.  In a space past
+    the solver cap the groups are counted first, so an oversized one is refused at once."""
+    per_pos = _position_weights(space, kind)
+    lists = {id(ws): ws for ws in per_pos}  # positions share their weight lists
+    # weights as integers in base 2b + 1, b bounding every coordinate difference met: codes add
+    b = 2 * (max(map(abs, weight)) + len(per_pos) * max(
+        map(abs, itertools.chain.from_iterable(itertools.chain.from_iterable(lists.values())))))
+    powers = [(2 * b + 1) ** i for i in range(len(weight))]
+    for key, ws in lists.items():
+        lists[key] = classes = {}  # code -> its indices, ascending
+        for k, w in enumerate(ws):
+            classes.setdefault(sum(map(operator.mul, w, powers)), []).append(k)
+    *head, last = [lists[id(ws)] for ws in per_pos]
+    target, groups = sum(map(operator.mul, weight, powers)), {0: [0]}
+    if space.dim > DEFAULT_UNKNOWN_CAP:  # else no weight space can outnumber the cap
+        counts = {0: 1}
+        for ws in head:
+            counts, before = {}, counts
+            for w, n in before.items():
+                for v, ks in ws.items():
+                    counts[w + v] = counts.get(w + v, 0) + n * len(ks)
+        if sum(n * len(last.get(target - w, ())) for w, n in counts.items()) > DEFAULT_UNKNOWN_CAP:
             raise CapExceededError(f"weight {weight} has more than {DEFAULT_UNKNOWN_CAP} "
                                    f"unknowns, the solver cap")
-    return support
+    for ws in head:
+        groups, before, size = {}, groups, sum(map(len, ws.values()))
+        for w, ps in before.items():
+            for v, ks in ws.items():
+                groups.setdefault(w + v, []).extend(p * size + k for p in ps for k in ks)
+    size = sum(map(len, last.values()))
+    return sorted(p * size + k for w, ps in groups.items() for k in last.get(target - w, ())
+                  for p in ps)
 
 
 def weight_vectors(space, kind: str = "gl") -> list[tuple[int, ...]]:

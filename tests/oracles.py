@@ -23,7 +23,8 @@ the Cartan operators as Leibniz sums, the commutant support by a scan of
 every entry, and the adjoint transport multiplied in Fractions.  So are
 the builders that reading nonzeros replaced: the Leibniz lift that
 decodes every column's digits and scans every position, and the adjoint
-transport that multiplies one pick per factor with ``itertools.product``.
+transport that multiplies one pick per factor with ``itertools.product``,
+and the weight-space listing that walks every head position.
 
 The tests' dense inputs live here as well, since no command builds them:
 exact object arrays (``frac_matrix``, ``identity_matrix``,
@@ -63,6 +64,7 @@ from diagramalg.tensor import (
     TensorSpace,
     _diagram_rows,
     _gl_sl_cols,
+    _position_weights,
     _walled_rows,
     adjoint_transport_rows,
     deranged_ops,
@@ -663,3 +665,15 @@ def itertools_transport_rows(n: int, r: int) -> tuple[list[dict], list[dict]]:
         for picks in itertools.product(*(t_cols[g].items() for g in gls)):
             coords[flat([k for k, _ in picks], d)][mflat] = math.prod(c for _, c in picks)
     return incl, coords
+
+
+def head_walk_weight_support(space, weight, kind: str = "gl") -> list[int]:
+    """``tensor._weight_support`` as it was before grouping: walk every
+    head position with ``itertools.product``, sum its partial weight, and
+    complete it by the last factors of the missing weight."""
+    *head, last = _position_weights(space, kind)
+    support = []
+    for p, ws in enumerate(itertools.product(*head)):
+        missing = tuple(t - sum(cs) for t, cs in zip(weight, zip((0,) * len(weight), *ws)))
+        support += (p * len(last) + k for k, v in enumerate(last) if v == missing)
+    return support

@@ -290,6 +290,19 @@ class TestVerify:
         out, got = capsys.readouterr()
         assert got == err and bool(out) == (rc == 0)
 
+    def test_largest_hom_system_refused_before_any_hom_solve(self, monkeypatch, capsys):
+        # glA(2,4): the weight spaces have at most 6 unknowns, the multiplicity
+        # space of (3,1) has dimension 3, so its Hom system has 9
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hom system was solved")
+
+        monkeypatch.setattr(duality, "intertwiner_kernel", refuse)
+        args = ["verify", "--duality", "glA", "--n", "2", "--r", "4", "--solver-cap", "8"]
+        assert cli.main(args) == 3
+        assert capsys.readouterr() == (
+            "", "diagramalg: cap exceeded: 9 unknowns exceed the solver cap 8; "
+                "raise it with --solver-cap\n")
+
     @pytest.mark.parametrize("cap,rc,err", [
         ("0", 2, "diagramalg: --solver-cap must be at least 1\n"),
         ("-1", 2, "diagramalg: --solver-cap must be at least 1\n"),

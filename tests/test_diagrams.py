@@ -84,6 +84,18 @@ def test_invariant_violations_rejected():
         BrauerDiagram(2, (1, 0, 3, 2, 5, 4))  # wrong length
 
 
+@pytest.mark.parametrize("partner,message", [
+    ((4, 2, 1, 0), "vertex 0 matched out of range: 4"),
+    ((1, 0, 2, 3), "fixed point at vertex 2"),
+    ((1, 2, 3, 0), "not an involution: partner[0]=1 but partner[1]=2"),
+    ((-1, 2, 1, 0), "vertex 0 matched out of range: -1"),
+], ids=["out-of-range", "fixed-point", "not-an-involution", "negative"])
+def test_each_invariant_violation_keeps_its_message(partner, message):
+    with pytest.raises(DiagramInvariantError) as exc:
+        BrauerDiagram(2, partner)
+    assert str(exc.value) == message
+
+
 def test_permutation_roundtrip():
     rng = random.Random(11)
     for _ in range(100):
@@ -134,7 +146,7 @@ def test_c_generator_validation():
         c_generator(3, 1, 4)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_enumeration_counts_and_canonical_order(m):
     diagrams = list(enumerate_diagrams(m))
     assert len(diagrams) == double_factorial_odd(m)

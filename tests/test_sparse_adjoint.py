@@ -1,6 +1,7 @@
 """The adjoint action from the sparse structure constants of sl_n,
 checked against dense commutators, and the sparse deranged verify."""
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from diagramalg import duality, linalg, tensor
 from diagramalg.combinatorics import _highest_weight_equations
+from diagramalg.diagrams import CapExceededError
 from diagramalg.duality import verify_duality
 from diagramalg.linalg import (
     LinOp,
@@ -30,8 +32,9 @@ from diagramalg.tensor import (
     weight_vectors,
 )
 
-from oracles import (column_scan_lift_entries, dense_ad_action, identity_matrix,
-                     itertools_transport_rows, lie_basis, matrices_equal, sl_coordinates)
+from oracles import (column_scan_lift_entries, dense_ad_action, head_walk_weight_support,
+                     identity_matrix, itertools_transport_rows, lie_basis, matrices_equal,
+                     sl_coordinates)
 
 
 def random_fraction_matrix(n, rng):
@@ -131,6 +134,45 @@ class TestZeroWeightSupport:
         weights = weight_vectors(space)
         for mu in zero_and_highest_root(n):
             assert _weight_support(space, mu) == [i for i, w in enumerate(weights) if w == mu]
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 7) for r in range(1, 5)])
+    def test_grouped_listing_matches_the_head_walk(self, n, r):
+        space = AdjointSpace(n, r)
+        for mu in zero_and_highest_root(n):
+            assert _weight_support(space, mu) == head_walk_weight_support(space, mu)
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in (2, 4, 6) for r in range(1, 5)])
+    def test_grouped_listing_matches_the_head_walk_on_sp_weights(self, n, r):
+        m = n // 2
+        for space in (TensorSpace(n, r), AdjointSpace(n, r)):
+            # every sp weight of V^(x r); on the adjoint power zero, e_1 and the highest root 2 e_1
+            mus = (set(weight_vectors(space, "sp")) if isinstance(space, TensorSpace) else
+                   [(0,) * m, (1,) + (0,) * (m - 1), (2,) + (0,) * (m - 1)])
+            for mu in mus:
+                assert (_weight_support(space, mu, "sp")
+                        == head_walk_weight_support(space, mu, "sp")), mu
+
+    def test_the_cap_is_met_exactly(self, monkeypatch):
+        space, mu = AdjointSpace(4, 3), (0,) * 4
+        support = _weight_support(space, mu)
+        monkeypatch.setattr(tensor, "DEFAULT_UNKNOWN_CAP", len(support))
+        assert _weight_support(space, mu) == support
+        monkeypatch.setattr(tensor, "DEFAULT_UNKNOWN_CAP", len(support) - 1)
+        with pytest.raises(CapExceededError, match=f"more than {len(support) - 1} unknowns"):
+            _weight_support(space, mu)
+
+    def test_a_space_past_the_cap_is_refused_before_listing(self):
+        # the zero weight of sl_2^(x 13): the central trinomial coefficient
+        # 212941 > 65536 of 3^13 indices; listing even the cap's 65536
+        # indices, or the 3^12 head positions, would take megabytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                _weight_support(AdjointSpace(2, 13), (0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 19
 
     @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3), (4, 2)])
     def test_equation_rows_unchanged(self, n, r):
