@@ -7,35 +7,28 @@ algebra's generators, which generate the diagram image: a diagram acts
 multiplicatively and a closed loop scales by +-n, never 0.  Both
 containments hold exactly when the group generators commute with these
 images, checked exactly, once, on sparse rows (a failure raises
-ArithmeticError).  Both images are semisimple, being closed under
-transpose: the group image is sum End(V_mu) (for o, generated by
-antisymmetric rotations and a symmetric reflection), the diagram image is
-generated by symmetric matrices.  So for A inside B', A = B' exactly when
-B = A', and then dim B = dim A' (double commutant theorem; Goodman and
-Wallach, GTM 255, 4.1-4.2).  One rule gives the report: ``equal_a`` and
-``equal_b`` are both group_image == commutant_of_diagram, diagram_image is
-commutant_of_group where that holds (else None), and ``faithful`` compares
-it with the number of diagrams, r!, (2r-1)!! or (r+s)!.
+ArithmeticError).  Both images are semisimple: the group image is
+sum End(V_mu), the diagram image is closed under transpose (deranged's is
+a corner e B e of a walled Brauer algebra, semisimple for n >= 2r - 1).
+So for A inside B', A = B' exactly when B = A', and then dim B = dim A'
+(double commutant theorem; Goodman and Wallach, GTM 255, 4.1-4.2): a
+route needs both commutants but one image.  One rule (``_report``) reads
+the other image off them, and ``faithful`` compares the diagram image,
+where known, with the number of diagrams, r!, (2r-1)!!, (r+s)! or N(2r).
 
-glA, walled and sp read the other three off V = sum V_mu (x) M_mu, a sum
-of pairwise distinct irreducibles V_mu of gl_n or sp_n (dimension by
+glA, walled and sp compute the group image from V = sum V_mu (x) M_mu, a
+sum of pairwise distinct irreducibles V_mu of gl_n or sp_n (dimension by
 Weyl's formula) with M_mu their highest-weight vectors: the group
 commutant is sum m_mu^2, the group image sum (dim V_mu)^2, and End_A(V)
 of the diagram image A is sum Hom(V_mu, V_nu) (x) Hom_A(M_mu, M_nu),
 solved on small matrices.  The identity Gram of o has no rational raising
-operator: there both commutants are solved on generators, and the
-diagram one bounds the closure of the group image (residues modulo one
-prime, then exact).  ``solver_cap`` bounds the unknowns of each system.
-
-The deranged family is too large for span saturation of the group image
-(it has dimension 11732 inside 225 x 225 matrices at n=4, r=2).  There
-the commutant of the group generators is computed exactly and proven
-equal to the diagram image (``equal_b``).  The group image is the
-commutant of that commutant (for a semisimple algebra in characteristic
-zero the double commutant is the algebra itself), so once ``equal_b``
-holds it is the commutant of the diagram image, and one graded solve
-gives both dimensions.  That solve runs modulo two primes unless the
-exact mode is requested, and the report carries its method tag.
+operator: there both commutants are solved on generators, and the image
+that the smaller one bounds is closed (residues modulo one prime, then
+exact): the diagram image if the group commutant is smaller, else the
+group image.  ``solver_cap`` bounds the unknowns of each system.  Deranged
+spans its diagram image, proves it equal to the exactly solved group
+commutant, and counts the diagram commutant by one graded solve, modulo
+two primes unless the exact mode is requested.
 """
 from __future__ import annotations
 
@@ -204,13 +197,17 @@ def _verify_span_family(family, n, r, s, mode, solver_cap):
     if not _commute(gen_ops, diagram_gens):
         raise ArithmeticError("group and diagram actions fail to commute")
     if family == "o":
-        diag_result, group_result = (commutant(ops, d, mode=mode, want_basis=False,
-                                               unknown_cap=solver_cap)[1]
-                                     for ops in (diagram_gens, gen_ops))
-        # the commutant of the diagram generators holds the group image: a proven bound
-        group_image = algebra_closure(gen_ops, d, bound=diag_result.nullity).dim
-        comm_diag, comm_group = diag_result.nullity, group_result.nullity
-        methods, extra = [diag_result.method, group_result.method], {}
+        solves = [commutant(ops, d, mode=mode, want_basis=False, unknown_cap=solver_cap)[1]
+                  for ops in (diagram_gens, gen_ops)]
+        comm_diag, comm_group = (res.nullity for res in solves)
+        methods = [res.method for res in solves]
+        # each image lies in the other side's commutant, a proven bound: close the smaller
+        if comm_group < comm_diag:
+            image = {"diagram_image": algebra_closure(diagram_gens, d, bound=comm_group).dim}
+            via = "double commutant"
+        else:
+            image = {"group_image": algebra_closure(gen_ops, d, bound=comm_diag).dim}
+            via = "closure"
     else:
         blocks, methods = _multiplicity_spaces(space, kind, diagram_gens, mode, solver_cap)
         if sum(dim_v * m for _, dim_v, m, _ in blocks) != d:
@@ -220,43 +217,53 @@ def _verify_span_family(family, n, r, s, mode, solver_cap):
                                                      want_kernel=False, unknown_cap=solver_cap)[0])
                 for (_, dim_mu, m_mu, a_mu), (_, dim_nu, m_nu, a_nu) in
                 itertools.product(blocks, repeat=2)]
-        group_image = sum(dim_v * dim_v for _, dim_v, _, _ in blocks)
+        image = {"group_image": sum(dim_v * dim_v for _, dim_v, _, _ in blocks)}
         comm_diag = sum(k * hom.nullity for k, hom in homs)
         comm_group = sum(m * m for _, _, m, _ in blocks)
         methods += [hom.method for _, hom in homs]
-        extra = {"group_image_via": "highest weights"}
-    equal = group_image == comm_diag
-    diagram_image = comm_group if equal else None
+        via = "highest weights"
+    return _report(family, n, r, s, count(r, s), comm_diag, comm_group, ["exact", *methods], via,
+                   **image)
+
+
+def _report(family, n, r, s, count, comm_diag, comm_group, methods, via, group_image=None,
+            diagram_image=None, equal=None) -> DualityReport:
+    """The one double-commutant rule, from both commutants and the one image
+    a route computed: both equalities are (that image == the opposite
+    commutant), unless the route proved ``equal``; the other image is the
+    other commutant where they hold.  ``via`` names the group image's route."""
+    if equal is None:
+        equal = group_image == comm_diag if diagram_image is None else diagram_image == comm_group
+    if diagram_image is None:
+        diagram_image = comm_group if equal else None
+    else:
+        group_image = comm_diag if equal else None
     dims = {"group_image": group_image, "diagram_image": diagram_image,
             "commutant_of_diagram": comm_diag, "commutant_of_group": comm_group}
     return DualityReport(family, n, r, s, dims, equal, equal,
-                         diagram_image == count(r, s) if equal else None,
-                         _combine_methods("exact", *methods), extra=extra)
+                         None if diagram_image is None else diagram_image == count,
+                         _combine_methods(*methods), extra={"group_image_via": via})
 
 
 def _verify_so_direct(n, r, mode, solver_cap):
-    """No diagram side here: only the strict containment of the full
-    orthogonal commutant inside the rotation-only commutant is computed."""
+    """No diagram side: the O(n) commutant inside the rotation commutant C,
+    from one solve.  X -> R X R, R the diagonal reflection, is an involution
+    of C fixing the O(n) commutant, of dimension (dim C + trace) / 2; each
+    kernel vector is 1 at its free column (i, j) and 0 at the others, so the
+    trace is the sum of sign[i] * sign[j] over the free columns."""
     space = TensorSpace(n, r)
     check_dim(space, DENSE_DIM_CAP)
     rotations = _generators("so", space)
-    _, so_comm = commutant(rotations, space.dim, mode=mode, want_basis=False,
-                           unknown_cap=solver_cap)
-    _, o_comm = commutant(rotations + [reflection_op(n, r)], space.dim, mode=mode,
-                          want_basis=False, unknown_cap=solver_cap)
-    dims = {
-        "group_image": None,
-        "diagram_image": None,
-        "commutant_of_diagram": None,
-        "commutant_of_group": so_comm.nullity,
-    }
-    extra = {
-        "so_commutant": so_comm.nullity,
-        "o_commutant": o_comm.nullity,
-        "proper_subalgebra": o_comm.nullity < so_comm.nullity,
-    }
-    return DualityReport("so-direct", n, r, None, dims, None, None, None,
-                         _combine_methods(so_comm.method, o_comm.method),
+    so_comm, support = intertwiner_kernel(rotations, rotations, space.dim, space.dim, mode=mode,
+                                          unknown_cap=solver_cap)
+    sign = reflection_op(n, r).diagonal_vector()
+    o_comm = (so_comm.nullity + sum(sign[i] * sign[j] for i, j in
+                                    (support[next(iter(v))] for v in so_comm.kernel))) // 2
+    dims = {"group_image": None, "diagram_image": None, "commutant_of_diagram": None,
+            "commutant_of_group": so_comm.nullity}
+    extra = {"so_commutant": so_comm.nullity, "o_commutant": o_comm,
+             "proper_subalgebra": o_comm < so_comm.nullity}
+    return DualityReport("so-direct", n, r, None, dims, None, None, None, so_comm.method,
                          extra=extra)
 
 
@@ -278,8 +285,7 @@ def _verify_deranged(n, r, mode, solver_cap):
     check_dim(MixedSpace(n, r, r), DENSE_DIM_CAP)  # n^(2r) > d: caps the adjoint power too
     d = space.dim
     if d * d > solver_cap:
-        raise CapExceededError(
-            f"{d * d} matrix-space unknowns exceed the solver cap {solver_cap}")
+        raise CapExceededError(f"{d * d} matrix-space unknowns exceed the solver cap {solver_cap}")
     elements = deranged_basis(r, n)
     # sigma(e) fixes the image of the inclusion and the coordinate map
     # vanishes on its kernel, so the bare diagram D acts as e*D*e does.
@@ -304,25 +310,12 @@ def _verify_deranged(n, r, mode, solver_cap):
 
     # The commutant of the diagram image lives in a 50625-unknown matrix
     # space at n=4, r=2; the torus grading splits it into small blocks.
-    graded_mode = "exact" if mode == "exact" else "modular"
-    comm_diag_dim, graded_method = graded_commutant_dim(diagram_ops, weights, mode=graded_mode)
+    comm_diag_dim, graded_method = graded_commutant_dim(
+        diagram_ops, weights, mode="exact" if mode == "exact" else "modular")
 
-    # The group image is the commutant of the group commutant (double
-    # commutant theorem: semisimple, characteristic zero), and equal_b
-    # proves that span equal to the diagram image.  Without equal_b there
-    # is no computed group image to compare.
-    group_image_dim = comm_diag_dim if equal_b else None
-    equal_a = True if equal_b else None
-    dims = {
-        "group_image": group_image_dim,
-        "diagram_image": diagram_span.dim,
-        "commutant_of_diagram": comm_diag_dim,
-        "commutant_of_group": comm_group.nullity,
-    }
-    method = _combine_methods(comm_group.method, graded_method)
-    return DualityReport("deranged", n, r, r, dims, equal_a, equal_b,
-                         diagram_span.dim == len(diagram_ops), method,
-                         extra={"group_image_via": "double commutant"})
+    return _report("deranged", n, r, r, len(diagram_ops), comm_diag_dim, comm_group.nullity,
+                   [comm_group.method, graded_method], "double commutant",
+                   diagram_image=diagram_span.dim, equal=equal_b)
 
 
 def verify_duality(

@@ -574,7 +574,7 @@ def full_basis_verify(family: str, n: int, r: int, s=None, mode: str = "auto",
         dims = {"group_image": comm_diag if equal_b else None,
                 "diagram_image": diagram_span.dim, "commutant_of_diagram": comm_diag,
                 "commutant_of_group": comm_group.nullity}
-        return DualityReport(family, n, r, r, dims, True if equal_b else None, equal_b,
+        return DualityReport(family, n, r, r, dims, equal_b, equal_b,
                              diagram_span.dim == len(diagram_ops),
                              _combine_methods(comm_group.method, graded_method),
                              extra={"group_image_via": "double commutant"})

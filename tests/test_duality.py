@@ -93,10 +93,11 @@ class TestDeranged:
         assert len(graded_calls) == 1
 
     def test_no_group_image_without_equal_b(self, monkeypatch):
+        # one rule: equal_a is equal_b, and without it no group image is read off
         monkeypatch.setattr(duality, "span_equal", lambda a, b: False)
         rep = verify_duality("deranged", 2, 1)
         assert rep.equal_b is False
-        assert rep.equal_a is None
+        assert rep.equal_a is False
         assert rep.dims["group_image"] is None
         assert rep.dims["commutant_of_diagram"] == 9
         assert not rep.verified
@@ -214,8 +215,9 @@ class TestOneEqualityRule:
     def test_span_families_count_dimensions(self, monkeypatch, family, n, r, s, mode):
         # no span comparison and no commutant basis: one exact commutation
         # check and four dimensions decide both equalities.  o solves both
-        # commutants; glA, sp and walled read all three dimensions off the
-        # multiplicity spaces and solve no d * d system.
+        # commutants and closes its diagram image (group commutant 3 < 35);
+        # glA, sp and walled read all three dimensions off the multiplicity
+        # spaces and solve no d * d system.
         def refuse(*args, **kwargs):
             raise AssertionError("span_equal called")
 
@@ -231,7 +233,8 @@ class TestOneEqualityRule:
         rep = verify_duality(family, n, r, s, mode=mode)
         assert rep.verified
         assert bases == ([False, False] if family == "o" else [])
-        assert rep.extra == ({} if family == "o" else {"group_image_via": "highest weights"})
+        assert rep.extra == {"group_image_via": "double commutant" if family == "o"
+                             else "highest weights"}
         assert rep.equal_a == (rep.dims["group_image"] == rep.dims["commutant_of_diagram"])
         assert rep.equal_b == (rep.dims["diagram_image"] == rep.dims["commutant_of_group"])
 
@@ -254,12 +257,18 @@ class TestModularTags:
 
 
 class TestBoundedClosure:
-    """o is the span family that still runs the closure, bounded by its
-    diagram commutant (o(3,2): 35, group commutant 3)."""
+    """o closes the image that the smaller of its two commutants bounds:
+    o(3,2) its diagram image (group commutant 3, diagram commutant 35),
+    o(2,3) its group image (diagram commutant 8, group commutant 10)."""
 
-    def test_inflated_bound_falls_back_to_the_exact_image(self, monkeypatch):
-        # a diagram commutant one too large: the residues stop short of the
-        # bound, the exact saturation reports the true image, and both
+    @pytest.mark.parametrize("n,r,inflated,computed,other", [
+        (3, 2, 1, "diagram_image", "group_image"),
+        (2, 3, 0, "group_image", "diagram_image"),
+    ])
+    def test_inflated_bound_falls_back_to_the_exact_image(self, monkeypatch, n, r, inflated,
+                                                          computed, other):
+        # the bounding commutant one too large: the residues stop short of
+        # the bound, the exact saturation reports the true image, and both
         # equalities fail with it (one rule: a semisimple pair is each
         # other's commutant together or not at all)
         import dataclasses
@@ -267,36 +276,121 @@ class TestBoundedClosure:
         original = duality.commutant
         calls = []
 
-        def inflated(*args, **kwargs):
+        def inflate(*args, **kwargs):
             span, res = original(*args, **kwargs)
             calls.append(res.nullity)
-            if len(calls) == 1:
+            if len(calls) == inflated + 1:
                 res = dataclasses.replace(res, nullity=res.nullity + 1)
             return span, res
 
-        monkeypatch.setattr(duality, "commutant", inflated)
-        rep = verify_duality("o", 3, 2)
-        assert calls == [35, 3]
-        assert rep.dims["group_image"] == 35
-        assert rep.dims["commutant_of_diagram"] == 36
-        assert rep.equal_a is False and rep.equal_b is False
-        assert rep.dims["diagram_image"] is None and rep.faithful is None
+        truth = verify_duality("o", n, r).dims
+        monkeypatch.setattr(duality, "commutant", inflate)
+        rep = verify_duality("o", n, r)
+        assert calls == [truth["commutant_of_diagram"], truth["commutant_of_group"]]
+        bound = ("commutant_of_diagram", "commutant_of_group")[inflated]
+        assert rep.dims[bound] == truth[bound] + 1
+        assert rep.dims[computed] == truth[computed]
+        assert rep.equal_a is False and rep.equal_b is False and rep.dims[other] is None
+        assert rep.faithful is (None if computed == "group_image" else True)
 
     @pytest.mark.parametrize("mode", ["auto", "exact"])
-    def test_bound_is_the_diagram_commutant(self, monkeypatch, mode):
-        bounds = []
-        original = duality.algebra_closure
+    def test_bound_is_the_smaller_commutant(self, monkeypatch, mode):
+        starts = []
+        original = linalg._bounded_closure
 
-        def recording(*args, **kwargs):
-            bounds.append(kwargs["bound"])
+        def recording(start, d, p, bound):
+            starts.append(([op.rows for op in start], bound))
+            return original(start, d, p, bound)
+
+        monkeypatch.setattr(linalg, "_bounded_closure", recording)
+        rep = verify_duality("o", 3, 2, mode=mode)
+        assert rep.verified and rep.extra == {"group_image_via": "double commutant"}
+        # the identity, then s_1 and c_12, bounded by the group commutant
+        identity = [{i: 1} for i in range(9)]
+        gens = [_diagram_rows(x, 3, BilinearForm("symmetric", 3))
+                for x in duality._diagram_generators("o", 2, None)]
+        assert len(gens) == 2 and starts == [([identity, *gens], 3)]
+        starts.clear()
+        rep = verify_duality("o", 2, 3, mode=mode)
+        assert rep.verified and rep.extra == {"group_image_via": "closure"}
+        # the identity, then the rotation and the reflection, bounded by the diagram commutant
+        space = TensorSpace(2, 3)
+        seed = duality._generators("so", space) + [reflection_op(2, 3)]
+        assert starts == [([[{i: 1} for i in range(8)], *(op.rows for op in seed)], 8)]
+        assert rep.dims["commutant_of_diagram"] == 8 < rep.dims["commutant_of_group"] == 10
+        starts.clear()
+        assert verify_duality("sp", 4, 2, mode=mode).verified
+        assert starts == []
+
+
+# o at every point the closure reaches in seconds, both modes: dims, flags,
+# faithful and method tag as the route that always closed the group image
+# reported them (recorded before the route closed the smaller side)
+O_POINTS = {
+    (2, 1): ((4, 1, 4, 1), True, "exact", "exact"),
+    (2, 2): ((6, 3, 6, 3), True, "exact", "exact"),
+    (2, 3): ((8, 10, 8, 10), False, "exact", "exact"),
+    (2, 4): ((10, 35, 10, 35), False, "exact", "exact"),
+    (3, 1): ((9, 1, 9, 1), True, "exact", "exact"),
+    (3, 2): ((35, 3, 35, 3), True, "exact", "exact"),
+    (3, 3): ((84, 15, 84, 15), True, "mod-p-confirmed-exact", "exact"),
+    (3, 4): ((165, 91, 165, 91), False, "mod-p-confirmed-exact", "exact"),
+    (4, 1): ((16, 1, 16, 1), True, "exact", "exact"),
+    (4, 2): ((118, 3, 118, 3), True, "exact", "exact"),
+    (4, 3): ((544, 15, 544, 15), True, "mod-p-confirmed-exact", "exact"),
+    (5, 2): ((297, 3, 297, 3), True, "mod-p-confirmed-exact", "exact"),
+    (5, 3): ((2250, 15, 2250, 15), True, "mod-p-confirmed-exact", "exact"),
+    (6, 2): ((626, 3, 626, 3), True, "mod-p-confirmed-exact", "exact"),
+}
+
+
+class TestOrthogonalPins:
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    @pytest.mark.parametrize("point", list(O_POINTS), ids=lambda p: "-".join(map(str, p)))
+    def test_report_is_the_group_closure_route(self, point, mode):
+        dims, faithful, auto_tag, exact_tag = O_POINTS[point]
+        rep = verify_duality("o", *point, mode=mode)
+        assert tuple(rep.dims.values()) == dims
+        assert rep.equal_a is True and rep.equal_b is True and rep.faithful is faithful
+        assert rep.method == (auto_tag if mode == "auto" else exact_tag)
+        # the diagram image is closed where the group commutant is smaller
+        assert rep.extra == {"group_image_via": "double commutant" if dims[3] < dims[2]
+                             else "closure"}
+
+
+class TestSoDirectTrace:
+    """so-direct reads the O(n) commutant off the rotation commutant's
+    kernel: (dim + the trace of conjugation by the reflection) / 2."""
+
+    @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2),
+                                     (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)])
+    def test_o_commutant_equals_the_second_solve(self, monkeypatch, n, r):
+        calls = []
+        original = linalg.intertwiner_kernel
+
+        def spy(*args, **kwargs):
+            calls.append(args[2:4])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(duality, "algebra_closure", recording)
-        rep = verify_duality("o", 3, 2, mode=mode)
-        assert rep.verified
-        assert bounds == [rep.dims["commutant_of_diagram"]] == [35]
-        assert verify_duality("sp", 4, 2, mode=mode).verified
-        assert len(bounds) == 1
+        monkeypatch.setattr(linalg, "intertwiner_kernel", spy)
+        monkeypatch.setattr(duality, "intertwiner_kernel", spy)
+        rep = verify_duality("so-direct", n, r)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        space = TensorSpace(n, r)
+        rotations = duality._generators("so", space)
+        _, o_comm = linalg.commutant(rotations + [reflection_op(n, r)], space.dim,
+                                     want_basis=False)
+        assert rep.extra["o_commutant"] == o_comm.nullity
+        assert rep.extra["proper_subalgebra"] == (o_comm.nullity < rep.extra["so_commutant"])
+
+    def test_the_trace_reads_the_reflection_signs(self, monkeypatch):
+        # with every sign +1 the trace is the whole dimension: O(2) on C^2
+        # would read the SO(2) commutant 2, not 1
+        monkeypatch.setattr(duality, "reflection_op",
+                            lambda n, r: LinOp(n ** r, [{i: 1} for i in range(n ** r)]))
+        rep = verify_duality("so-direct", 2, 1)
+        assert rep.extra["o_commutant"] == rep.extra["so_commutant"] == 2
 
 
 class TestGlAClosedForms:
@@ -408,6 +502,12 @@ class TestGeneratorRoute:
             # the method tag may only get stronger, and the report names the route
             assert STRENGTH[ours.pop("method")] >= STRENGTH[ref.pop("method")]
             assert ours.pop("group_image_via") == "highest weights"
+        if family == "o":
+            # o closes the image that the smaller commutant bounds
+            dims = ours["dims"]
+            assert ours.pop("group_image_via") == (
+                "double commutant" if dims["commutant_of_group"] < dims["commutant_of_diagram"]
+                else "closure")
         assert ours == ref
 
     @pytest.mark.parametrize("family,n,r,s", [
@@ -466,12 +566,16 @@ class TestGeneratorRoute:
 
     @pytest.mark.parametrize("family,n,r,s,roots", [
         ("glA", 3, 2, None, 4), ("walled", 3, 1, 1, 4), ("sp", 4, 2, None, 4), ("o", 4, 2, None, 3),
+        ("o", 2, 3, None, 1),
     ])
     def test_closure_seed_is_the_roots_and_the_reflection(self, monkeypatch, family, n, r, s,
                                                           roots):
-        # o: the closure is seeded with the roots and the reflection.  glA,
-        # sp and walled run no closure: their highest-weight equations are
-        # the raising half of those roots, restricted to each weight.
+        # o: the closure is seeded with the roots and the reflection where
+        # the diagram commutant is the smaller bound (o(2,3): 8 < 10), else
+        # with the diagram generators (o(4,2): 3 < 118); the closure adds
+        # the identity.  glA, sp and walled run no closure: their
+        # highest-weight equations are the raising half of those roots,
+        # restricted to each weight.
         seeds, equations = [], []
         original = duality.algebra_closure
         original_equations = duality._highest_weight_equations
@@ -497,6 +601,11 @@ class TestGeneratorRoute:
                 assert [row for row in rows if row] == [row for row in want if row]
             return
         (seed,) = seeds
+        if (n, r) == (4, 2):
+            form = BilinearForm("symmetric", n)
+            assert [op.rows for op in seed] == [_diagram_rows(x, n, form)
+                                                for x in duality._diagram_generators(family, r, s)]
+            return
         diagonal = [op.rows for op in seed if op.diagonal_vector() is not None]
         reflection = [reflection_op(n, r).rows] if family == "o" else []
         assert diagonal == reflection and len(seed) == roots + len(reflection)
