@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
-import numpy as np
-
 from .diagrams import CapExceededError, double_factorial_odd
 from .linalg import solve_sparse_system
 
@@ -36,23 +34,29 @@ def derangements(k: int) -> int:
     return sum((-1) ** (k - j) * comb(k, j) * factorial(j) for j in range(k + 1))
 
 
-def _permutation_tables(k: int) -> list[np.ndarray]:
+def _slot_columns(columns: list[bytes], slot: int, j: int) -> list[bytes]:
+    """The table of range(j), as byte columns, with j inserted at ``slot``."""
+    return columns[:slot] + [bytes([j]) * factorial(j)] + columns[slot:]
+
+
+def _permutation_tables(k: int) -> list[list[bytes]]:
     """For j = 0 .. k, every permutation of range(j), one per row of a
-    small-int table: j goes into each of the j + 1 slots of every row of
-    the table of range(j)."""
-    tables = [np.zeros((1, 0), dtype=np.int8)]
+    table stored as its j byte columns: j goes into each of the j + 1
+    slots of every row of the table of range(j)."""
+    tables: list[list[bytes]] = [[]]
     for j in range(k):
-        tables.append(np.concatenate([np.insert(tables[-1], slot, j, axis=1)
-                                      for slot in range(j + 1)]))
+        blocks = [_slot_columns(tables[-1], slot, j) for slot in range(j + 1)]
+        tables.append([b"".join(column) for column in zip(*blocks)])
     return tables
 
 
-def _permutation_table(k: int) -> np.ndarray:
-    return _permutation_tables(k)[-1]
-
-
-def _fixed_point_free(table: np.ndarray) -> int:
-    return int(np.count_nonzero((table != np.arange(table.shape[1], dtype=np.int8)).all(axis=1)))
+def _fixed_point_free(columns: list[bytes]) -> int:
+    """The rows with no fixed point: column c marks the rows holding c by one
+    translate, and the rows whose ORed marks stay 0 are counted."""
+    hits = 0
+    for c, column in enumerate(columns):
+        hits |= int.from_bytes(column.translate(bytes(b == c for b in range(256))), "big")
+    return hits.to_bytes(factorial(len(columns)), "big").count(0)
 
 
 def derangements_by_enumeration(k: int) -> int:
@@ -60,7 +64,7 @@ def derangements_by_enumeration(k: int) -> int:
     the rows of the table of all k! permutations with no fixed point."""
     if k > ENUMERATION_CAP:
         raise ValueError(f"enumeration for k={k} exceeds cap {ENUMERATION_CAP}")
-    return _fixed_point_free(_permutation_table(k))
+    return _fixed_point_free(_permutation_tables(k)[-1])
 
 
 def nearest_integer_to_k_factorial_over_e(k: int) -> int:

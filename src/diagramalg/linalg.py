@@ -35,12 +35,13 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .diagrams import CapExceededError
 from .ring import exactify
+
+if TYPE_CHECKING:  # each function that builds or reads a dense array imports numpy
+    import numpy as np
 
 # Primes just below 2**25: a product of two residues is below 2**50, and
 # an int64 sum holds (2**63 - 1) // (p - 1)**2 of them (8192 at these
@@ -59,9 +60,8 @@ CLOSURE_DIM_CAP = 4096        # refuse an algebra closure of larger dimension
 # dense exact matrices (numpy object arrays holding Fractions / ints)
 
 def zeros_matrix(nrows: int, ncols: int) -> np.ndarray:
-    out = np.empty((nrows, ncols), dtype=object)
-    out[:] = 0
-    return out
+    import numpy as np
+    return np.zeros((nrows, ncols), dtype=object)
 
 
 def _residue(q, p: int, cache: dict) -> int:
@@ -78,6 +78,7 @@ def _residue(q, p: int, cache: dict) -> int:
 def mat_to_modp(mat, p: int) -> np.ndarray:
     """Reduce an exact matrix or ``LinOp`` mod p.  Denominators divisible
     by p are a hard error; callers escalate to another prime."""
+    import numpy as np
     out = np.zeros(mat.shape, dtype=np.int64)
     cache: dict = {}
     dst = out.reshape(-1)
@@ -91,6 +92,7 @@ def mat_to_modp(mat, p: int) -> np.ndarray:
 
 def _nonzeros(mat: np.ndarray) -> dict:
     """The nonzero entries of an array, flattened, as a sparse row."""
+    import numpy as np
     flat = mat.reshape(-1)
     return {j: flat[j] for j in np.flatnonzero(flat).tolist()}
 
@@ -307,6 +309,7 @@ class ModRref(_Echelon):
 
     def insert(self, v: np.ndarray) -> bool:
         """Reduce and keep the dense row ``v``; True if it added a pivot."""
+        import numpy as np
         nz = np.flatnonzero(v)
         return self._install(zip(nz.tolist(), v[nz].tolist()))
 
@@ -663,6 +666,7 @@ def graded_commutant_dim(
         raise ValueError(f"unknown graded mode {mode!r}; choose 'exact' or 'modular'")
     if not gens:
         raise ValueError("need at least one generator")
+    import numpy as np
     d = len(weights)
     # each generator scaled once to integers: the same commutant
     ints = [_int_scaled(_as_linop(g, d).entries())[1] for g in gens]
@@ -699,6 +703,7 @@ def _graded_total(blocks, nullity) -> int:
     ``nullity(matrix)`` counts once per pair of classes it stands for; one
     loop serves both the exact and the modular arithmetic.
     """
+    import numpy as np
     total = 0
     for (count_i, g_i), (count_j, g_j) in itertools.product(blocks, repeat=2):
         k, a, b = *g_i.shape[:2], g_j.shape[-1]

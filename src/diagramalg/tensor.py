@@ -38,8 +38,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import AlgebraElement, RingMismatchError
 from .diagrams import (
@@ -61,6 +60,9 @@ from .linalg import (
     sparse_scale_add,
     zeros_matrix,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_DIM_CAP = 65536
 DENSE_DIM_CAP = 4096

@@ -3,12 +3,12 @@ from math import comb, factorial
 
 import pytest
 
-from diagramalg import tensor
+from diagramalg import combinatorics, tensor
 from diagramalg.combinatorics import (
     AdjointMultiplicityReport,
     _highest_weight_multiplicity,
     _invariants_by_characters,
-    _permutation_table,
+    _permutation_tables,
     DerangementTable,
     derangement_table,
     derangements,
@@ -46,9 +46,11 @@ class TestDerangements:
 
     @pytest.mark.parametrize("k", range(8))
     def test_enumeration_table_holds_every_permutation_once(self, k):
-        table = _permutation_table(k)
-        assert table.shape == (factorial(k), k)
-        assert sorted(map(tuple, table.tolist())) == sorted(itertools.permutations(range(k)))
+        # the table is its k byte columns; the table of range(0) is one empty row
+        columns = _permutation_tables(k)[k]
+        assert len(columns) == k and all(len(c) == factorial(k) for c in columns)
+        rows = list(zip(*columns)) if columns else [()]
+        assert sorted(rows) == sorted(itertools.permutations(range(k)))
 
     def test_recurrence(self):
         vals = [derangements(k) for k in range(31)]
@@ -76,17 +78,15 @@ class TestDerangementTable:
     @pytest.mark.parametrize("kmax,inserts", [(0, 0), (3, 6), (8, 36), (20, 36)])
     def test_permutation_tables_are_built_in_one_pass(self, monkeypatch, kmax, inserts):
         # each k <= min(kmax, 8) is enumerated on the way to the largest
-        # table: 1 + 2 + ... + 8 insertions, not the 120 of a rebuild per k
-        import numpy as np
-
+        # table: 1 + 2 + ... + 8 slot insertions, not the 120 of a rebuild per k
         calls = []
-        original = np.insert
+        original = combinatorics._slot_columns
 
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return original(*args, **kwargs)
+        def counting(columns, slot, j):
+            calls.append(j)
+            return original(columns, slot, j)
 
-        monkeypatch.setattr(np, "insert", counting)
+        monkeypatch.setattr(combinatorics, "_slot_columns", counting)
         table = derangement_table(kmax)
         monkeypatch.undo()
         assert len(calls) == inserts
